@@ -37,7 +37,7 @@ class TensorDataset:
             raise DimensionMismatch(
                 f"labels length {labels.shape} does not match image count {images.shape[0]}"
             )
-        if images.size and (images.min() < 0.0 or images.max() > 1.0):
+        if images.size and not (images.min() >= 0.0 and images.max() <= 1.0):
             raise ValueError("pixel values must lie in [0, 1]")
         if labels.size:
             if labels.min() < 0 or labels.max() >= self.num_classes:

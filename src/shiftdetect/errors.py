@@ -45,6 +45,10 @@ class EmptySample(ShiftDetectError, ValueError):
     """Two-sample test received an empty sample."""
 
 
+class NonFiniteInput(ShiftDetectError, ValueError):
+    """Two-sample test received NaN or infinite values."""
+
+
 class EmptyInput(ShiftDetectError, ValueError):
     """Aggregation received no p-values."""
 

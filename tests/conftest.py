@@ -11,11 +11,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from shiftdetect import digits, nets
 from shiftdetect.data import TensorDataset, flatten, load_idx, random_split
 
 DESK_TRAIN, DESK_VAL, DESK_TEST = 5000, 2000, 2000
+
+# property tests replay the same examples on every run and have no time limit,
+# so they neither vary between runs nor flake on a slow or shared machine
+settings.register_profile("shiftdetect", derandomize=True, deadline=None)
+settings.load_profile("shiftdetect")
 
 
 def _mnist_pool() -> TensorDataset | None:

@@ -111,6 +111,17 @@ def test_dataset_invariants_enforced():
         TensorDataset(np.zeros((2, 2, 2, 1)), np.zeros(1, dtype=int), 2)
 
 
+def test_dataset_rejects_nan_pixels(tmp_path):
+    images = np.zeros((2, 2, 2, 1))
+    images[1, 0, 1, 0] = np.nan
+    with pytest.raises(ValueError):
+        TensorDataset(images, np.zeros(2, dtype=int), 2)
+    path = tmp_path / "nan.csv"
+    path.write_text("0.0,nan,0\n")
+    with pytest.raises(ValueError):
+        load_csv(path)
+
+
 def test_random_split_deterministic():
     pool = TensorDataset(np.linspace(0, 1, 10).reshape(10, 1, 1, 1),
                          np.arange(10) % 3, 3)

@@ -1,9 +1,15 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import special, stats
 
+from shiftdetect import stattest
 from shiftdetect.dimred import DrKind, Representation
 from shiftdetect.errors import (
     BadCounts,
@@ -11,6 +17,7 @@ from shiftdetect.errors import (
     EmptyInput,
     EmptySample,
     IncompatibleMode,
+    NonFiniteInput,
     SampleCapExceeded,
     TooFewSamples,
 )
@@ -23,6 +30,7 @@ from shiftdetect.stattest import (
     chi2_sf,
     dispatch_test,
     kolmogorov_sf,
+    ks_pvalues_by_column,
     ks_two_sample,
     mmd2_unbiased,
     mmd_permutation_test,
@@ -101,6 +109,85 @@ def test_kolmogorov_sf_bounds():
     assert 0.0 <= kolmogorov_sf(5.0) < 1e-9
     # reference value Q(1) ~ 0.26999967168 (alternating series, widely tabulated)
     assert abs(kolmogorov_sf(1.0) - 0.2699996717) < 1e-9
+
+
+def _tie_heavy_columns(rng, n, m, k):
+    """Quarter-step grids with shifted supports, plus two constant columns."""
+    source = rng.integers(0, 5, size=(n, k)) / 4.0
+    target = rng.integers(1, 6, size=(m, k)) / 4.0
+    source[:, 0], target[:, 0] = 0.5, 0.5  # constant and equal: S = 0
+    source[:, 1], target[:, 1] = 0.0, 1.0  # constant and disjoint: S = 1
+    return source, target
+
+
+def test_ks_columns_match_scipy_ks_2samp():
+    rng = np.random.default_rng(13)
+    for n, m, k in [(7, 12, 9), (40, 25, 30), (1, 6, 4), (300, 120, 12)]:
+        source, target = _tie_heavy_columns(rng, n, m, k)
+        ours = stattest._ks_statistics(source, target)
+        for j in range(k):
+            # scipy forms the ECDF difference in another order: a few ulps apart
+            theirs = stats.ks_2samp(source[:, j], target[:, j]).statistic
+            assert abs(ours[j] - theirs) <= 4 * np.finfo(np.float64).eps
+        assert ours[0] == 0.0 and ours[1] == 1.0
+
+
+def test_ks_pvalues_match_scipy_kolmogorov():
+    rng = np.random.default_rng(14)
+    for n, m, k in [(10, 10, 16), (13, 31, 20), (200, 150, 8)]:
+        source, target = _tie_heavy_columns(rng, n, m, k)
+        source[:, 2:8] += rng.normal(scale=0.3, size=(n, 6))
+        ne = n * m / (n + m)
+        factor = math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)
+        ours = ks_pvalues_by_column(source, target)
+        for j in range(k):
+            d = stats.ks_2samp(source[:, j], target[:, j]).statistic
+            assert abs(ours[j] - special.kolmogorov(factor * d)) <= 1e-11
+
+
+_ks_values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                       st.floats(-5.0, 5.0, allow_nan=False))
+
+
+@st.composite
+def _ks_problem(draw):
+    n, m, k = draw(st.integers(1, 12)), draw(st.integers(1, 12)), draw(st.integers(1, 9))
+    source = draw(hnp.arrays(np.float64, (n, k), elements=_ks_values))
+    target = draw(hnp.arrays(np.float64, (m, k), elements=_ks_values))
+    # pooled values per rank pass: small budgets split the columns into uneven blocks
+    block = draw(st.integers(1, 2 * (n + m) * k))
+    return source, target, block
+
+
+@given(_ks_problem())
+@example((np.array([[0.25]]), np.array([[0.25], [1.0]]), 1))
+@example((np.zeros((1, 7)), np.arange(21.0).reshape(3, 7) / 4.0, 12))
+def test_ks_by_column_equals_one_column_calls(problem):
+    source, target, block = problem
+    with mock.patch.object(stattest, "KS_BLOCK_ELEMENTS", block):
+        p_values = ks_pvalues_by_column(source, target)
+        statistics = stattest._ks_statistics(source, target)
+    for j in range(source.shape[1]):
+        stat, p = ks_two_sample(source[:, j], target[:, j])
+        assert p_values[j] == p
+        assert statistics[j] == stat == brute_force_ks_stat(source[:, j], target[:, j])
+
+
+def test_ks_rejects_non_finite():
+    with pytest.raises(NonFiniteInput):
+        ks_two_sample([0.0, np.nan], [0.0, 0.0])
+    with pytest.raises(NonFiniteInput):
+        ks_two_sample([0.0, 1.0], [np.inf, 0.0])
+
+
+def test_ks_by_column_rejects_non_finite():
+    # a NaN pixel among all-zero samples must raise, not read as "no shift"
+    source, target = np.zeros((20, 16)), np.zeros((20, 16))
+    target[3, 5] = np.nan
+    with pytest.raises(NonFiniteInput):
+        ks_pvalues_by_column(source, target)
+    with pytest.raises(NonFiniteInput):
+        ks_pvalues_by_column(target, source)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +295,10 @@ def test_mmd_permutation_copy_gives_large_p():
 def test_mmd_permutation_deterministic_per_seed():
     rng = np.random.default_rng(2)
     x, y = rng.normal(size=(20, 2)), rng.normal(size=(20, 2))
-    a = mmd_permutation_test(x, y, n_perms=100, seed=9)
-    b = mmd_permutation_test(x, y, n_perms=100, seed=9)
-    assert a == b
+    for n_perms in (100, 1000):  # one chunk of permutations, then several
+        a = mmd_permutation_test(x, y, n_perms=n_perms, seed=9)
+        b = mmd_permutation_test(x, y, n_perms=n_perms, seed=9)
+        assert a == b
 
 
 def test_mmd_permutation_stats_match_naive_relabeling():
@@ -244,6 +332,62 @@ def test_mmd_permutation_pvalues_valid_under_null():
     pvals = np.array(pvals)
     for alpha in (0.01, 0.05, 0.1):
         assert np.mean(pvals <= alpha) <= alpha + 0.03
+
+
+def _draws(seed, n_perms, total_n, m):
+    return list(stattest._permutation_memberships(seed, n_perms, total_n, m))
+
+
+@pytest.mark.parametrize("n_perms", [1, 127, 128, 129, 1000])
+def test_mmd_draws_exactly_m_members_at_chunk_edges(n_perms):
+    chunks = _draws(4, n_perms, 23, 9)
+    assert all(1 <= c.shape[0] <= stattest.PERM_CHUNK for c in chunks)
+    member = np.vstack(chunks)
+    assert member.shape == (n_perms, 23)
+    assert set(np.unique(member)) <= {0.0, 1.0}
+    assert (member.sum(axis=1) == 9).all()
+    out = mmd_permutation_test(np.arange(18.0).reshape(9, 2),
+                               np.arange(28.0).reshape(14, 2) / 3.0,
+                               n_perms=n_perms, seed=4)
+    exceed = round(out.p_value * (1 + n_perms)) - 1
+    assert 0 <= exceed <= n_perms
+    assert out.p_value == (1.0 + exceed) / (1.0 + n_perms)
+
+
+def test_mmd_draws_are_prefix_stable():
+    full = np.vstack(_draws(11, 1000, 30, 12))
+    for k in (1, 127, 128, 129, 500):
+        assert np.array_equal(np.vstack(_draws(11, k, 30, 12)), full[:k])
+    assert not np.array_equal(np.vstack(_draws(12, 1000, 30, 12)), full)
+
+
+def test_mmd_permutation_p_value_counts_drawn_relabelings():
+    # the chunked cached-kernel p-value equals counting literal relabelings
+    rng = np.random.default_rng(16)
+    x, y = rng.normal(size=(8, 3)), rng.normal(0.4, 1.0, size=(11, 3))
+    pooled = np.vstack([x, y])
+    out = mmd_permutation_test(x, y, n_perms=200, seed=8)
+    naive = np.array([mmd2_unbiased(pooled[row == 1], pooled[row == 0])
+                      for row in np.vstack(_draws(8, 200, 19, 8))])
+    assert np.min(np.abs(naive - out.statistic)) > 1e-9
+    assert out.p_value == (1.0 + np.sum(naive >= out.statistic)) / 201.0
+
+
+def test_mmd2_rejects_non_finite():
+    x, y = np.zeros((10, 4)), np.zeros((10, 4))
+    y[2, 1] = np.nan
+    with pytest.raises(NonFiniteInput):
+        mmd2_unbiased(x, y)
+
+
+def test_mmd_permutation_rejects_non_finite():
+    # a NaN pixel among all-zero samples must raise, not yield a (false) rejection
+    x, y = np.zeros((10, 4)), np.zeros((10, 4))
+    y[2, 1] = np.nan
+    with pytest.raises(NonFiniteInput):
+        mmd_permutation_test(x, y, seed=0)
+    with pytest.raises(NonFiniteInput):
+        mmd_permutation_test(np.full((3, 2), -np.inf), x[:, :2], bandwidth=None)
 
 
 # ---------------------------------------------------------------------------
