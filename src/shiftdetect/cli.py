@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -23,10 +24,9 @@ import numpy as np
 
 from . import __version__, digits, harness, nets, shifts
 from .data import TensorDataset, flatten, load_csv, load_idx, write_csv, write_idx
-from .dimred import DrKind, build_srp, fit_pca, reduce
+from .dimred import DrKind, reduce
 from .errors import ConfigInvalid, ShiftDetectError
-from .harness import ExperimentConfig
-from .nets import TrainConfig
+from .harness import ExperimentConfig, MethodSpec, NamedShift
 from .stattest import TestMode, dispatch_test
 
 EXIT_SHIFT_DETECTED = 3
@@ -83,29 +83,27 @@ def _outcome_payload(outcome) -> dict:
 # ---------------------------------------------------------------------------
 # detect
 
-def _fit_for_detect(kind: DrKind, source: TensorDataset, args) -> object:
-    """One-shot mode fits the reducer on the source sample itself."""
-    x = flatten(source)
-    k = min(args.latent_dim, max(1, min(x.shape[0] - 1, x.shape[1])))
-    cfg = TrainConfig(batch_size=min(args.batch_size, max(1, x.shape[0])),
-                      lr0=args.lr0, max_epochs=args.epochs, patience=args.patience,
-                      seed=args.seed)
-    if kind == DrKind.NORED:
-        return None
-    if kind == DrKind.PCA:
-        return fit_pca(x, k)
-    if kind == DrKind.SRP:
-        return build_srp(x.shape[1], k, seed=args.seed)
-    if kind in (DrKind.UAE, DrKind.TAE):
-        epochs = 0 if kind == DrKind.UAE else args.epochs
-        ae_cfg = TrainConfig(batch_size=cfg.batch_size, lr0=args.ae_lr0, max_epochs=epochs,
-                             patience=cfg.patience, seed=cfg.seed)
-        return nets.train_autoencoder(x, x, (x.shape[1], args.hidden_dim, k), ae_cfg)
-    if source.num_classes < 2:
-        raise ConfigInvalid(f"{kind.value} needs labeled source data with >= 2 classes")
-    return nets.train_label_classifier((x, source.labels), (x, source.labels),
-                                       source.num_classes, cfg,
-                                       hidden_dims=(args.hidden_dim,))
+def _one_shot_config(args, source: TensorDataset, kind: DrKind) -> ExperimentConfig:
+    """The training flags of detect/exemplars as a config for fitting on the source.
+
+    The latent size is clamped to min(latent_dim, n - 1, D), so PCA stays
+    defined on small samples; seeds derive from --seed as in bench.
+    """
+    k = min(args.latent_dim, max(1, min(source.n - 1, math.prod(source.image_shape))))
+    return ExperimentConfig(
+        methods=(MethodSpec(kind),), shifts=(NamedShift("no_shift", shifts.preset("no_shift")),),
+        n_train=source.n, n_val=0, n_test=0, alpha=args.alpha, seed=args.seed,
+        latent_dim=k, hidden_dim=args.hidden_dim, domain_hidden_dim=args.hidden_dim,
+        ae_epochs=args.epochs, clf_epochs=args.epochs, domain_epochs=args.epochs,
+        batch_size=args.batch_size, domain_batch_size=args.batch_size,
+        lr0=args.lr0, ae_lr0=args.ae_lr0, patience=args.patience)
+
+
+def _domain_check(args, source: TensorDataset, target: TensorDataset) -> harness.DomainCheck:
+    cfg = _one_shot_config(args, source, DrKind.CLASSIF)
+    return harness.run_domain_classifier_test(
+        flatten(source), flatten(target), cfg.domain_train_config(args.seed),
+        alpha=args.alpha, seed=args.seed, hidden_dims=(cfg.domain_hidden_dim,))
 
 
 def cmd_detect(args) -> int:
@@ -114,18 +112,11 @@ def cmd_detect(args) -> int:
     kind = DrKind(args.method)
     mode = TestMode(args.mode)
     if kind == DrKind.CLASSIF:
-        check = harness.run_domain_classifier_test(
-            flatten(source), flatten(target),
-            TrainConfig(batch_size=min(args.batch_size, max(1, source.n)),
-                        lr0=args.lr0, max_epochs=args.epochs,
-                        patience=args.patience, seed=args.seed),
-            alpha=args.alpha, seed=args.seed, hidden_dims=(args.hidden_dim,))
-        outcome = check.outcome
+        outcome = _domain_check(args, source, target).outcome
     else:
-        fitted = _fit_for_detect(kind, source, args)
-        rep_source = reduce(kind, fitted, flatten(source))
-        rep_target = reduce(kind, fitted, flatten(target))
-        outcome = dispatch_test(rep_source, rep_target, kind, mode,
+        handle = harness.fit_reducers(source, _one_shot_config(args, source, kind)).handle_for(kind)
+        outcome = dispatch_test(reduce(kind, handle, flatten(source)),
+                                reduce(kind, handle, flatten(target)), kind, mode,
                                 alpha=args.alpha, seed=args.seed)
     payload = _outcome_payload(outcome)
     payload.update(method=kind.value, mode=mode.value,
@@ -137,15 +128,6 @@ def cmd_detect(args) -> int:
 # ---------------------------------------------------------------------------
 # shift
 
-def _spec_from_document(doc: dict) -> shifts.ShiftSpec:
-    doc = dict(doc)
-    doc.pop("name", None)
-    if "preset" in doc:
-        preset_name = doc.pop("preset")
-        return shifts.preset(preset_name, **doc)
-    return shifts.ShiftSpec.from_dict(doc)
-
-
 def cmd_shift(args) -> int:
     ds = _load_dataset(args.input)
     if not Path(args.spec).exists():
@@ -155,7 +137,7 @@ def cmd_shift(args) -> int:
             doc = json.load(f)
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"spec is not valid JSON: {exc}") from exc
-    spec = _spec_from_document(doc)
+    spec = harness.parse_shift_spec(doc)
     classifier = None
     if args.model:
         if not Path(args.model).exists():
@@ -200,25 +182,18 @@ def _dataset_from_config(doc: dict, cfg: ExperimentConfig) -> TensorDataset:
     raise ConfigInvalid(f"unknown dataset kind {kind!r}")
 
 
-def _write_bench_outputs(result, outdir: Path) -> list:
-    artifacts = []
+_ACCURACY_TABLES = (("accuracy_by_method.csv", ("method", "mode", "sample_size")),
+                   ("accuracy_by_shift.csv", ("shift", "sample_size")),
+                   ("accuracy_by_intensity.csv", ("intensity", "sample_size")),
+                   ("accuracy_by_delta.csv", ("delta", "sample_size")))
 
-    def emit(name, writer):
-        path = outdir / name
-        writer(path)
-        artifacts.append(name)
 
-    emit("records.csv", lambda p: harness.write_records_csv(result, p))
-    emit("accuracy_by_method.csv",
-         lambda p: harness.write_accuracy_csv(result, ("method", "mode", "sample_size"), p))
-    emit("accuracy_by_shift.csv",
-         lambda p: harness.write_accuracy_csv(result, ("shift", "sample_size"), p))
-    emit("accuracy_by_intensity.csv",
-         lambda p: harness.write_accuracy_csv(result, ("intensity", "sample_size"), p))
-    emit("accuracy_by_delta.csv",
-         lambda p: harness.write_accuracy_csv(result, ("delta", "sample_size"), p))
-    emit("pvalue_curves.csv", lambda p: harness.write_pvalue_curves_csv(result, p))
-    return artifacts
+def _write_tables(result, outdir: Path) -> list:
+    """Accuracy tables and p-value curves of a result; returns their file names."""
+    for name, group in _ACCURACY_TABLES:
+        harness.write_accuracy_csv(result, group, outdir / name)
+    harness.write_pvalue_curves_csv(result, outdir / "pvalue_curves.csv")
+    return [name for name, _ in _ACCURACY_TABLES] + ["pvalue_curves.csv"]
 
 
 def cmd_bench(args) -> int:
@@ -237,7 +212,8 @@ def cmd_bench(args) -> int:
     _log(f"running grid: {len(cfg.shifts)} shifts x {len(cfg.methods)} methods x "
          f"{len(cfg.sample_sizes)} sizes x {cfg.runs} runs")
     result = harness.run_experiment(dataset, cfg, threads=args.threads)
-    artifacts = _write_bench_outputs(result, outdir)
+    harness.write_records_csv(result, outdir / "records.csv")
+    artifacts = ["records.csv"] + _write_tables(result, outdir)
 
     manifest = {
         "config_path": str(args.config),
@@ -263,11 +239,7 @@ def cmd_bench(args) -> int:
 def cmd_exemplars(args) -> int:
     source = _load_dataset(args.source)
     target = _load_dataset(args.target)
-    check = harness.run_domain_classifier_test(
-        flatten(source), flatten(target),
-        TrainConfig(batch_size=min(args.batch_size, max(1, source.n)), lr0=args.lr0,
-                    max_epochs=args.epochs, patience=args.patience, seed=args.seed),
-        alpha=args.alpha, seed=args.seed, hidden_dims=(args.hidden_dim,))
+    check = _domain_check(args, source, target)
     n_heldout_target = check.heldout_target.shape[0]
     if args.k > n_heldout_target:
         print(f"error: k={args.k} exceeds held-out target size {n_heldout_target}",
@@ -315,16 +287,7 @@ def cmd_report(args) -> int:
     result = harness.read_records_csv(args.records, alpha=args.alpha)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    artifacts = []
-    for name, group in (("accuracy_by_method.csv", ("method", "mode", "sample_size")),
-                        ("accuracy_by_shift.csv", ("shift", "sample_size")),
-                        ("accuracy_by_intensity.csv", ("intensity", "sample_size")),
-                        ("accuracy_by_delta.csv", ("delta", "sample_size"))):
-        harness.write_accuracy_csv(result, group, outdir / name)
-        artifacts.append(name)
-    harness.write_pvalue_curves_csv(result, outdir / "pvalue_curves.csv")
-    artifacts.append("pvalue_curves.csv")
-    _emit({"outdir": str(outdir), "artifacts": artifacts})
+    _emit({"outdir": str(outdir), "artifacts": _write_tables(result, outdir)})
     return 0
 
 

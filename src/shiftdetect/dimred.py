@@ -32,10 +32,6 @@ class DrKind(str, Enum):
     CLASSIF = "classif"
 
 
-#: Kinds whose representation is a vector of category ids, not real values.
-CATEGORICAL_KINDS = frozenset({DrKind.BBSDH, DrKind.CLASSIF})
-
-
 @dataclass(frozen=True)
 class Representation:
     """Reduced data handed to the two-sample tests.

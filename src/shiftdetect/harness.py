@@ -105,6 +105,12 @@ class ExperimentConfig:
                            momentum=self.momentum, max_epochs=epochs,
                            patience=self.patience, seed=seed)
 
+    def domain_train_config(self, seed: int) -> TrainConfig:
+        """Training settings of the source-vs-target domain classifier."""
+        return TrainConfig(batch_size=self.domain_batch_size, lr0=self.lr0,
+                           momentum=self.momentum, max_epochs=self.domain_epochs,
+                           patience=self.patience, seed=seed)
+
 
 def _method_from_entry(entry) -> MethodSpec:
     if isinstance(entry, str):
@@ -116,26 +122,34 @@ def _method_from_entry(entry) -> MethodSpec:
                       mode=TestMode(entry.get("mode", "univariate")))
 
 
+def parse_shift_spec(entry: dict) -> shifts.ShiftSpec:
+    """ShiftSpec of a preset entry ({"preset": name, ...}) or a custom spec.
+
+    The labels "name" and "intensity" are skipped; an unknown key or a bad
+    value raises ConfigInvalid.
+    """
+    if not isinstance(entry, dict):
+        raise ConfigInvalid(f"a shift entry must be a JSON object, got {entry!r}")
+    fields = {k: v for k, v in entry.items() if k not in ("name", "intensity")}
+    preset_name = fields.pop("preset", None)
+    try:
+        if preset_name is None:
+            return shifts.ShiftSpec.from_dict(fields)
+        return shifts.preset(preset_name, **fields)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"bad shift entry {entry!r}: {exc}") from exc
+
+
 def _shift_from_entry(entry) -> NamedShift:
     if isinstance(entry, NamedShift):
         return entry
-    entry = dict(entry)
-    label = entry.pop("name", None)
-    intensity = entry.pop("intensity", None)
-    if "preset" in entry:
-        preset_name = entry.pop("preset")
-        try:
-            spec = shifts.preset(preset_name, **entry)
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"bad shift entry {preset_name!r}: {exc}") from exc
+    spec = parse_shift_spec(entry)
+    label, preset_name, intensity = (entry.get(k) for k in ("name", "preset", "intensity"))
+    if preset_name is not None:
         return NamedShift(name=label or f"{preset_name}@d{spec.delta:g}", spec=spec,
                           intensity=intensity or shifts.intensity_of(preset_name))
     if label is None:
         raise ConfigInvalid("custom shift entries need a 'name'")
-    try:
-        spec = shifts.ShiftSpec.from_dict(entry)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad shift entry {label!r}: {exc}") from exc
     return NamedShift(name=label, spec=spec, intensity=intensity or "custom")
 
 
@@ -232,6 +246,8 @@ def fit_reducers(train: TensorDataset, cfg: ExperimentConfig) -> FittedReducers:
     needs_clf = bool(kinds & {DrKind.BBSDS, DrKind.BBSDH}) or any(
         _spec_needs_classifier(s.spec) for s in cfg.shifts)
     if needs_clf:
+        if train.num_classes < 2:
+            raise ConfigInvalid("the label classifier needs training data with >= 2 classes")
         fitted.label_clf = nets.train_label_classifier(
             (x_fit, y_fit), (x_stop, y_stop), train.num_classes,
             cfg.train_config(cfg.clf_epochs, _derive_seed(cfg.seed, 15)),
@@ -417,13 +433,9 @@ def _make_cell(cfg, method, base, s, midx, reps, source_flat, target_shuffled,
                 if s // 2 < 2:
                     return Record(**base, status="skipped",
                                   reason="fewer than 2 samples per half")
-                domain_cfg = TrainConfig(
-                    batch_size=cfg.domain_batch_size, lr0=cfg.lr0,
-                    momentum=cfg.momentum, max_epochs=cfg.domain_epochs,
-                    patience=cfg.patience,
-                    seed=_derive_seed(cfg.seed, 51, run, shift_idx, s))
                 check = run_domain_classifier_test(
-                    source_flat[:s], target_shuffled[:s], domain_cfg,
+                    source_flat[:s], target_shuffled[:s],
+                    cfg.domain_train_config(_derive_seed(cfg.seed, 51, run, shift_idx, s)),
                     alpha=cfg.alpha,
                     seed=_derive_seed(cfg.seed, 52, run, shift_idx, s),
                     hidden_dims=(cfg.domain_hidden_dim,))

@@ -125,6 +125,18 @@ def _ks_pvalues(stats: np.ndarray, n: int, m: int) -> np.ndarray:
     return np.array([kolmogorov_sf(float(v)) for v in distinct], dtype=np.float64)[inverse]
 
 
+def _as_samples(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Both samples as float (rows, features) matrices; a 1-D sample is one column.
+
+    Raises DimensionMismatch when the feature counts differ.
+    """
+    x, y = (np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (x, y))
+    x, y = (v[:, None] if v.ndim == 1 else v for v in (x, y))
+    if x.shape[1] != y.shape[1]:
+        raise DimensionMismatch(f"feature counts differ: {x.shape[1]} vs {y.shape[1]}")
+    return x, y
+
+
 def _require_finite(*samples: np.ndarray) -> None:
     for sample in samples:
         if not np.isfinite(sample).all():
@@ -152,16 +164,12 @@ def ks_two_sample(a, b) -> tuple[float, float]:
 def ks_pvalues_by_column(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     """KS p-value for each column of an (n, K) and an (m, K) matrix.
 
-    All columns go through one vectorised rank pass (see _ks_statistics);
-    column j's p-value is bit-identical to ks_two_sample on column j.
-    Raises NonFiniteInput on NaN or infinite values.
+    A 1-D sample is one column. All columns go through one vectorised rank
+    pass (see _ks_statistics); column j's p-value is bit-identical to
+    ks_two_sample on column j. Raises NonFiniteInput on NaN or infinite
+    values and DimensionMismatch on unequal column counts.
     """
-    source = np.atleast_2d(np.asarray(source, dtype=np.float64))
-    target = np.atleast_2d(np.asarray(target, dtype=np.float64))
-    if source.shape[1] != target.shape[1]:
-        raise DimensionMismatch(
-            f"column counts differ: {source.shape[1]} vs {target.shape[1]}"
-        )
+    source, target = _as_samples(source, target)
     if source.shape[0] == 0 or target.shape[0] == 0:
         raise EmptySample("both samples must be non-empty")
     _require_finite(source, target)
@@ -220,8 +228,7 @@ def _kernel_matrix(z: np.ndarray, bandwidth: float) -> np.ndarray:
 
 def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
     """Median heuristic: bandwidth^2 = median of pooled pairwise squared distances / 2."""
-    z = np.vstack([np.atleast_2d(x), np.atleast_2d(y)])
-    sq = _pairwise_sq_dists(z)
+    sq = _pairwise_sq_dists(np.vstack(_as_samples(x, y)))
     med = float(np.median(sq[np.triu_indices_from(sq, k=1)]))
     return math.sqrt(med / 2.0) if med > 0 else 1.0
 
@@ -233,20 +240,22 @@ def mmd2_unbiased(x, y, bandwidth: float = 1.0) -> float:
          + sum_{i != j} k(y_i, y_j) / (n(n-1))
          - 2 * sum_{i, j} k(x_i, y_j) / (mn)
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    x, y = _as_samples(x, y)
     m, n = x.shape[0], y.shape[0]
     if m < 2 or n < 2:
         raise TooFewSamples(f"need at least 2 samples per side, got m={m}, n={n}")
-    if x.shape[1] != y.shape[1]:
-        raise DimensionMismatch(f"feature dims differ: {x.shape[1]} vs {y.shape[1]}")
     _require_finite(x, y)
-    k = _kernel_matrix(np.vstack([x, y]), bandwidth)
-    kxx, kyy, kxy = k[:m, :m], k[m:, m:], k[:m, m:]
-    term_x = (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
-    term_y = (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
-    term_xy = 2.0 * kxy.sum() / (m * n)
-    return float(term_x + term_y - term_xy)
+    return _mmd2_observed(_kernel_matrix(np.vstack([x, y]), bandwidth), m, n)
+
+
+def _mmd2_observed(kernel: np.ndarray, m: int, n: int) -> float:
+    """Unbiased MMD^2 of the first m pooled samples against the last n."""
+    kxx, kyy, kxy = kernel[:m, :m], kernel[m:, m:], kernel[:m, m:]
+    return float(
+        (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
+        + (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
+        - 2.0 * kxy.sum() / (m * n)
+    )
 
 
 def _mmd2_from_assignments(kernel: np.ndarray, member_x: np.ndarray,
@@ -294,8 +303,7 @@ def mmd_permutation_test(x, y, n_perms: int = 1000, alpha: float = 0.05,
     count or chunking. bandwidth=None selects the median heuristic. Raises
     NonFiniteInput on NaN or infinite values.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    x, y = _as_samples(x, y)
     m, n = x.shape[0], y.shape[0]
     if m < 2 or n < 2:
         raise TooFewSamples(f"need at least 2 samples per side, got m={m}, n={n}")
@@ -306,12 +314,7 @@ def mmd_permutation_test(x, y, n_perms: int = 1000, alpha: float = 0.05,
         bandwidth = median_bandwidth(x, y)
 
     kernel = _kernel_matrix(np.vstack([x, y]), bandwidth)
-    kxx, kyy, kxy = kernel[:m, :m], kernel[m:, m:], kernel[:m, m:]
-    observed = float(
-        (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
-        + (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
-        - 2.0 * kxy.sum() / (m * n)
-    )
+    observed = _mmd2_observed(kernel, m, n)
 
     exceed = 0
     for member_x in _permutation_memberships(seed, n_perms, m + n, m):

@@ -109,8 +109,10 @@ def test_shift_bad_spec_exit_65(tmp_path, sample_files):
     spec = tmp_path / "spec.json"
     spec.write_text("{not json")
     assert main(["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec)]) == 65
-    spec.write_text(json.dumps({"kind": "no_such_kind"}))
-    assert main(["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec)]) == 65
+    for doc in ({"kind": "no_such_kind"}, {"preset": "ko_shift", "bogus": 1},
+                {"kind": "gaussian_noise", "bogus": 1}, ["ko_shift"]):
+        spec.write_text(json.dumps(doc))
+        assert main(["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec)]) == 65
 
 
 def test_idx_pair_io(tmp_path, capsys):

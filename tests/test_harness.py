@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shiftdetect import digits, harness, nets, shifts
+from shiftdetect.data import TensorDataset
 from shiftdetect.dimred import DrKind
 from shiftdetect.errors import ConfigInvalid, EmptyResult, NotFound
 from shiftdetect.harness import (
@@ -178,6 +179,14 @@ def test_pvalue_flat_under_null():
 
 # ---------------------------------------------------------------------------
 # domain classifier path and exemplars
+
+def test_fit_reducers_refuses_one_class_labels():
+    ds = digits.make_digits(60, seed=3)
+    one_class = TensorDataset(ds.images, np.zeros(ds.n, dtype=np.int64), 1)
+    cfg = _small_config(methods=(MethodSpec(DrKind.BBSDS),), n_train=60)
+    with pytest.raises(ConfigInvalid):
+        harness.fit_reducers(one_class, cfg)
+
 
 def test_domain_check_requires_enough_samples():
     with pytest.raises(ConfigInvalid):

@@ -14,6 +14,7 @@ from shiftdetect.dimred import DrKind, Representation
 from shiftdetect.errors import (
     BadCounts,
     DegenerateTable,
+    DimensionMismatch,
     EmptyInput,
     EmptySample,
     IncompatibleMode,
@@ -32,6 +33,7 @@ from shiftdetect.stattest import (
     kolmogorov_sf,
     ks_pvalues_by_column,
     ks_two_sample,
+    median_bandwidth,
     mmd2_unbiased,
     mmd_permutation_test,
     rbf_kernel,
@@ -188,6 +190,15 @@ def test_ks_by_column_rejects_non_finite():
         ks_pvalues_by_column(source, target)
     with pytest.raises(NonFiniteInput):
         ks_pvalues_by_column(target, source)
+
+
+def test_ks_by_column_takes_1d_samples_as_one_column():
+    a, b = np.arange(5.0), np.arange(5.0) + 10
+    p = ks_pvalues_by_column(a, b)
+    assert p.shape == (1,)
+    assert p[0] == ks_two_sample(a, b)[1]
+    # unequal lengths are two samples of one feature, not a width mismatch
+    assert ks_pvalues_by_column(a, np.arange(7.0))[0] == ks_two_sample(a, np.arange(7.0))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +382,16 @@ def test_mmd_permutation_p_value_counts_drawn_relabelings():
                       for row in np.vstack(_draws(8, 200, 19, 8))])
     assert np.min(np.abs(naive - out.statistic)) > 1e-9
     assert out.p_value == (1.0 + np.sum(naive >= out.statistic)) / 201.0
+
+
+def test_mmd_entry_points_reject_unequal_widths():
+    x, y = np.zeros((6, 3)), np.ones((5, 4))
+    for call in (lambda: mmd_permutation_test(x, y, n_perms=10),
+                 lambda: mmd_permutation_test(x, y, n_perms=10, bandwidth=None),
+                 lambda: median_bandwidth(x, y),
+                 lambda: mmd2_unbiased(x, y)):
+        with pytest.raises(DimensionMismatch):
+            call()
 
 
 def test_mmd2_rejects_non_finite():
