@@ -111,16 +111,22 @@ def cmd_detect(args) -> int:
     target = _load_dataset(args.target)
     kind = DrKind(args.method)
     mode = TestMode(args.mode)
+    fit_info = {}
     if kind == DrKind.CLASSIF:
         outcome = _domain_check(args, source, target).outcome
     else:
         handle = harness.fit_reducers(source, _one_shot_config(args, source, kind)).handle_for(kind)
+        if kind in (DrKind.BBSDS, DrKind.BBSDH):
+            fit_info["classifier_best_epoch"] = handle.best_epoch
+            if handle.best_epoch == 0:
+                _log("warning: the label classifier never beat its initial net on the "
+                     "held-out rows; its outputs are constant, so BBSD cannot see a shift")
         outcome = dispatch_test(reduce(kind, handle, flatten(source)),
                                 reduce(kind, handle, flatten(target)), kind, mode,
                                 alpha=args.alpha, seed=args.seed)
     payload = _outcome_payload(outcome)
     payload.update(method=kind.value, mode=mode.value,
-                   n_source=source.n, n_target=target.n)
+                   n_source=source.n, n_target=target.n, **fit_info)
     _emit(payload)
     return EXIT_SHIFT_DETECTED if outcome.reject else 0
 

@@ -84,6 +84,9 @@ class Autoencoder:
 class SoftmaxClassifier:
     net: NetParams  # logits for num_classes classes
     num_classes: int
+    # epoch whose snapshot training kept; 0 is the initial net (for the label
+    # classifier, constant outputs). None when unknown, e.g. after load_net.
+    best_epoch: int | None = None
 
 
 def init_network(layer_dims, activation: str = "relu", seed: int = 0,
@@ -224,15 +227,16 @@ def _sgd(net: NetParams, x: np.ndarray, target, loss: str, score_fn, cfg: TrainC
     """SGD + momentum with lr_t = lr0/sqrt(t) per epoch and early stopping.
 
     score_fn(net) -> float to minimize; evaluated on the initial net and
-    after every epoch. Returns the snapshot with the best (strictly
-    smallest) score, so the result is never worse than the best epoch seen.
+    after every epoch. Returns (snapshot, epoch) for the best (strictly
+    smallest) score, so the result is never worse than the best epoch seen;
+    epoch 0 is the initial net.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     velocity_w = [np.zeros_like(w) for w in net.weights]
     velocity_b = [np.zeros_like(b) for b in net.biases]
 
-    best = net.copy()
+    best, best_epoch = net.copy(), 0
     best_score = score_fn(net)
     stale = 0
     for epoch in range(1, cfg.max_epochs + 1):
@@ -253,13 +257,13 @@ def _sgd(net: NetParams, x: np.ndarray, target, loss: str, score_fn, cfg: TrainC
         if not np.isfinite(score):
             raise Diverged(f"non-finite validation score at epoch {epoch}")
         if score < best_score:
-            best, best_score = net.copy(), score
+            best, best_score, best_epoch = net.copy(), score, epoch
             stale = 0
         else:
             stale += 1
             if stale >= cfg.patience:
                 break
-    return best
+    return best, best_epoch
 
 
 def _autoencoder_layers(arch) -> tuple[list, list]:
@@ -306,7 +310,7 @@ def train_autoencoder(x_train: np.ndarray, x_val: np.ndarray, arch,
 
     trained = cfg.max_epochs > 0
     if trained:
-        net = _sgd(net, x_train, x_train, "mse", val_error, cfg)
+        net, _ = _sgd(net, x_train, x_train, "mse", val_error, cfg)
     ae = _split_autoencoder(net, len(encoder_dims) - 1)
     ae.trained = trained
     return ae
@@ -345,9 +349,10 @@ def train_label_classifier(train, val, num_classes: int, cfg: TrainConfig,
         preds = np.argmax(forward(candidate, x_val), axis=1)
         return -float(np.mean(preds == y_val))
 
+    best_epoch = 0
     if cfg.max_epochs > 0:
-        net = _sgd(net, x_train, y_train, "softmax_ce", neg_val_accuracy, cfg)
-    return SoftmaxClassifier(net=net, num_classes=num_classes)
+        net, best_epoch = _sgd(net, x_train, y_train, "softmax_ce", neg_val_accuracy, cfg)
+    return SoftmaxClassifier(net=net, num_classes=num_classes, best_epoch=best_epoch)
 
 
 def train_domain_classifier(source_half: np.ndarray, target_half: np.ndarray,

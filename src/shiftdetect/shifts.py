@@ -106,6 +106,60 @@ def apply_gaussian_noise(ds: TensorDataset, sigma: float, delta: float,
     return TensorDataset(images, ds.labels, ds.num_classes)
 
 
+# Images per call of the batched affine kernel (and of the digit renderer):
+# large enough to amortise numpy call overhead, small enough that the
+# per-pixel coordinate temporaries stay a few MB at any corpus size.
+BATCH_IMAGES = 32
+
+
+def affine_transform_images(images: np.ndarray, angle_deg, trans_frac,
+                            zoom) -> np.ndarray:
+    """Rotate / translate / zoom each (H, W, C) image of an (N, H, W, C) batch.
+
+    angle_deg and zoom hold one value per image, trans_frac one (x, y) pair
+    per image; the conventions are those of affine_transform_image, and each
+    output image is bit-identical to that function's result on its own.
+    """
+    images = np.asarray(images)
+    n, h, w, c = images.shape
+    angle_deg = np.asarray(angle_deg, dtype=np.float64).reshape(n)
+    trans = np.asarray(trans_frac, dtype=np.float64).reshape(n, 2)
+    zoom = np.asarray(zoom, dtype=np.float64).reshape(n, 1, 1)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
+                         np.arange(w, dtype=np.float64), indexing="ij")
+    dx = xs - cx - (trans[:, 0] * w)[:, None, None]
+    dy = ys - cy - (trans[:, 1] * w)[:, None, None]
+    # math.cos/sin per image: np.cos may differ from them in the last bit
+    theta = [math.radians(a) for a in angle_deg]
+    cos_t = np.array([math.cos(t) for t in theta]).reshape(n, 1, 1)
+    sin_t = np.array([math.sin(t) for t in theta]).reshape(n, 1, 1)
+    src_x = (cos_t * dx + sin_t * dy) / zoom + cx
+    src_y = (-sin_t * dx + cos_t * dy) / zoom + cy
+
+    x0 = np.floor(src_x).astype(np.int64)
+    y0 = np.floor(src_y).astype(np.int64)
+    fx = (src_x - x0)[..., None]
+    fy = (src_y - y0)[..., None]
+    # pixels are gathered by flat index; per axis, both neighbours' clipped
+    # offset and in-range mask are computed once for the four corners
+    pixels = images.reshape(n * h * w, c)
+    first_row = (np.arange(n) * h)[:, None, None]
+    rows = [(first_row + np.clip(yi, 0, h - 1)) * w for yi in (y0, y0 + 1)]
+    cols = [np.clip(xi, 0, w - 1) for xi in (x0, x0 + 1)]
+    row_ok = [(yi >= 0) & (yi < h) for yi in (y0, y0 + 1)]
+    col_ok = [(xi >= 0) & (xi < w) for xi in (x0, x0 + 1)]
+
+    def corner(i, j):
+        return pixels[rows[i] + cols[j]] * (row_ok[i] & col_ok[j])[..., None]
+
+    out = ((1 - fy) * (1 - fx) * corner(0, 0)
+           + (1 - fy) * fx * corner(0, 1)
+           + fy * (1 - fx) * corner(1, 0)
+           + fy * fx * corner(1, 1))
+    return np.clip(out, 0.0, 1.0)
+
+
 def affine_transform_image(image: np.ndarray, angle_deg: float = 0.0,
                            trans_frac: tuple[float, float] = (0.0, 0.0),
                            zoom: float = 1.0) -> np.ndarray:
@@ -116,32 +170,8 @@ def affine_transform_image(image: np.ndarray, angle_deg: float = 0.0,
     magnifies. Inverse-mapped bilinear interpolation, out-of-bounds filled
     with zero, so outputs stay inside the input value range.
     """
-    h, w, c = image.shape
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    dx = xs - cx - trans_frac[0] * w
-    dy = ys - cy - trans_frac[1] * w
-    theta = math.radians(angle_deg)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    src_x = (cos_t * dx + sin_t * dy) / zoom + cx
-    src_y = (-sin_t * dx + cos_t * dy) / zoom + cy
-
-    x0 = np.floor(src_x).astype(np.int64)
-    y0 = np.floor(src_y).astype(np.int64)
-    fx = (src_x - x0)[..., None]
-    fy = (src_y - y0)[..., None]
-
-    def corner(yi, xi):
-        valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-        vals = image[np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1), :]
-        return vals * valid[..., None]
-
-    out = ((1 - fy) * (1 - fx) * corner(y0, x0)
-           + (1 - fy) * fx * corner(y0, x0 + 1)
-           + fy * (1 - fx) * corner(y0 + 1, x0)
-           + fy * fx * corner(y0 + 1, x0 + 1))
-    return np.clip(out, 0.0, 1.0)
+    return affine_transform_images(np.asarray(image)[None], [angle_deg],
+                                   [trans_frac], [zoom])[0]
 
 
 def apply_image_shift(ds: TensorDataset, rot_max_deg: float, trans_max_frac: float,
@@ -160,13 +190,17 @@ def apply_image_shift(ds: TensorDataset, rot_max_deg: float, trans_max_frac: flo
     master = np.random.default_rng(seed)
     idx = _affected_indices(ds.n, delta, master)
     images = np.array(ds.images)
-    for i in idx:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, int(i)]))
-        angle = rng.uniform(-rot_max_deg, rot_max_deg)
-        tx = rng.uniform(-trans_max_frac, trans_max_frac)
-        ty = rng.uniform(-trans_max_frac, trans_max_frac)
-        zoom = rng.uniform(1.0, 1.0 + zoom_max_frac)
-        images[i] = affine_transform_image(images[i], angle, (tx, ty), zoom)
+    for start in range(0, idx.size, BATCH_IMAGES):
+        rows = idx[start:start + BATCH_IMAGES]
+        params = np.empty((rows.size, 4))
+        for j, i in enumerate(rows):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, int(i)]))
+            params[j] = (rng.uniform(-rot_max_deg, rot_max_deg),
+                         rng.uniform(-trans_max_frac, trans_max_frac),
+                         rng.uniform(-trans_max_frac, trans_max_frac),
+                         rng.uniform(1.0, 1.0 + zoom_max_frac))
+        images[rows] = affine_transform_images(images[rows], params[:, 0],
+                                               params[:, 1:3], params[:, 3])
     return TensorDataset(images, ds.labels, ds.num_classes)
 
 

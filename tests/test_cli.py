@@ -61,6 +61,35 @@ def test_detect_bbsd_without_labels_exit_65(tmp_path, capsys):
     assert code == 65
 
 
+_DETECT_KEYS = {"statistic", "p_value", "alpha", "reject", "test_tag", "method", "mode",
+                "n_source", "n_target"}
+
+
+def test_detect_bbsd_reports_untrained_classifier(sample_files, capsys):
+    # the fixture's labels carry no signal: at seed 0 no epoch beats the
+    # initial net, whose outputs are constant, and detect says so once
+    src, _, far = sample_files
+    code = main(["detect", str(src), str(far), "--method", "bbsds", "--seed", "0"])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert code == 0
+    assert set(out) == _DETECT_KEYS | {"classifier_best_epoch"}
+    assert out["classifier_best_epoch"] == 0
+    assert len([line for line in captured.err.splitlines() if line.startswith("warning:")]) == 1
+
+
+def test_detect_bbsd_trained_classifier_no_warning(sample_files, capsys):
+    src, _, far = sample_files
+    code = main(["detect", str(src), str(far), "--method", "bbsdh", "--seed", "2"])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert code == 3
+    assert out["classifier_best_epoch"] > 0
+    assert "warning" not in captured.err
+    main(["detect", str(src), str(far), "--method", "pca"])
+    assert set(json.loads(capsys.readouterr().out)) == _DETECT_KEYS
+
+
 def test_detect_multivariate_mode(sample_files, capsys):
     src, _, far = sample_files
     code = main(["detect", str(src), str(far), "--method", "pca",

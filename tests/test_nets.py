@@ -131,7 +131,7 @@ def test_training_loss_decreases_convex_toy():
         for _ in range(6):
             loss, *_ = loss_and_gradients(net, x, x, "mse")
             losses.append(loss)
-            net = nets._sgd(net, x, x, "mse", lambda c: 0.0, cfgs)
+            net, _ = nets._sgd(net, x, x, "mse", lambda c: 0.0, cfgs)
         final, _, _, _ = loss_and_gradients(net, x, x, "mse")
         assert final <= losses[0]
         assert losses[-1] <= losses[1]
@@ -278,9 +278,10 @@ def test_early_stopping_returns_best_epoch():
         calls.append(scripted[len(calls)])
         return calls[-1]
 
-    best = nets._sgd(net, x, x, "mse", score,
-                     TrainConfig(max_epochs=10, patience=3, batch_size=8, seed=18))
+    best, best_epoch = nets._sgd(net, x, x, "mse", score,
+                                 TrainConfig(max_epochs=10, patience=3, batch_size=8, seed=18))
     assert len(calls) == 6  # initial + epochs 1..2 improving, then 3 stale epochs
+    assert best_epoch == 2
     assert all(np.array_equal(a, b) for a, b in zip(best.weights, snapshots[2]))
 
 

@@ -1,12 +1,20 @@
+import hashlib
+
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from shiftdetect import nets
+from shiftdetect import digits, nets
 from shiftdetect.data import TensorDataset, flatten
 from shiftdetect.errors import ClassAbsent, DimensionMismatch, MissingContext
 from shiftdetect.shifts import (
     ShiftSpec,
     affine_transform_image,
+    affine_transform_images,
     apply_adversarial,
     apply_gaussian_noise,
     apply_image_shift,
@@ -93,6 +101,58 @@ def test_affine_zoom_fills_border_from_center():
     assert out.min() >= 0.0 and out.max() <= 1.0
 
 
+def _affine_reference(image, angle_deg, trans_frac, zoom):
+    """Single-image bilinear transform, one corner gather at a time."""
+    h, w, c = image.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
+                         np.arange(w, dtype=np.float64), indexing="ij")
+    dx = xs - cx - trans_frac[0] * w
+    dy = ys - cy - trans_frac[1] * w
+    theta = math.radians(angle_deg)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    src_x = (cos_t * dx + sin_t * dy) / zoom + cx
+    src_y = (-sin_t * dx + cos_t * dy) / zoom + cy
+    x0 = np.floor(src_x).astype(np.int64)
+    y0 = np.floor(src_y).astype(np.int64)
+    fx = (src_x - x0)[..., None]
+    fy = (src_y - y0)[..., None]
+
+    def corner(yi, xi):
+        valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
+        return image[np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1), :] * valid[..., None]
+
+    out = ((1 - fy) * (1 - fx) * corner(y0, x0)
+           + (1 - fy) * fx * corner(y0, x0 + 1)
+           + fy * (1 - fx) * corner(y0 + 1, x0)
+           + fy * fx * corner(y0 + 1, x0 + 1))
+    return np.clip(out, 0.0, 1.0)
+
+
+@st.composite
+def _affine_batch(draw):
+    n, h = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    w = draw(st.integers(1, 12).filter(lambda v: v != h))
+    c = draw(st.sampled_from([1, 2]))
+    images = draw(hnp.arrays(np.float64, (n, h, w, c), elements=st.floats(0.0, 1.0)))
+    poses = draw(st.lists(st.tuples(st.floats(-180.0, 180.0), st.floats(-0.5, 0.5),
+                                    st.floats(-0.5, 0.5), st.floats(0.5, 2.0)),
+                          min_size=n, max_size=n))
+    return images, poses
+
+
+@given(_affine_batch())
+def test_affine_batch_equals_single_image_calls(batch):
+    images, poses = batch
+    angles, tx, ty, zooms = (np.array(v) for v in zip(*poses))
+    out = affine_transform_images(images, angles, np.stack([tx, ty], axis=1), zooms)
+    assert out.shape == images.shape
+    for i, (angle, x, y, zoom) in enumerate(poses):
+        single = affine_transform_image(images[i], angle, (x, y), zoom)
+        assert out[i].tobytes() == single.tobytes()
+        assert single.tobytes() == _affine_reference(images[i], angle, (x, y), zoom).tobytes()
+
+
 def test_image_shift_zero_params_identity():
     ds = _dataset()
     out = apply_image_shift(ds, 0.0, 0.0, 0.0, 1.0, seed=7)
@@ -115,6 +175,17 @@ def test_image_shift_deterministic_and_respects_delta():
     assert np.array_equal(a.images, b.images)
     changed = np.any(a.images != ds.images, axis=(1, 2, 3)).sum()
     assert changed <= 15  # floor(0.5 * 30), minus any no-op draws
+
+
+def test_large_image_shift_golden_bytes():
+    # large_img_shift parameters on half of a digits set; SHA-256 of the
+    # float64 images of the per-image transform
+    ds = digits.make_digits(200, seed=11)
+    out = apply_image_shift(ds, 90.0, 0.4, 0.4, 0.5, seed=7)
+    images = np.ascontiguousarray(out.images, dtype="<f8").tobytes()
+    assert hashlib.sha256(images).hexdigest() == (
+        "e0d38faf5300f65a03696928d179a6d6d192de4681dd720cb0a562d2ae260ac2")
+    assert np.array_equal(out.labels, ds.labels)
 
 
 # ---------------------------------------------------------------------------
