@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +231,8 @@ def cmd_bench(args) -> int:
         "threads": args.threads,
         "artifacts": artifacts,
         "n_records": len(result.records),
+        "skipped_by_reason": dict(Counter(
+            r.reason for r in result.records if r.status == "skipped")),
         "elapsed_seconds": result.metadata.get("elapsed_seconds"),
     }
     with open(outdir / "manifest.json", "w") as f:

@@ -58,7 +58,7 @@ class TooFewSamples(ShiftDetectError, ValueError):
 
 
 class DegenerateTable(ShiftDetectError, ValueError):
-    """Contingency table has fewer than two non-empty columns."""
+    """Contingency table has a row without observations."""
 
 
 class BadCounts(ShiftDetectError, ValueError):

@@ -351,64 +351,29 @@ def run_experiment(dataset: TensorDataset, cfg: ExperimentConfig,
     The training split is fixed once; each run re-splits the remaining pool
     into validation (source) and test (target), applies every shift to the
     test side only, and draws nested subsamples of each requested size from
-    one per-(run, shift) shuffled order. Cells run in a thread pool of the
-    requested size; records come back in grid order regardless of threads.
+    one per-(run, shift) shuffled order. Cells run in a pool of
+    max(1, threads) threads, one (run, shift) block ahead: block k+1 is
+    queued before block k's results are collected, so the pool does not
+    wait at block boundaries while the next shift is applied. Records come
+    back in grid order regardless of threads.
     """
     started = time.time()
     split = random_split(dataset, cfg.n_train, cfg.n_val, cfg.n_test, seed=cfg.seed)
     fitted = fit_reducers(split.train, cfg)
     vt_pool = concat_datasets(split.val, split.test)
 
-    pool = ThreadPoolExecutor(max_workers=max(1, threads)) if threads > 1 else None
     keyed_records = []
+    pool = ThreadPoolExecutor(max_workers=max(1, threads))
     try:
-        for run in range(cfg.runs):
-            perm = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, 21, run])).permutation(vt_pool.n)
-            val_r = vt_pool.subset(perm[:cfg.n_val])
-            test_r = vt_pool.subset(perm[cfg.n_val:cfg.n_val + cfg.n_test])
-            source_flat_full = flatten(val_r)
-
-            for shift_idx, named in enumerate(cfg.shifts):
-                spec = shifts.with_seed(named.spec,
-                                        _derive_seed(cfg.seed, 31, run, shift_idx))
-                shifted = shifts.apply_shift(spec, test_r, classifier=fitted.label_clf)
-                target_flat = flatten(shifted)
-                src_order = np.random.default_rng(
-                    np.random.SeedSequence([cfg.seed, 41, run, shift_idx])
-                ).permutation(source_flat_full.shape[0])
-                tgt_order = np.random.default_rng(
-                    np.random.SeedSequence([cfg.seed, 42, run, shift_idx])
-                ).permutation(target_flat.shape[0])
-                source_flat = source_flat_full[src_order]
-                target_shuffled = target_flat[tgt_order]
-
-                reps = {}
-                for midx, method in enumerate(cfg.methods):
-                    if method.kind == DrKind.CLASSIF:
-                        continue
-                    handle = fitted.handle_for(method.kind)
-                    reps[midx] = (reduce(method.kind, handle, source_flat),
-                                  reduce(method.kind, handle, target_shuffled))
-
-                block = []
-                for midx, method in enumerate(cfg.methods):
-                    for s in cfg.sample_sizes:
-                        key = (shift_idx, midx, s, run)
-                        base = dict(shift=named.name, intensity=named.intensity,
-                                    delta=named.spec.delta, method=method.kind.value,
-                                    mode=method.mode.value, sample_size=s, run=run)
-                        block.append((key, _make_cell(cfg, method, base, s, midx, reps,
-                                                      source_flat, target_shuffled,
-                                                      run, shift_idx)))
-                if pool is not None:
-                    results = pool.map(lambda kv: (kv[0], kv[1]()), block)
-                else:
-                    results = ((key, job()) for key, job in block)
-                keyed_records.extend(results)
+        in_flight = []
+        for block in _grid_blocks(cfg, fitted, vt_pool):
+            queued = [(key, pool.submit(cell)) for key, cell in block]
+            keyed_records.extend((key, future.result()) for key, future in in_flight)
+            in_flight = queued
+        keyed_records.extend((key, future.result()) for key, future in in_flight)
     finally:
-        if pool is not None:
-            pool.shutdown()
+        # after a failure, queued cells are dropped and only running ones finish
+        pool.shutdown(cancel_futures=True)
 
     keyed_records.sort(key=lambda kv: kv[0])
     metadata = {
@@ -420,11 +385,59 @@ def run_experiment(dataset: TensorDataset, cfg: ExperimentConfig,
     return ExperimentResult(records=[r for _, r in keyed_records], metadata=metadata)
 
 
-def _make_cell(cfg, method, base, s, midx, reps, source_flat, target_shuffled,
-               run, shift_idx):
+def _grid_blocks(cfg: ExperimentConfig, fitted: FittedReducers, vt_pool: TensorDataset):
+    """Yield the [(key, cell), ...] of each (run, shift) block in grid order.
+
+    A block's shift is applied and its representations reduced only when
+    the block is asked for.
+    """
+    for run in range(cfg.runs):
+        perm = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, 21, run])).permutation(vt_pool.n)
+        val_r = vt_pool.subset(perm[:cfg.n_val])
+        test_r = vt_pool.subset(perm[cfg.n_val:cfg.n_val + cfg.n_test])
+        source_flat_full = flatten(val_r)
+
+        for shift_idx, named in enumerate(cfg.shifts):
+            spec = shifts.with_seed(named.spec, _derive_seed(cfg.seed, 31, run, shift_idx))
+            shifted = shifts.apply_shift(spec, test_r, classifier=fitted.label_clf)
+            target_flat = flatten(shifted)
+            src_order = np.random.default_rng(
+                np.random.SeedSequence([cfg.seed, 41, run, shift_idx])
+            ).permutation(source_flat_full.shape[0])
+            tgt_order = np.random.default_rng(
+                np.random.SeedSequence([cfg.seed, 42, run, shift_idx])
+            ).permutation(target_flat.shape[0])
+            source_flat = source_flat_full[src_order]
+            target_shuffled = target_flat[tgt_order]
+            n_src, n_tgt = source_flat.shape[0], target_shuffled.shape[0]
+
+            block = []
+            for midx, method in enumerate(cfg.methods):
+                if method.kind == DrKind.CLASSIF:
+                    pair = (source_flat, target_shuffled)
+                else:
+                    handle = fitted.handle_for(method.kind)
+                    pair = (reduce(method.kind, handle, source_flat),
+                            reduce(method.kind, handle, target_shuffled))
+                for s in cfg.sample_sizes:
+                    key = (shift_idx, midx, s, run)
+                    base = dict(shift=named.name, intensity=named.intensity,
+                                delta=named.spec.delta, method=method.kind.value,
+                                mode=method.mode.value, sample_size=s, run=run)
+                    block.append((key, _make_cell(cfg, method, base, s, n_src, n_tgt, pair,
+                                                  run, shift_idx, midx)))
+            yield block
+
+
+def _make_cell(cfg, method, base, s, n_src, n_tgt, pair, run, shift_idx, midx):
+    """One grid cell as a closure over what it reads.
+
+    pair is (source, target): the shuffled flat rows for the domain
+    classifier, the method's two representations otherwise; n_src and
+    n_tgt are their row counts.
+    """
     def cell() -> Record:
-        n_src = source_flat.shape[0]
-        n_tgt = target_shuffled.shape[0]
         if s > n_src or s > n_tgt:
             return Record(**base, status="skipped",
                           reason=f"insufficient samples (source {n_src}, target {n_tgt})")
@@ -433,6 +446,7 @@ def _make_cell(cfg, method, base, s, midx, reps, source_flat, target_shuffled,
                 if s // 2 < 2:
                     return Record(**base, status="skipped",
                                   reason="fewer than 2 samples per half")
+                source_flat, target_shuffled = pair
                 check = run_domain_classifier_test(
                     source_flat[:s], target_shuffled[:s],
                     cfg.domain_train_config(_derive_seed(cfg.seed, 51, run, shift_idx, s)),
@@ -443,7 +457,7 @@ def _make_cell(cfg, method, base, s, midx, reps, source_flat, target_shuffled,
             if method.mode == TestMode.MULTIVARIATE and s > MULTIVARIATE_SAMPLE_CAP:
                 return Record(**base, status="skipped",
                               reason=f"multivariate mode capped at {MULTIVARIATE_SAMPLE_CAP}")
-            rep_src, rep_tgt = reps[midx]
+            rep_src, rep_tgt = pair
             outcome = dispatch_test(
                 _slice_representation(rep_src, s), _slice_representation(rep_tgt, s),
                 method.kind, method.mode, alpha=cfg.alpha,

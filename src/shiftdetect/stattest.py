@@ -32,7 +32,8 @@ from .errors import (
 
 MULTIVARIATE_SAMPLE_CAP = 1000
 KS_BLOCK_ELEMENTS = 1 << 15  # pooled values per KS rank pass: 256 KB temporaries stay in cache
-PERM_CHUNK = 128  # permutations drawn and evaluated per MMD batch
+PERM_CHUNK = 256  # permutations drawn and evaluated per MMD batch
+KERNEL_BLOCK_ELEMENTS = 1 << 15  # kernel entries finished per row block: 256 KB stays in cache
 
 
 class TestTag(str, Enum):
@@ -209,21 +210,42 @@ def rbf_kernel(x, y, bandwidth: float = 1.0) -> float:
     return math.exp(-0.5 * sq / (bandwidth * bandwidth))
 
 
-def _pairwise_sq_dists(z: np.ndarray) -> np.ndarray:
-    """max(0, (|z_i|^2 + |z_j|^2) - 2 z_i.z_j) in one N x N buffer plus the Gram matrix."""
+def _pairwise_sq_dists(z: np.ndarray, finish=None) -> np.ndarray:
+    """max(0, (|z_i|^2 + |z_j|^2) - 2 z_i.z_j), built in place of the Gram matrix.
+
+    The Gram matrix comes from one product; the elementwise steps then run
+    over blocks of whole rows of at most KERNEL_BLOCK_ELEMENTS entries, so
+    each block stays in cache from its first step to its last. finish, if
+    given, is applied in place to each finished block. Every entry sees the
+    same operations in the same order as on the whole matrix, so the bits
+    do not depend on the block size.
+    """
     norms = np.sum(z * z, axis=1)
-    gram = z @ z.T
-    gram *= 2.0
-    sq = np.add.outer(norms, norms)
-    sq -= gram
-    return np.maximum(sq, 0.0, out=sq)
+    out = z @ z.T
+    total = out.shape[0]
+    rows = max(1, KERNEL_BLOCK_ELEMENTS // max(1, total))
+    scratch = np.empty((min(rows, total), total))
+    for lo in range(0, total, rows):
+        block = out[lo:lo + rows]
+        sq = scratch[:block.shape[0]]
+        block *= 2.0
+        np.add.outer(norms[lo:lo + rows], norms, out=sq)
+        sq -= block
+        np.maximum(sq, 0.0, out=block)
+        if finish is not None:
+            finish(block)
+    return out
 
 
 def _kernel_matrix(z: np.ndarray, bandwidth: float) -> np.ndarray:
-    k = _pairwise_sq_dists(z)
-    k *= -0.5
-    k /= bandwidth * bandwidth
-    return np.exp(k, out=k)
+    scale = bandwidth * bandwidth
+
+    def to_kernel(block: np.ndarray) -> None:
+        block *= -0.5
+        block /= scale
+        np.exp(block, out=block)
+
+    return _pairwise_sq_dists(z, to_kernel)
 
 
 def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
@@ -258,15 +280,15 @@ def _mmd2_observed(kernel: np.ndarray, m: int, n: int) -> float:
     )
 
 
-def _mmd2_from_assignments(kernel: np.ndarray, member_x: np.ndarray,
+def _mmd2_from_assignments(kernel: np.ndarray, total: float, member_x: np.ndarray,
                            m: int, n: int) -> np.ndarray:
     """Batch-evaluate the unbiased MMD^2 from a cached kernel matrix.
 
-    member_x is a (B, N) 0/1 matrix; row b marks which pooled samples play
-    the role of X in permutation b. Uses kernel diag == 1 (RBF, identical
-    points) to subtract diagonals in closed form.
+    total is kernel.sum(), taken once per test. member_x is a (B, N) 0/1
+    matrix; row b marks which pooled samples play the role of X in
+    permutation b. Uses kernel diag == 1 (RBF, identical points) to
+    subtract diagonals in closed form.
     """
-    total = kernel.sum()
     kv = member_x @ kernel  # (B, N)
     s_xx = np.einsum("bn,bn->b", kv, member_x) - m
     s_x_tot = kv.sum(axis=1)
@@ -315,10 +337,11 @@ def mmd_permutation_test(x, y, n_perms: int = 1000, alpha: float = 0.05,
 
     kernel = _kernel_matrix(np.vstack([x, y]), bandwidth)
     observed = _mmd2_observed(kernel, m, n)
+    total = kernel.sum()
 
     exceed = 0
     for member_x in _permutation_memberships(seed, n_perms, m + n, m):
-        exceed += int(np.sum(_mmd2_from_assignments(kernel, member_x, m, n) >= observed))
+        exceed += int(np.sum(_mmd2_from_assignments(kernel, total, member_x, m, n) >= observed))
     p = (1.0 + exceed) / (1.0 + n_perms)
     return TestOutcome(
         statistic=observed,
@@ -345,7 +368,10 @@ def chi2_independence(counts) -> tuple[float, float]:
 
     Expected cell counts are E_ij = N * p_i. * p_.j. Columns whose combined
     total is zero are dropped and the column count adjusted; no continuity
-    correction or pseudo-counts. Degrees of freedom = K_effective - 1.
+    correction or pseudo-counts. Degrees of freedom = K_effective - 1. When
+    both samples fall in one class (one non-empty column, dof 0) they agree
+    exactly and the result is (0.0, 1.0), as scipy's chi2_contingency gives.
+    A table with an empty row raises DegenerateTable.
     """
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != 2 or counts.shape[0] != 2:
@@ -358,8 +384,8 @@ def chi2_independence(counts) -> tuple[float, float]:
     keep = counts.sum(axis=0) > 0
     counts = counts[:, keep]
     k_eff = counts.shape[1]
-    if k_eff < 2:
-        raise DegenerateTable(f"need at least 2 non-empty columns, got {k_eff}")
+    if k_eff == 1:
+        return 0.0, 1.0
     col_tot = counts.sum(axis=0)
     n_sum = counts.sum()
     expected = np.outer(row_tot, col_tot) / n_sum

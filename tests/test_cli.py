@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from shiftdetect import harness
 from shiftdetect.cli import main
 from shiftdetect.data import TensorDataset, load_csv, write_csv
 
@@ -88,6 +89,18 @@ def test_detect_bbsd_trained_classifier_no_warning(sample_files, capsys):
     assert "warning" not in captured.err
     main(["detect", str(src), str(far), "--method", "pca"])
     assert set(json.loads(capsys.readouterr().out)) == _DETECT_KEYS
+
+
+def test_detect_bbsdh_one_shared_class_exit_zero(sample_files, capsys):
+    # at seed 9 the classifier trains (best epoch > 0) yet puts every source
+    # and target row in one class: one shared class is no evidence of shift
+    src, _, far = sample_files
+    code = main(["detect", str(src), str(far), "--method", "bbsdh", "--seed", "9"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["test_tag"] == "chi2"
+    assert (out["statistic"], out["p_value"]) == (0.0, 1.0)
+    assert out["classifier_best_epoch"] > 0
 
 
 def test_detect_multivariate_mode(sample_files, capsys):
@@ -196,6 +209,25 @@ def test_bench_outputs_and_determinism(tmp_path, capsys):
     assert (dir_a / "records.csv").read_bytes() == (dir_b / "records.csv").read_bytes()
     manifest = json.loads((dir_a / "manifest.json").read_text())
     assert set(manifest["artifacts"]) >= {"records.csv", "pvalue_curves.csv"}
+    assert manifest["skipped_by_reason"] == {}
+
+
+def test_bench_manifest_counts_skipped_cells_by_reason(tmp_path, capsys):
+    # s = 2 leaves classif one sample per half; s = 200 exceeds both 120-row sides
+    doc = dict(BENCH_CONFIG, sample_sizes=[2, 10, 200], runs=1)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    outdir = tmp_path / "skips"
+    code = main(["bench", "--config", str(cfg_path), "--out", str(outdir)])
+    capsys.readouterr()
+    assert code == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["skipped_by_reason"] == {
+        "fewer than 2 samples per half": 2,                   # 2 shifts
+        "insufficient samples (source 120, target 120)": 6,  # 3 methods x 2 shifts
+    }
+    records = harness.read_records_csv(outdir / "records.csv").records
+    assert sum(r.status == "skipped" for r in records) == 8
 
 
 def test_bench_grid_shape_and_smoke_budget(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,62 @@ def test_grid_thread_count_invariant(small_corpus, small_result):
     for a, b in zip(small_result.records, threaded.records):
         assert a.status == b.status
         assert a.outcome == b.outcome
+
+
+def test_pipelined_pool_records_do_not_depend_on_threads(small_corpus):
+    # s = 2 skips classif (one sample per half), s = 200 exceeds the 150-row sides
+    cfg = _small_config(sample_sizes=(2, 10, 200))
+    results = [run_experiment(small_corpus, cfg, threads=t).records for t in (1, 2, 3)]
+    reasons = {r.reason for r in results[0] if r.status == "skipped"}
+    assert reasons == {"fewer than 2 samples per half",
+                       "insufficient samples (source 150, target 150)"}
+    assert any(r.method == "classif" and r.status == "ok" for r in results[0])
+    assert results[0] == results[1] == results[2]
+
+
+class _RecordingPool(ThreadPoolExecutor):
+    made = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.shutdown_calls = 0
+        self.made.append(self)
+
+    def shutdown(self, *args, **kwargs):
+        self.shutdown_calls += 1
+        super().shutdown(*args, **kwargs)
+
+
+def test_failing_cell_raises_and_shuts_the_pool_down(small_corpus, monkeypatch):
+    dispatch = harness.dispatch_test
+
+    def failing_dispatch(rep_source, rep_target, kind, mode, **kwargs):
+        if rep_source.values.shape[0] == 50:
+            raise RuntimeError("cell failed")
+        return dispatch(rep_source, rep_target, kind, mode, **kwargs)
+
+    monkeypatch.setattr(harness, "dispatch_test", failing_dispatch)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", _RecordingPool)
+    _RecordingPool.made.clear()
+    cfg = _small_config(methods=(MethodSpec(DrKind.NORED), MethodSpec(DrKind.CLASSIF)),
+                        sample_sizes=(10, 50))
+    raised = []
+
+    def target():
+        try:
+            run_experiment(small_corpus, cfg, threads=2)
+        except Exception as exc:  # handed to the test thread
+            raised.append(exc)
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive(), "run_experiment hung after a cell raised"
+    assert len(raised) == 1 and isinstance(raised[0], RuntimeError)
+    (pool,) = _RecordingPool.made
+    assert pool.shutdown_calls == 1
+    with pytest.raises(RuntimeError):
+        pool.submit(print)  # a shut-down pool takes no new work
 
 
 def test_multivariate_cells_capped_not_errored():
