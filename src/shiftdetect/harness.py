@@ -11,6 +11,7 @@ a fixed base seed reproduces the result bit-exactly.
 from __future__ import annotations
 
 import csv
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -83,6 +84,17 @@ class ExperimentConfig:
             raise ConfigInvalid("at least one shift is required")
         if min(self.sample_sizes) < 1:
             raise ConfigInvalid("sample sizes must be positive")
+        for key, low in (("ae_epochs", 0), ("clf_epochs", 0), ("domain_epochs", 0),
+                         ("batch_size", 1), ("domain_batch_size", 1), ("patience", 1),
+                         ("latent_dim", 1), ("hidden_dim", 1), ("domain_hidden_dim", 1)):
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ConfigInvalid(f"{key} must be an integer >= {low}, got {value!r}")
+        for key in ("lr0", "ae_lr0"):
+            if not getattr(self, key) > 0:
+                raise ConfigInvalid(f"{key} must be > 0, got {getattr(self, key)}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigInvalid(f"momentum must be in [0, 1), got {self.momentum}")
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -101,7 +113,7 @@ class ExperimentConfig:
             raise ConfigInvalid(str(exc)) from exc
 
     def train_config(self, epochs: int, seed: int, lr0: float | None = None) -> TrainConfig:
-        return TrainConfig(batch_size=self.batch_size, lr0=lr0 or self.lr0,
+        return TrainConfig(batch_size=self.batch_size, lr0=self.lr0 if lr0 is None else lr0,
                            momentum=self.momentum, max_epochs=epochs,
                            patience=self.patience, seed=seed)
 

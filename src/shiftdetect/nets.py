@@ -5,6 +5,8 @@ classifier whose soft/hard outputs serve as representations, and the
 binary domain classifier. Everything is dense float64 numpy; training is
 plain SGD with momentum, a 1/sqrt(t) learning-rate decay over epochs, and
 patience-based early stopping that returns the best validation snapshot.
+A training step updates in place, into buffers sized once per run, and skips
+the input gradient; each in-place operation rounds as the expression it replaces.
 """
 
 from __future__ import annotations
@@ -67,6 +69,10 @@ class TrainConfig:
             raise ValueError(f"lr0 must be > 0, got {self.lr0}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.max_epochs < 0:
+            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        if self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
 
 
 @dataclass
@@ -117,20 +123,23 @@ def init_network(layer_dims, activation: str = "relu", seed: int = 0,
     return net
 
 
-def _apply_activation(tag: str, z: np.ndarray) -> np.ndarray:
+def _dense(a: np.ndarray, w: np.ndarray, b: np.ndarray, tag: str, out=None) -> np.ndarray:
+    """act(a @ w + b), computed in one array: `out` if given, else a fresh one."""
+    z = np.matmul(a, w, out=out)
+    z += b
     if tag == "relu":
-        return np.maximum(z, 0.0)
-    if tag == "tanh":
-        return np.tanh(z)
+        np.maximum(z, 0.0, out=z)
+    elif tag == "tanh":
+        np.tanh(z, out=z)
     return z
 
 
-def _activation_grad(tag: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _backprop_activation(tag: str, delta: np.ndarray, a: np.ndarray) -> None:
+    """Multiply delta in place by the activation's derivative at output a."""
     if tag == "relu":
-        return (z > 0.0).astype(np.float64)
-    if tag == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(z)
+        delta *= a > 0.0  # max(z, 0) > 0 exactly where z > 0
+    elif tag == "tanh":
+        delta *= 1.0 - a * a
 
 
 def forward(net: NetParams, x: np.ndarray) -> np.ndarray:
@@ -139,51 +148,66 @@ def forward(net: NetParams, x: np.ndarray) -> np.ndarray:
     if a.shape[1] != net.in_dim:
         raise DimensionMismatch(f"input has {a.shape[1]} columns, net expects {net.in_dim}")
     for w, b, tag in zip(net.weights, net.biases, net.activations):
-        a = _apply_activation(tag, a @ w + b)
+        a = _dense(a, w, b, tag)
     return a
 
 
-def _forward_cached(net, x):
-    pre, post = [], [x]
-    a = x
-    for w, b, tag in zip(net.weights, net.biases, net.activations):
-        z = a @ w + b
-        a = _apply_activation(tag, z)
-        pre.append(z)
-        post.append(a)
-    return pre, post
+class _StepBuffers:
+    """Arrays a backprop step writes into, for up to `rows` rows. One per
+    training run, never shared: domain classifiers train concurrently."""
+
+    def __init__(self, net: NetParams, rows: int):
+        self.batch = np.empty((rows, net.in_dim))
+        self.post = [np.empty((rows, w.shape[1])) for w in net.weights]
+        self.delta = [np.empty((rows, w.shape[1])) for w in net.weights]
+        self.grads_w = [np.empty_like(w) for w in net.weights]
+        self.grads_b = [np.empty_like(b) for b in net.biases]
 
 
-def _loss_and_delta(loss: str, output: np.ndarray, target) -> tuple[float, np.ndarray]:
+def _loss_and_delta(loss: str, output: np.ndarray, target, out=None) -> tuple[float, np.ndarray]:
     batch = output.shape[0]
     if loss == "mse":
-        residual = output - target
-        return float(np.mean(residual * residual)), 2.0 * residual / residual.size
+        residual = np.subtract(output, target, out=out)
+        value = float(np.mean(residual * residual))
+        residual *= 2.0
+        residual /= residual.size
+        return value, residual
     if loss == "softmax_ce":
         labels = np.asarray(target, dtype=np.int64)
         shift = output - output.max(axis=1, keepdims=True)
         log_norm = np.log(np.sum(np.exp(shift), axis=1, keepdims=True))
         log_probs = shift - log_norm
         value = float(-np.mean(log_probs[np.arange(batch), labels]))
-        delta = np.exp(log_probs)
+        delta = np.exp(log_probs, out=out)
         delta[np.arange(batch), labels] -= 1.0
-        return value, delta / batch
+        delta /= batch
+        return value, delta
     raise ValueError(f"unknown loss {loss!r}")
 
 
-def loss_and_gradients(net: NetParams, x: np.ndarray, target, loss: str):
-    """Backprop: returns (loss, weight grads, bias grads, gradient w.r.t. x)."""
+def loss_and_gradients(net: NetParams, x: np.ndarray, target, loss: str,
+                       input_grad: bool = True, buffers: _StepBuffers | None = None):
+    """Backprop: returns (loss, weight grads, bias grads, gradient w.r.t. x).
+
+    input_grad=False skips the input gradient (None). Intermediates and the
+    returned gradients live in `buffers` (fresh when None) until its next use.
+    """
     x = np.asarray(x, dtype=np.float64)
-    pre, post = _forward_cached(net, x)
-    value, delta = _loss_and_delta(loss, post[-1], target)
-    grads_w = [None] * net.n_layers
-    grads_b = [None] * net.n_layers
+    rows = x.shape[0]
+    if buffers is None:
+        buffers = _StepBuffers(net, rows)
+    post = [x]
+    for w, b, tag, out in zip(net.weights, net.biases, net.activations, buffers.post):
+        post.append(_dense(post[-1], w, b, tag, out[:rows]))
+    value, delta = _loss_and_delta(loss, post[-1], target, out=buffers.delta[-1][:rows])
     for layer in range(net.n_layers - 1, -1, -1):
-        delta = delta * _activation_grad(net.activations[layer], pre[layer], post[layer + 1])
-        grads_w[layer] = post[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
-        delta = delta @ net.weights[layer].T
-    return value, grads_w, grads_b, delta
+        _backprop_activation(net.activations[layer], delta, post[layer + 1])
+        np.matmul(post[layer].T, delta, out=buffers.grads_w[layer])
+        np.sum(delta, axis=0, out=buffers.grads_b[layer])
+        if layer:
+            delta = np.matmul(delta, net.weights[layer].T, out=buffers.delta[layer - 1][:rows])
+    grad_x = delta @ net.weights[0].T if input_grad else None
+    return value, buffers.grads_w, buffers.grads_b, grad_x
 
 
 def input_gradient(clf: SoftmaxClassifier, x: np.ndarray, labels) -> np.ndarray:
@@ -229,12 +253,15 @@ def _sgd(net: NetParams, x: np.ndarray, target, loss: str, score_fn, cfg: TrainC
     score_fn(net) -> float to minimize; evaluated on the initial net and
     after every epoch. Returns (snapshot, epoch) for the best (strictly
     smallest) score, so the result is never worse than the best epoch seen;
-    epoch 0 is the initial net.
+    epoch 0 is the initial net. A step updates `net` in place with v *= m;
+    g *= lr; v -= g; p += v, which rounds as v = m*v - lr*g.
     """
+    autoencode = target is x
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-    velocity_w = [np.zeros_like(w) for w in net.weights]
-    velocity_b = [np.zeros_like(b) for b in net.biases]
+    params = net.weights + net.biases
+    velocity = [np.zeros_like(p) for p in params]
+    buffers = _StepBuffers(net, min(n, cfg.batch_size))
 
     best, best_epoch = net.copy(), 0
     best_score = score_fn(net)
@@ -244,15 +271,17 @@ def _sgd(net: NetParams, x: np.ndarray, target, loss: str, score_fn, cfg: TrainC
         order = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch])).permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            batch_target = target[idx]
-            value, grads_w, grads_b, _ = loss_and_gradients(net, x[idx], batch_target, loss)
+            batch = np.take(x, idx, axis=0, out=buffers.batch[:idx.size], mode="clip")
+            value, grads_w, grads_b, _ = loss_and_gradients(
+                net, batch, batch if autoencode else target[idx], loss,
+                input_grad=False, buffers=buffers)
             if not np.isfinite(value):
                 raise Diverged(f"non-finite loss at epoch {epoch}")
-            for layer in range(net.n_layers):
-                velocity_w[layer] = cfg.momentum * velocity_w[layer] - lr * grads_w[layer]
-                velocity_b[layer] = cfg.momentum * velocity_b[layer] - lr * grads_b[layer]
-                net.weights[layer] += velocity_w[layer]
-                net.biases[layer] += velocity_b[layer]
+            for v, g, p in zip(velocity, grads_w + grads_b, params):
+                v *= cfg.momentum
+                g *= lr
+                v -= g
+                p += v
         score = score_fn(net)
         if not np.isfinite(score):
             raise Diverged(f"non-finite validation score at epoch {epoch}")
@@ -337,8 +366,8 @@ def train_label_classifier(train, val, num_classes: int, cfg: TrainConfig,
     x_val, y_val = val
     x_train = np.asarray(x_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.int64)
-    if y_train.size and y_train.max() >= num_classes:
-        raise ValueError(f"labels must be < {num_classes}")
+    if y_train.size and (y_train.min() < 0 or y_train.max() >= num_classes):
+        raise ValueError(f"labels must be in [0, {num_classes})")
     dims = (x_train.shape[1], *hidden_dims, num_classes)
     net = init_network(dims, activation="relu", seed=cfg.seed, zero_last=True)
 

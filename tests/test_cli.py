@@ -248,6 +248,27 @@ def test_bench_bad_config_exit_65(tmp_path):
     assert main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 65
 
 
+@pytest.mark.parametrize("key, value", [
+    ("ae_epochs", -1), ("clf_epochs", -3), ("domain_epochs", -1),
+    ("batch_size", 0), ("batch_size", 2.5), ("domain_batch_size", 0),
+    ("lr0", 0), ("ae_lr0", 0), ("ae_lr0", -0.5),
+    ("momentum", 1.0), ("momentum", -0.1),
+    ("patience", 0),
+    ("latent_dim", 0), ("hidden_dim", 0), ("domain_hidden_dim", 0),
+])
+def test_bench_bad_training_setting_exit_65_before_corpus(tmp_path, monkeypatch, capsys,
+                                                         key, value):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("corpus built before the config was checked")
+
+    monkeypatch.setattr("shiftdetect.digits.make_digits", no_corpus)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(BENCH_CONFIG, **{key: value})))
+    code = main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 65
+    assert f"error: {key} must be" in capsys.readouterr().err
+
+
 def test_bench_missing_config_exit_66(tmp_path):
     assert main(["bench", "--config", str(tmp_path / "none.json"),
                  "--out", str(tmp_path / "x")]) == 66

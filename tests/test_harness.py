@@ -247,6 +247,17 @@ def test_fit_reducers_refuses_one_class_labels():
         harness.fit_reducers(one_class, cfg)
 
 
+def test_train_config_keeps_an_explicit_learning_rate():
+    cfg = _small_config(lr0=0.3, ae_lr0=0.7)
+    assert cfg.train_config(3, 1).lr0 == 0.3
+    assert cfg.train_config(3, 1, lr0=cfg.ae_lr0).lr0 == 0.7
+    with pytest.raises(ValueError):  # no silent fallback to cfg.lr0
+        cfg.train_config(3, 1, lr0=0.0)
+    boundary = _small_config(ae_epochs=0, clf_epochs=0, domain_epochs=0, momentum=0.0,
+                             patience=1, batch_size=1, domain_batch_size=1)
+    assert boundary.train_config(0, 1).max_epochs == 0
+
+
 def test_domain_check_requires_enough_samples():
     with pytest.raises(ConfigInvalid):
         run_domain_classifier_test(np.zeros((3, 2)), np.zeros((10, 2)),

@@ -1,3 +1,6 @@
+import hashlib
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -32,7 +35,11 @@ def test_train_config_validation():
         TrainConfig(lr0=0.0)
     with pytest.raises(ValueError):
         TrainConfig(momentum=1.0)
-    TrainConfig(momentum=0.0)  # boundary value is fine
+    with pytest.raises(ValueError):
+        TrainConfig(max_epochs=-1)
+    with pytest.raises(ValueError):
+        TrainConfig(patience=0)
+    TrainConfig(momentum=0.0, max_epochs=0, patience=1)  # boundary values are fine
 
 
 def test_init_deterministic():
@@ -131,7 +138,8 @@ def test_training_loss_decreases_convex_toy():
         for _ in range(6):
             loss, *_ = loss_and_gradients(net, x, x, "mse")
             losses.append(loss)
-            net, _ = nets._sgd(net, x, x, "mse", lambda c: 0.0, cfgs)
+            # a constant score keeps the initial snapshot; _sgd trains `net` itself
+            nets._sgd(net, x, x, "mse", lambda c: 0.0, cfgs)
         final, _, _, _ = loss_and_gradients(net, x, x, "mse")
         assert final <= losses[0]
         assert losses[-1] <= losses[1]
@@ -247,6 +255,14 @@ def test_domain_scores_in_unit_interval_and_rank_by_logit():
                           np.argsort(diff, kind="stable"))
 
 
+def test_label_classifier_refuses_out_of_range_labels():
+    x = np.zeros((4, 3))
+    for bad in ([0, 1, -1, 0], [0, 1, 2, 0]):
+        with pytest.raises(ValueError, match=r"labels must be in \[0, 2\)"):
+            train_label_classifier((x, np.array(bad)), (x, np.zeros(4, dtype=int)), 2,
+                                   TrainConfig(max_epochs=1))
+
+
 def test_domain_classifier_needs_nonempty_halves():
     with pytest.raises(ValueError):
         train_domain_classifier(np.zeros((0, 3)), np.ones((4, 3)),
@@ -283,6 +299,103 @@ def test_early_stopping_returns_best_epoch():
     assert len(calls) == 6  # initial + epochs 1..2 improving, then 3 stale epochs
     assert best_epoch == 2
     assert all(np.array_equal(a, b) for a, b in zip(best.weights, snapshots[2]))
+
+
+def test_input_grad_flag_only_drops_the_input_gradient():
+    rng = np.random.default_rng(16)
+    net = init_network((9, 6, 4, 3), activation="relu", seed=21)
+    x, y = rng.standard_normal((11, 9)), rng.integers(0, 3, 11)
+    full = loss_and_gradients(net, x, y, "softmax_ce")
+    value, grads_w, grads_b, grad_x = loss_and_gradients(net, x, y, "softmax_ce",
+                                                         input_grad=False)
+    assert grad_x is None and full[3].shape == x.shape
+    assert value == full[0]
+    assert all(np.array_equal(a, b) for a, b in zip(grads_w + grads_b, full[1] + full[2]))
+
+
+# ---------------------------------------------------------------------------
+# golden training bytes
+#
+# SHA-256 of trained float64 parameters (weights then biases, layer by layer)
+# as produced by the allocating SGD step these digests were recorded with:
+# the in-place step must reproduce every bit. The digests pin this numpy and
+# OpenBLAS build; another BLAS may round GEMMs differently.
+
+def _sha256(*arrays) -> str:
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def _params_sha256(*params) -> str:
+    return _sha256(*(a for net in params for a in net.weights + net.biases))
+
+
+def _golden_tae(rng):
+    # 160 rows at batch 32, relu hidden layer, linear bottleneck
+    x = rng.random((200, 64))
+    ae = train_autoencoder(x[:160], x[160:], (64, 32, 8),
+                           TrainConfig(max_epochs=4, batch_size=32, lr0=0.5, seed=3))
+    return _params_sha256(ae.encoder, ae.decoder)
+
+
+def _golden_label_classifier(rng):
+    # 150 rows at batch 32: the last batch of every epoch has 22 rows
+    x = rng.standard_normal((150, 20))
+    y = x[:, :5].argmax(axis=1)
+    clf = train_label_classifier((x, y), (x[:60], y[:60]), 5,
+                                 TrainConfig(max_epochs=5, batch_size=32, seed=4),
+                                 hidden_dims=(24,))
+    assert clf.best_epoch == 5
+    return clf
+
+
+def _golden_domain_classifier(rng):
+    clf = train_domain_classifier(rng.random((45, 16)), rng.random((45, 16)) + 0.2,
+                                  TrainConfig(max_epochs=6, batch_size=16, seed=5),
+                                  hidden_dims=(8,))
+    assert clf.best_epoch == 6
+    return _params_sha256(clf.net)
+
+
+def _golden_tanh_sgd(rng):
+    net = init_network((10, 7, 3), activation="tanh", seed=6)
+    x, t = rng.standard_normal((50, 10)), rng.standard_normal((50, 3))
+    nets._sgd(net, x, t, "mse", lambda c: 0.0, TrainConfig(max_epochs=3, batch_size=16, seed=7))
+    return _params_sha256(net)  # _sgd trains its argument in place
+
+
+def _golden_input_gradient(rng):
+    clf = _golden_label_classifier(rng)
+    x = rng.standard_normal((40, 20))
+    return _sha256(nets.input_gradient(clf, x, x[:, :5].argmax(axis=1)))
+
+
+@pytest.mark.parametrize("build, digest", [
+    (_golden_tae, "b2f2ba52068d8dd463df0043e6ab159dfe51978838df1864cc309ed39ba06b9d"),
+    (lambda rng: _params_sha256(_golden_label_classifier(rng).net),
+     "8f0b9eb7dfc93a130a0c53e312b5da7b8d7d84ab792806c54454e906c5e1e24b"),
+    (_golden_domain_classifier,
+     "81cea23eb99cb668c1e1302df93e06969cba79c53606f8a162b8957a9c7d3ad9"),
+    (_golden_tanh_sgd, "31ac7303dee6613b5b988f6673f6d921bb35acbac18542790d99f7644ca0ef17"),
+    (_golden_input_gradient, "ea49bc2945c8afdb136c3b0feb6b2df80a4872cc481208b2044089b73f420d03"),
+], ids=["tae", "label_classifier_ragged", "domain_classifier", "tanh_sgd", "input_gradient"])
+def test_golden_training_bytes(build, digest):
+    assert build(np.random.default_rng(2024)) == digest
+
+
+def test_concurrent_domain_classifiers_match_serial():
+    # each training run owns its step buffers: two threads training four
+    # classifiers give the same bits as training them one after another
+    rng = np.random.default_rng(17)
+    jobs = [(rng.random((40, 12)), rng.random((40, 12)) + 0.1 * k,
+             TrainConfig(max_epochs=5, batch_size=16, seed=30 + k)) for k in range(4)]
+    serial = [train_domain_classifier(*job, hidden_dims=(16,)) for job in jobs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(lambda job: train_domain_classifier(*job, hidden_dims=(16,)),
+                                 jobs))
+    assert [_params_sha256(c.net) for c in threaded] == [_params_sha256(c.net) for c in serial]
 
 
 # ---------------------------------------------------------------------------
