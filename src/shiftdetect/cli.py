@@ -117,7 +117,7 @@ def cmd_detect(args) -> int:
         outcome = _domain_check(args, source, target).outcome
     else:
         handle = harness.fit_reducers(source, _one_shot_config(args, source, kind)).handle_for(kind)
-        if kind in (DrKind.BBSDS, DrKind.BBSDH):
+        if isinstance(handle, nets.SoftmaxClassifier):
             fit_info["classifier_best_epoch"] = handle.best_epoch
             if handle.best_epoch == 0:
                 _log("warning: the label classifier never beat its initial net on the "

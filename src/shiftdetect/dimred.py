@@ -3,13 +3,15 @@
 Eight reduction methods are supported: identity (no reduction), PCA, sparse
 random projection, untrained and trained autoencoders, the soft and hard
 outputs of a label classifier, and (end-to-end, in the harness) a domain
-classifier. All reducers are fitted on training data only and are frozen
-afterwards: reducing the same matrix twice yields bit-identical output.
+classifier, each one row of METHOD_TABLE. All reducers are fitted on
+training data only and are frozen afterwards: reducing the same matrix
+twice yields bit-identical output.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -145,42 +147,49 @@ def srp_project(model: SrpMatrix, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# The method table
+
+@dataclass(frozen=True)
+class MethodRow:
+    """The fitted model a method reads, by name (methods over one model share
+    it) and type, and its transform (model, rows) -> Representation. CLASSIF
+    has no transform: the harness trains and tests it end to end.
+    """
+
+    model: str | None
+    model_type: type
+    transform: Callable[[object, np.ndarray], Representation] | None
+
+
+METHOD_TABLE = {
+    DrKind.NORED: MethodRow(None, object, lambda _, x: Representation(x.copy())),
+    DrKind.PCA: MethodRow("pca", PcaModel, lambda m, x: Representation(pca_project(m, x))),
+    DrKind.SRP: MethodRow("srp", SrpMatrix, lambda m, x: Representation(srp_project(m, x))),
+    DrKind.UAE: MethodRow("uae", nets.Autoencoder, lambda m, x: Representation(nets.encode(m, x))),
+    DrKind.TAE: MethodRow("tae", nets.Autoencoder, lambda m, x: Representation(nets.encode(m, x))),
+    DrKind.BBSDS: MethodRow("label_clf", nets.SoftmaxClassifier,
+                            lambda m, x: Representation(nets.softmax_outputs(m, x))),
+    DrKind.BBSDH: MethodRow("label_clf", nets.SoftmaxClassifier,
+                            lambda m, x: Representation(nets.hard_predictions(m, x),
+                                                        m.num_classes)),
+    DrKind.CLASSIF: MethodRow(None, object, None),
+}
+
 
 def reduce(kind: DrKind, fitted, x: np.ndarray) -> Representation:
     """Apply a fitted reducer to a flattened data matrix.
 
-    fitted is None for NORED, a PcaModel / SrpMatrix for PCA / SRP, an
-    Autoencoder for UAE / TAE, and a SoftmaxClassifier for BBSDS / BBSDH.
-    CLASSIF has no standalone representation (the harness trains and tests
-    the domain classifier end-to-end).
+    fitted is the model METHOD_TABLE names for the kind (ignored for NORED);
+    a missing or mistyped one raises NotFitted. CLASSIF has no standalone
+    representation and raises IncompatibleMode.
     """
     kind = DrKind(kind)
-    x = np.asarray(x, dtype=np.float64)
-    if kind == DrKind.NORED:
-        return Representation(values=x.copy())
-    if kind == DrKind.CLASSIF:
-        raise IncompatibleMode("classif is handled end-to-end by the harness")
-    if fitted is None:
-        raise NotFitted(f"{kind.value} requires a fitted reducer")
-    if kind == DrKind.PCA:
-        if not isinstance(fitted, PcaModel):
-            raise NotFitted(f"expected a PcaModel for {kind.value}")
-        return Representation(values=pca_project(fitted, x))
-    if kind == DrKind.SRP:
-        if not isinstance(fitted, SrpMatrix):
-            raise NotFitted(f"expected an SrpMatrix for {kind.value}")
-        return Representation(values=srp_project(fitted, x))
-    if kind in (DrKind.UAE, DrKind.TAE):
-        if not isinstance(fitted, nets.Autoencoder):
-            raise NotFitted(f"expected an Autoencoder for {kind.value}")
-        return Representation(values=nets.encode(fitted, x))
-    if not isinstance(fitted, nets.SoftmaxClassifier):
-        raise NotFitted(f"expected a SoftmaxClassifier for {kind.value}")
-    if kind == DrKind.BBSDS:
-        return Representation(values=nets.softmax_outputs(fitted, x))
-    return Representation(values=nets.hard_predictions(fitted, x),
-                          arity=fitted.num_classes)
+    row = METHOD_TABLE[kind]
+    if row.transform is None:
+        raise IncompatibleMode(f"{kind.value} is handled end-to-end by the harness")
+    if not isinstance(fitted, row.model_type):
+        raise NotFitted(f"expected a fitted {row.model_type.__name__} for {kind.value}")
+    return row.transform(fitted, np.asarray(x, dtype=np.float64))
 
 
 def save_reducer(model, path) -> None:

@@ -20,11 +20,10 @@ import numpy as np
 
 from . import nets, shifts
 from .data import DataSplit, TensorDataset, flatten, random_split
-from .dimred import DrKind, Representation, build_srp, fit_pca, reduce
+from .dimred import METHOD_TABLE, DrKind, Representation, build_srp, fit_pca, reduce
 from .errors import ConfigInvalid, EmptyResult, NotFound, ShiftDetectError
 from .nets import SoftmaxClassifier, TrainConfig
 from .stattest import (
-    MULTIVARIATE_SAMPLE_CAP,
     TestMode,
     TestOutcome,
     TestTag,
@@ -187,22 +186,12 @@ class ExperimentResult:
 
 @dataclass
 class FittedReducers:
-    pca: object = None
-    srp: object = None
-    uae: object = None
-    tae: object = None
-    label_clf: SoftmaxClassifier | None = None
+    """Fitted models by the name METHOD_TABLE gives them ("pca", "label_clf", ...)."""
+
+    models: dict = field(default_factory=dict)
 
     def handle_for(self, kind: DrKind):
-        return {
-            DrKind.NORED: None,
-            DrKind.PCA: self.pca,
-            DrKind.SRP: self.srp,
-            DrKind.UAE: self.uae,
-            DrKind.TAE: self.tae,
-            DrKind.BBSDS: self.label_clf,
-            DrKind.BBSDH: self.label_clf,
-        }[kind]
+        return self.models.get(METHOD_TABLE[DrKind(kind)].model)
 
 
 def _derive_seed(*parts) -> int:
@@ -223,24 +212,26 @@ def concat_datasets(a: TensorDataset, b: TensorDataset) -> TensorDataset:
 
 
 def fit_reducers(train: TensorDataset, cfg: ExperimentConfig) -> FittedReducers:
-    """Fit every reducer the config needs, using training data only.
+    """Fit the models METHOD_TABLE names for cfg.methods, on training data only.
 
-    The label classifier and trained autoencoder carve an internal 90/10
-    early-stopping split out of the training part; validation and test data
-    are never seen here.
+    The label classifier is also fitted when a shift is adversarial. It and
+    the trained autoencoder carve an internal 90/10 early-stopping split out
+    of the training part; validation and test data are never seen here.
     """
-    kinds = {m.kind for m in cfg.methods}
+    needed = {METHOD_TABLE[m.kind].model for m in cfg.methods}
+    if any(_spec_needs_classifier(s.spec) for s in cfg.shifts):
+        needed.add("label_clf")
     x = flatten(train)
     d = x.shape[1]
-    fitted = FittedReducers()
+    models = {}
 
-    if DrKind.PCA in kinds:
-        fitted.pca = fit_pca(x, cfg.latent_dim)
-    if DrKind.SRP in kinds:
-        fitted.srp = build_srp(d, cfg.latent_dim, seed=_derive_seed(cfg.seed, 11))
+    if "pca" in needed:
+        models["pca"] = fit_pca(x, cfg.latent_dim)
+    if "srp" in needed:
+        models["srp"] = build_srp(d, cfg.latent_dim, seed=_derive_seed(cfg.seed, 11))
     arch = (d, cfg.hidden_dim, cfg.latent_dim)
-    if DrKind.UAE in kinds:
-        fitted.uae = nets.train_autoencoder(
+    if "uae" in needed:
+        models["uae"] = nets.train_autoencoder(
             x, x[:1], arch, cfg.train_config(0, _derive_seed(cfg.seed, 12)))
 
     inner_n = max(1, int(0.9 * train.n))
@@ -251,20 +242,18 @@ def fit_reducers(train: TensorDataset, cfg: ExperimentConfig) -> FittedReducers:
     if x_stop.shape[0] == 0:
         x_stop, y_stop = x_fit, y_fit
 
-    if DrKind.TAE in kinds:
-        fitted.tae = nets.train_autoencoder(
+    if "tae" in needed:
+        models["tae"] = nets.train_autoencoder(
             x_fit, x_stop, arch,
             cfg.train_config(cfg.ae_epochs, _derive_seed(cfg.seed, 14), lr0=cfg.ae_lr0))
-    needs_clf = bool(kinds & {DrKind.BBSDS, DrKind.BBSDH}) or any(
-        _spec_needs_classifier(s.spec) for s in cfg.shifts)
-    if needs_clf:
+    if "label_clf" in needed:
         if train.num_classes < 2:
             raise ConfigInvalid("the label classifier needs training data with >= 2 classes")
-        fitted.label_clf = nets.train_label_classifier(
+        models["label_clf"] = nets.train_label_classifier(
             (x_fit, y_fit), (x_stop, y_stop), train.num_classes,
             cfg.train_config(cfg.clf_epochs, _derive_seed(cfg.seed, 15)),
             hidden_dims=(cfg.hidden_dim,))
-    return fitted
+    return FittedReducers(models)
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +282,13 @@ def run_domain_classifier_test(source: np.ndarray, target: np.ndarray,
     """
     source = np.atleast_2d(np.asarray(source, dtype=np.float64))
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
+    half_src, half_tgt = source.shape[0] // 2, target.shape[0] // 2
+    if half_src < 2 or half_tgt < 2:
+        # the exact text is the skip reason a grid cell records
+        raise ConfigInvalid("fewer than 2 samples per half")
     rng = np.random.default_rng(seed)
     src_order = rng.permutation(source.shape[0])
     tgt_order = rng.permutation(target.shape[0])
-    half_src, half_tgt = source.shape[0] // 2, target.shape[0] // 2
-    if half_src < 2 or half_tgt < 2:
-        raise ConfigInvalid("need at least 2 samples per half on each side")
 
     clf = nets.train_domain_classifier(
         source[src_order[:half_src]], target[tgt_order[:half_tgt]],
@@ -351,10 +341,6 @@ def top_exemplars(domain_clf: SoftmaxClassifier, target_heldout: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # The experiment grid
-
-def _slice_representation(rep: Representation, s: int) -> Representation:
-    return Representation(values=rep.values[:s], arity=rep.arity)
-
 
 def run_experiment(dataset: TensorDataset, cfg: ExperimentConfig,
                    threads: int = 1) -> ExperimentResult:
@@ -412,7 +398,7 @@ def _grid_blocks(cfg: ExperimentConfig, fitted: FittedReducers, vt_pool: TensorD
 
         for shift_idx, named in enumerate(cfg.shifts):
             spec = shifts.with_seed(named.spec, _derive_seed(cfg.seed, 31, run, shift_idx))
-            shifted = shifts.apply_shift(spec, test_r, classifier=fitted.label_clf)
+            shifted = shifts.apply_shift(spec, test_r, classifier=fitted.models.get("label_clf"))
             target_flat = flatten(shifted)
             src_order = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed, 41, run, shift_idx])
@@ -426,55 +412,59 @@ def _grid_blocks(cfg: ExperimentConfig, fitted: FittedReducers, vt_pool: TensorD
 
             block = []
             for midx, method in enumerate(cfg.methods):
-                if method.kind == DrKind.CLASSIF:
-                    pair = (source_flat, target_shuffled)
-                else:
-                    handle = fitted.handle_for(method.kind)
-                    pair = (reduce(method.kind, handle, source_flat),
-                            reduce(method.kind, handle, target_shuffled))
+                test = _method_test(cfg, fitted, method, source_flat, target_shuffled,
+                                    run, shift_idx, midx)
                 for s in cfg.sample_sizes:
                     key = (shift_idx, midx, s, run)
                     base = dict(shift=named.name, intensity=named.intensity,
                                 delta=named.spec.delta, method=method.kind.value,
                                 mode=method.mode.value, sample_size=s, run=run)
-                    block.append((key, _make_cell(cfg, method, base, s, n_src, n_tgt, pair,
-                                                  run, shift_idx, midx)))
+                    block.append((key, _make_cell(base, s, n_src, n_tgt, test)))
             yield block
 
 
-def _make_cell(cfg, method, base, s, n_src, n_tgt, pair, run, shift_idx, midx):
-    """One grid cell as a closure over what it reads.
+def _method_test(cfg, fitted, method, source_flat, target_flat, run, shift_idx, midx):
+    """The method's test on the first s rows of each side, as a function of s.
 
-    pair is (source, target): the shuffled flat rows for the domain
-    classifier, the method's two representations otherwise; n_src and
-    n_tgt are their row counts.
+    The domain classifier trains on the flat rows; every other method
+    reduces both sides once here and tests slices of its representations.
+    The test's seeds derive from the cell's grid coordinates.
+    """
+    if method.kind == DrKind.CLASSIF:
+        def test(s):
+            return run_domain_classifier_test(
+                source_flat[:s], target_flat[:s],
+                cfg.domain_train_config(_derive_seed(cfg.seed, 51, run, shift_idx, s)),
+                alpha=cfg.alpha, seed=_derive_seed(cfg.seed, 52, run, shift_idx, s),
+                hidden_dims=(cfg.domain_hidden_dim,)).outcome
+        return test
+
+    handle = fitted.handle_for(method.kind)
+    rep_src = reduce(method.kind, handle, source_flat)
+    rep_tgt = reduce(method.kind, handle, target_flat)
+
+    def test(s):
+        return dispatch_test(
+            Representation(rep_src.values[:s], rep_src.arity),
+            Representation(rep_tgt.values[:s], rep_tgt.arity),
+            method.kind, method.mode, alpha=cfg.alpha,
+            seed=_derive_seed(cfg.seed, 61, run, shift_idx, midx, s), n_perms=cfg.n_perms)
+    return test
+
+
+def _make_cell(base, s, n_src, n_tgt, test):
+    """One grid cell: test(s) unless a side has fewer than s rows.
+
+    A ShiftDetectError from the test (too few rows per half for the domain
+    classifier, the multivariate sample cap, ...) makes the cell skipped,
+    with the error's text as the reason.
     """
     def cell() -> Record:
         if s > n_src or s > n_tgt:
             return Record(**base, status="skipped",
                           reason=f"insufficient samples (source {n_src}, target {n_tgt})")
         try:
-            if method.kind == DrKind.CLASSIF:
-                if s // 2 < 2:
-                    return Record(**base, status="skipped",
-                                  reason="fewer than 2 samples per half")
-                source_flat, target_shuffled = pair
-                check = run_domain_classifier_test(
-                    source_flat[:s], target_shuffled[:s],
-                    cfg.domain_train_config(_derive_seed(cfg.seed, 51, run, shift_idx, s)),
-                    alpha=cfg.alpha,
-                    seed=_derive_seed(cfg.seed, 52, run, shift_idx, s),
-                    hidden_dims=(cfg.domain_hidden_dim,))
-                return Record(**base, status="ok", outcome=check.outcome)
-            if method.mode == TestMode.MULTIVARIATE and s > MULTIVARIATE_SAMPLE_CAP:
-                return Record(**base, status="skipped",
-                              reason=f"multivariate mode capped at {MULTIVARIATE_SAMPLE_CAP}")
-            rep_src, rep_tgt = pair
-            outcome = dispatch_test(
-                _slice_representation(rep_src, s), _slice_representation(rep_tgt, s),
-                method.kind, method.mode, alpha=cfg.alpha,
-                seed=_derive_seed(cfg.seed, 61, run, shift_idx, midx, s),
-                n_perms=cfg.n_perms)
+            outcome = test(s)
         except ShiftDetectError as exc:
             return Record(**base, status="skipped", reason=str(exc))
         return Record(**base, status="ok", outcome=outcome)

@@ -6,6 +6,7 @@ import pytest
 from shiftdetect import harness
 from shiftdetect.cli import main
 from shiftdetect.data import TensorDataset, load_csv, write_csv
+from shiftdetect.dimred import DrKind
 
 
 @pytest.fixture()
@@ -110,6 +111,21 @@ def test_detect_multivariate_mode(sample_files, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["test_tag"] == "mmd_perm"
     assert code == 3
+
+
+# the test each reducer routes to, as in the README's reducer table
+_ROUTE_TAG = {DrKind.BBSDH: "chi2", DrKind.CLASSIF: "binomial"}
+
+
+@pytest.mark.parametrize("kind", list(DrKind))
+def test_detect_every_method_routes_to_its_test(sample_files, capsys, kind):
+    src, _, far = sample_files
+    code = main(["detect", str(src), str(far), "--method", kind.value, "--epochs", "2",
+                 "--latent-dim", "4", "--hidden-dim", "8"])
+    out = json.loads(capsys.readouterr().out)
+    assert code in (0, 3)
+    assert out["test_tag"] == _ROUTE_TAG.get(kind, "ks_bonferroni")
+    assert (out["method"], out["mode"]) == (kind.value, "univariate")
 
 
 def test_shift_delta_zero_identity(tmp_path, sample_files, capsys):

@@ -231,10 +231,16 @@ def test_reduce_deterministic_bit_exact():
 
 def test_reduce_not_fitted_and_classif():
     x = np.zeros((3, 4))
-    with pytest.raises(NotFitted):
-        reduce(DrKind.PCA, None, x)
-    with pytest.raises(NotFitted):
-        reduce(DrKind.SRP, fit_pca(np.random.default_rng(0).random((9, 4)), 2), x)
+    pca = fit_pca(np.random.default_rng(0).random((9, 4)), 2)
+    ae = nets.Autoencoder(encoder=nets.init_network((4, 2)), decoder=nets.init_network((2, 4)))
+    clf = nets.SoftmaxClassifier(net=nets.init_network((4, 3)), num_classes=3)
+    # every kind that reads a model refuses None and a model of another type
+    wrong_model = {DrKind.PCA: build_srp(4, 2, seed=0), DrKind.SRP: pca,
+                   DrKind.UAE: clf, DrKind.TAE: pca, DrKind.BBSDS: ae, DrKind.BBSDH: ae}
+    for kind, wrong in wrong_model.items():
+        for fitted in (None, wrong):
+            with pytest.raises(NotFitted):
+                reduce(kind, fitted, x)
     with pytest.raises(IncompatibleMode):
         reduce(DrKind.CLASSIF, None, x)
 

@@ -1,3 +1,4 @@
+import hashlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -129,6 +130,31 @@ def test_failing_cell_raises_and_shuts_the_pool_down(small_corpus, monkeypatch):
         pool.submit(print)  # a shut-down pool takes no new work
 
 
+# records.csv of a tiny grid over all eight kinds, (pca, multivariate) and an
+# adversarial shift, with sizes that hit both skip reasons; the hash pins the
+# bytes a refactor of the method dispatch must keep
+GOLDEN_RECORDS_SHA256 = "6d914e6276c0d5cf9ae99398bc825fa4c7b2a00e7d567f1aa454fb8514e9fc54"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_golden_records_all_kinds(tmp_path, threads):
+    cfg = ExperimentConfig(
+        methods=tuple(MethodSpec(k) for k in DrKind)
+        + (MethodSpec(DrKind.PCA, TestMode.MULTIVARIATE),),
+        shifts=(NamedShift("no_shift", shifts.preset("no_shift"), "none"),
+                NamedShift("adv", shifts.preset("adv_shift", 0.5), "medium")),
+        n_train=200, n_val=60, n_test=60, sample_sizes=(2, 20, 100), runs=1,
+        latent_dim=4, hidden_dim=16, domain_hidden_dim=4,
+        ae_epochs=2, clf_epochs=2, domain_epochs=2, n_perms=50, seed=3)
+    result = run_experiment(digits.make_digits(320, seed=3), cfg, threads=threads)
+    reasons = {r.reason for r in result.records if r.status == "skipped"}
+    assert reasons == {"fewer than 2 samples per half",
+                       "insufficient samples (source 60, target 60)"}
+    path = tmp_path / "records.csv"
+    write_records_csv(result, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_RECORDS_SHA256
+
+
 def test_multivariate_cells_capped_not_errored():
     cfg = _small_config(sample_sizes=(10, 2000), n_val=150, n_test=150)
     # sizes above the pool are skipped for insufficiency; build one where the
@@ -140,7 +166,8 @@ def test_multivariate_cells_capped_not_errored():
     capped = [r for r in res.records
               if r.mode == "multivariate" and r.sample_size == 1200]
     assert capped
-    assert all(r.status == "skipped" and "cap" in r.reason for r in capped)
+    assert all(r.status == "skipped" and r.reason == "multivariate mode capped at 1000"
+               for r in capped)
     univ = [r for r in res.records
             if r.mode == "univariate" and r.sample_size == 1200 and r.method == "nored"]
     assert all(r.status == "ok" for r in univ)
@@ -238,6 +265,22 @@ def test_pvalue_flat_under_null():
 
 # ---------------------------------------------------------------------------
 # domain classifier path and exemplars
+
+def test_fit_reducers_fits_each_named_model_once():
+    ds = digits.make_digits(120, seed=4)
+    cfg = _small_config(methods=(MethodSpec(DrKind.NORED), MethodSpec(DrKind.UAE),
+                                 MethodSpec(DrKind.CLASSIF)), n_train=120)
+    assert set(harness.fit_reducers(ds, cfg).models) == {"uae"}
+    # bbsds and bbsdh read one label classifier; an adversarial shift needs it too
+    adv = (NamedShift("adv", shifts.preset("adv_shift", 0.5), "medium"),)
+    for methods, shift_list in (((MethodSpec(DrKind.BBSDS), MethodSpec(DrKind.BBSDH)),
+                                 cfg.shifts), ((MethodSpec(DrKind.NORED),), adv)):
+        fitted = harness.fit_reducers(ds, _small_config(methods=methods, shifts=shift_list,
+                                                        n_train=120))
+        assert set(fitted.models) == {"label_clf"}
+        assert fitted.handle_for(DrKind.BBSDH) is fitted.models["label_clf"]
+        assert fitted.handle_for(DrKind.NORED) is None
+
 
 def test_fit_reducers_refuses_one_class_labels():
     ds = digits.make_digits(60, seed=3)
