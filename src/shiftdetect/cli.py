@@ -84,7 +84,7 @@ def _outcome_payload(outcome) -> dict:
 # ---------------------------------------------------------------------------
 # detect
 
-def _one_shot_config(args, source: TensorDataset, kind: DrKind) -> ExperimentConfig:
+def _one_shot_config(args, source: TensorDataset, method: MethodSpec) -> ExperimentConfig:
     """The training flags of detect/exemplars as a config for fitting on the source.
 
     The latent size is clamped to min(latent_dim, n - 1, D), so PCA stays
@@ -92,7 +92,7 @@ def _one_shot_config(args, source: TensorDataset, kind: DrKind) -> ExperimentCon
     """
     k = min(args.latent_dim, max(1, min(source.n - 1, math.prod(source.image_shape))))
     return ExperimentConfig(
-        methods=(MethodSpec(kind),), shifts=(NamedShift("no_shift", shifts.preset("no_shift")),),
+        methods=(method,), shifts=(NamedShift("no_shift", shifts.preset("no_shift")),),
         n_train=source.n, n_val=0, n_test=0, alpha=args.alpha, seed=args.seed,
         latent_dim=k, hidden_dim=args.hidden_dim, domain_hidden_dim=args.hidden_dim,
         ae_epochs=args.epochs, clf_epochs=args.epochs, domain_epochs=args.epochs,
@@ -101,22 +101,23 @@ def _one_shot_config(args, source: TensorDataset, kind: DrKind) -> ExperimentCon
 
 
 def _domain_check(args, source: TensorDataset, target: TensorDataset) -> harness.DomainCheck:
-    cfg = _one_shot_config(args, source, DrKind.CLASSIF)
+    cfg = _one_shot_config(args, source, MethodSpec(DrKind.CLASSIF))
     return harness.run_domain_classifier_test(
         flatten(source), flatten(target), cfg.domain_train_config(args.seed),
         alpha=args.alpha, seed=args.seed, hidden_dims=(cfg.domain_hidden_dim,))
 
 
 def cmd_detect(args) -> int:
+    method = MethodSpec(DrKind(args.method), TestMode(args.mode))  # refuses a bad pair
+    kind, mode = method.kind, method.mode
     source = _load_dataset(args.source)
     target = _load_dataset(args.target)
-    kind = DrKind(args.method)
-    mode = TestMode(args.mode)
     fit_info = {}
     if kind == DrKind.CLASSIF:
         outcome = _domain_check(args, source, target).outcome
     else:
-        handle = harness.fit_reducers(source, _one_shot_config(args, source, kind)).handle_for(kind)
+        cfg = _one_shot_config(args, source, method)
+        handle = harness.fit_reducers(source, cfg).handle_for(kind)
         if isinstance(handle, nets.SoftmaxClassifier):
             fit_info["classifier_best_epoch"] = handle.best_epoch
             if handle.best_epoch == 0:
@@ -246,6 +247,9 @@ def cmd_bench(args) -> int:
 # exemplars
 
 def cmd_exemplars(args) -> int:
+    if args.k < 1:
+        print(f"error: k must be >= 1, got {args.k}", file=sys.stderr)
+        return EXIT_USAGE
     source = _load_dataset(args.source)
     target = _load_dataset(args.target)
     check = _domain_check(args, source, target)

@@ -153,12 +153,14 @@ def srp_project(model: SrpMatrix, x: np.ndarray) -> np.ndarray:
 class MethodRow:
     """The fitted model a method reads, by name (methods over one model share
     it) and type, and its transform (model, rows) -> Representation. CLASSIF
-    has no transform: the harness trains and tests it end to end.
+    has no transform: the harness trains and tests it end to end. BBSDH
+    (categorical ids) and CLASSIF (its binomial test) have no multivariate test.
     """
 
     model: str | None
     model_type: type
     transform: Callable[[object, np.ndarray], Representation] | None
+    multivariate: bool = True
 
 
 METHOD_TABLE = {
@@ -171,8 +173,8 @@ METHOD_TABLE = {
                             lambda m, x: Representation(nets.softmax_outputs(m, x))),
     DrKind.BBSDH: MethodRow("label_clf", nets.SoftmaxClassifier,
                             lambda m, x: Representation(nets.hard_predictions(m, x),
-                                                        m.num_classes)),
-    DrKind.CLASSIF: MethodRow(None, object, None),
+                                                        m.num_classes), multivariate=False),
+    DrKind.CLASSIF: MethodRow(None, object, None, multivariate=False),
 }
 
 

@@ -39,6 +39,13 @@ class MethodSpec:
     kind: DrKind
     mode: TestMode = TestMode.UNIVARIATE
 
+    def __post_init__(self):
+        object.__setattr__(self, "kind", DrKind(self.kind))
+        object.__setattr__(self, "mode", TestMode(self.mode))
+        if self.mode == TestMode.MULTIVARIATE and not METHOD_TABLE[self.kind].multivariate:
+            raise ConfigInvalid(f"method entry [{self.kind.value!r}, 'multivariate']: "
+                                f"{self.kind.value} has no multivariate test")
+
 
 @dataclass(frozen=True)
 class NamedShift:
@@ -323,8 +330,10 @@ def top_exemplars(domain_clf: SoftmaxClassifier, target_heldout: np.ndarray,
     """Most/least target-typical held-out samples by domain-classifier score.
 
     Only reported when the binomial test rejects; otherwise the report is
-    empty with the gate recorded.
+    empty with the gate recorded. k must be at least 1.
     """
+    if k < 1:
+        raise ConfigInvalid(f"k must be >= 1, got {k}")
     if binomial_p >= alpha:
         return ExemplarReport(gate_passed=False, binomial_p=binomial_p,
                               top_different=[], top_similar=[])

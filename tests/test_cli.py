@@ -128,6 +128,27 @@ def test_detect_every_method_routes_to_its_test(sample_files, capsys, kind):
     assert (out["method"], out["mode"]) == (kind.value, "univariate")
 
 
+def _refuse_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("data built or a model fitted before the method was checked")
+
+    for target in ("shiftdetect.digits.make_digits", "shiftdetect.harness.fit_reducers",
+                   "shiftdetect.harness.run_domain_classifier_test"):
+        monkeypatch.setattr(target, no_work)
+
+
+@pytest.mark.parametrize("kind", ["bbsdh", "classif"])
+def test_detect_refuses_multivariate_for_a_univariate_method(sample_files, monkeypatch,
+                                                             capsys, kind):
+    _refuse_work(monkeypatch)
+    src, _, far = sample_files
+    code = main(["detect", str(src), str(far), "--method", kind, "--mode", "multivariate"])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert f"method entry ['{kind}', 'multivariate']" in captured.err
+
+
 def test_shift_delta_zero_identity(tmp_path, sample_files, capsys):
     src, _, _ = sample_files
     spec = tmp_path / "spec.json"
@@ -285,6 +306,18 @@ def test_bench_bad_training_setting_exit_65_before_corpus(tmp_path, monkeypatch,
     assert f"error: {key} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["bbsdh", "classif"])
+def test_bench_refuses_multivariate_for_a_univariate_method(tmp_path, monkeypatch, capsys,
+                                                            kind):
+    _refuse_work(monkeypatch)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(BENCH_CONFIG, methods=["nored", [kind, "multivariate"]])))
+    code = main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 65
+    assert f"method entry ['{kind}', 'multivariate']" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_bench_missing_config_exit_66(tmp_path):
     assert main(["bench", "--config", str(tmp_path / "none.json"),
                  "--out", str(tmp_path / "x")]) == 66
@@ -328,6 +361,16 @@ def test_exemplars_k_too_large_exit_64(tmp_path, sample_files):
     code = main(["exemplars", str(src), str(far), "-k", "500",
                  "--out", str(tmp_path / "ex3"), "--epochs", "2"])
     assert code == 64
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_exemplars_k_below_one_exit_64(tmp_path, sample_files, monkeypatch, capsys, k):
+    _refuse_work(monkeypatch)
+    src, _, far = sample_files
+    code = main(["exemplars", str(src), str(far), "-k", k, "--out", str(tmp_path / "ex4")])
+    assert code == 64
+    assert f"k must be >= 1, got {k}" in capsys.readouterr().err
+    assert not (tmp_path / "ex4").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,20 @@ def test_fit_reducers_fits_each_named_model_once():
         assert fitted.handle_for(DrKind.NORED) is None
 
 
+@pytest.mark.parametrize("kind", [DrKind.BBSDH, DrKind.CLASSIF])
+def test_method_spec_refuses_multivariate_for_a_univariate_method(kind):
+    with pytest.raises(ConfigInvalid, match=f"{kind.value} has no multivariate test"):
+        MethodSpec(kind, TestMode.MULTIVARIATE)
+    with pytest.raises(ConfigInvalid):
+        ExperimentConfig.from_dict({"methods": [[kind.value, "multivariate"]],
+                                    "shifts": [{"preset": "no_shift"}],
+                                    "n_train": 10, "n_val": 10, "n_test": 10})
+    assert MethodSpec(kind).mode == TestMode.UNIVARIATE
+    assert MethodSpec(DrKind.BBSDS, TestMode.MULTIVARIATE).mode == TestMode.MULTIVARIATE
+    # plain strings are taken as the enums they name
+    assert MethodSpec("pca", "multivariate") == MethodSpec(DrKind.PCA, TestMode.MULTIVARIATE)
+
+
 def test_fit_reducers_refuses_one_class_labels():
     ds = digits.make_digits(60, seed=3)
     one_class = TensorDataset(ds.images, np.zeros(ds.n, dtype=np.int64), 1)
@@ -314,6 +328,16 @@ def test_top_exemplars_gate():
                            binomial_p=0.9, alpha=0.05)
     assert not report.gate_passed
     assert report.top_different == [] and report.top_similar == []
+
+
+def test_top_exemplars_refuses_k_below_one():
+    clf = nets.train_domain_classifier(np.zeros((4, 3)), np.ones((4, 3)),
+                                       TrainConfig(max_epochs=2, batch_size=4))
+    rows = np.random.default_rng(0).random((10, 3))
+    for k in (0, -3):
+        for p in (0.01, 0.9):  # refused whether or not the gate passes
+            with pytest.raises(ConfigInvalid):
+                top_exemplars(clf, rows, k, binomial_p=p, alpha=0.05)
 
 
 def test_top_exemplars_ranking():
