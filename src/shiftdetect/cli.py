@@ -252,12 +252,12 @@ def cmd_exemplars(args) -> int:
         return EXIT_USAGE
     source = _load_dataset(args.source)
     target = _load_dataset(args.target)
-    check = _domain_check(args, source, target)
-    n_heldout_target = check.heldout_target.shape[0]
+    n_heldout_target = target.n - target.n // 2  # the domain check's held-out half
     if args.k > n_heldout_target:
         print(f"error: k={args.k} exceeds held-out target size {n_heldout_target}",
               file=sys.stderr)
         return EXIT_USAGE
+    check = _domain_check(args, source, target)
     report = harness.top_exemplars(check.clf, check.heldout_target, args.k,
                                    check.outcome.p_value, alpha=args.alpha)
     outdir = Path(args.out)

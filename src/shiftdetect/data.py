@@ -121,11 +121,14 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Tensor
 def write_idx(ds: TensorDataset, images_path, labels_path) -> None:
     """Write a dataset as an IDX pair; pixels are quantized to the byte grid.
 
-    Only single-channel images are representable in this format.
+    Only single-channel images and labels in [0, 255] are representable in
+    this format.
     """
     h, w, c = ds.image_shape
     if c != 1:
         raise DimensionMismatch(f"IDX stores single-channel images, got {c} channels")
+    if ds.labels.size and ds.labels.max() > 255:
+        raise ValueError(f"IDX stores labels as bytes in [0, 255], got {ds.labels.max()}")
     pixels = np.rint(ds.images * 255.0).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, ds.n, h, w))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.linalg
 
 from . import nets
 from .errors import BadK, DimensionMismatch, IncompatibleMode, NotFitted
@@ -67,11 +68,18 @@ class PcaModel:
 def fit_pca(x: np.ndarray, k: int) -> PcaModel:
     """Top-K principal components of the sample covariance of x.
 
-    Computed by SVD of the mean-centered data (equivalent to the covariance
-    eigendecomposition). Sign convention: each component is flipped so its
-    largest-magnitude coordinate is positive, which pins the decomposition
-    across platforms. Rank-deficient inputs are allowed; trailing variances
-    come out as (numerically) zero.
+    The components are the top-K eigenvectors of the D x D scatter matrix
+    C^T C of the mean-centred (N, D) data C, taken from a partial symmetric
+    eigensolver (only the K wanted eigenpairs), in descending order. The
+    cost is O(N D^2) to form the scatter matrix plus O(D^3) for the
+    eigensolver, for every N; no (N, D) factor is built. Sign convention:
+    each component is flipped so its largest-magnitude coordinate is
+    positive, which pins the decomposition across platforms.
+
+    explained_variance is the sample variance of the training projections,
+    ||C v||^2 / (N - 1), not the eigenvalue: eigenvalues of C^T C carry an
+    absolute error of about eps * lambda_1, while the projections of a
+    rank-deficient input's null directions come out as (numerically) zero.
     """
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
@@ -79,13 +87,14 @@ def fit_pca(x: np.ndarray, k: int) -> PcaModel:
         raise BadK(f"k must be in [1, min(n-1, d)] = [1, {min(n - 1, d)}], got {k}")
     mean = x.mean(axis=0)
     centered = x - mean
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    components = vt[:k].copy()
+    _, vectors = scipy.linalg.eigh(centered.T @ centered, subset_by_index=[d - k, d - 1])
+    components = vectors[:, ::-1].T.copy()
     for row in components:
         pivot = np.argmax(np.abs(row))
         if row[pivot] < 0:
             row *= -1.0
-    variance = (s[:k] ** 2) / (n - 1)
+    projections = centered @ components.T
+    variance = np.einsum("ij,ij->j", projections, projections) / (n - 1)
     return PcaModel(mean=mean, components=components, explained_variance=variance)
 
 

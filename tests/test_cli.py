@@ -194,6 +194,16 @@ def test_shift_bad_spec_exit_65(tmp_path, sample_files):
         assert main(["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec)]) == 65
 
 
+def test_shift_to_idx_refuses_labels_above_a_byte(tmp_path):
+    src = tmp_path / "wide_labels.csv"
+    write_csv(TensorDataset(np.zeros((3, 1, 4, 1)), [300, 1, 0], 301), src)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"preset": "no_shift"}))
+    out = f"{tmp_path / 'out.idx'},{tmp_path / 'labels.idx'}"
+    assert main(["shift", str(src), out, "--spec", str(spec)]) == 65
+    assert not (tmp_path / "labels.idx").exists()
+
+
 def test_idx_pair_io(tmp_path, capsys):
     from shiftdetect.data import write_idx
     rng = np.random.default_rng(1)
@@ -356,11 +366,29 @@ def test_exemplars_shifted_data_reported(tmp_path, sample_files, capsys):
     assert (outdir / "top_different_samples.csv").exists()
 
 
-def test_exemplars_k_too_large_exit_64(tmp_path, sample_files):
+def test_exemplars_k_too_large_exit_64(tmp_path, sample_files, monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("domain classifier trained before -k was checked")
+
+    monkeypatch.setattr("shiftdetect.nets.train_domain_classifier", no_training)
     src, _, far = sample_files
     code = main(["exemplars", str(src), str(far), "-k", "500",
                  "--out", str(tmp_path / "ex3"), "--epochs", "2"])
     assert code == 64
+    assert "k=500 exceeds held-out target size 80" in capsys.readouterr().err
+
+
+def test_exemplars_k_up_to_odd_heldout_half(tmp_path, sample_files, capsys):
+    # 161 target rows: 80 train the domain classifier, 81 are held out
+    src, _, _ = sample_files
+    odd = tmp_path / "target_odd.csv"
+    rng = np.random.default_rng(1)
+    write_csv(TensorDataset(np.clip(rng.normal(0.8, 0.1, (161, 1, 8, 1)), 0, 1),
+                            rng.integers(0, 2, 161), 2), odd)
+    argv = ["exemplars", str(src), str(odd), "--out", str(tmp_path / "ex5"), "--epochs", "2"]
+    assert main(argv + ["-k", "82"]) == 64
+    assert "k=82 exceeds held-out target size 81" in capsys.readouterr().err
+    assert main(argv + ["-k", "81"]) == 0
 
 
 @pytest.mark.parametrize("k", ["0", "-3"])

@@ -86,6 +86,15 @@ def test_idx_round_trip(tmp_path):
     assert np.array_equal(back.labels, ds.labels)
 
 
+def test_write_idx_refuses_labels_above_a_byte(tmp_path):
+    images = np.zeros((2, 2, 2, 1))
+    write_idx(TensorDataset(images, [255, 0], 256), tmp_path / "i.idx", tmp_path / "l.idx")
+    assert list(load_idx(tmp_path / "i.idx", tmp_path / "l.idx").labels) == [255, 0]
+    with pytest.raises(ValueError, match="got 300"):
+        write_idx(TensorDataset(images, [300, 0], 301), tmp_path / "i2.idx", tmp_path / "l2.idx")
+    assert not (tmp_path / "i2.idx").exists()
+
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     ds = TensorDataset(rng.random((6, 1, 9, 1)), rng.integers(0, 4, 6), 4)

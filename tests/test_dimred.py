@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from shiftdetect import nets
+from shiftdetect import digits, nets
+from shiftdetect.data import flatten
 from shiftdetect.dimred import (
     DrKind,
     build_srp,
@@ -19,6 +22,17 @@ from shiftdetect.stattest import chi2_sf
 
 # ---------------------------------------------------------------------------
 # PCA
+
+def _svd_pca(x, k):
+    """Reference: top-k components (sign-pinned) and all singular values of the
+    mean-centred data, from a thin SVD."""
+    _, s, vt = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+    components = vt[:k].copy()
+    for row in components:
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+    return components, s
+
 
 def test_pca_rank_one_line():
     x = np.array([[t, t] for t in (-2.0, -1.0, 0.0, 1.0, 2.0)])
@@ -110,6 +124,55 @@ def test_pca_rank_deficient_allowed():
     x = np.hstack([base, base @ np.array([[1.0, 2.0], [0.5, 0.1]])])
     model = fit_pca(x, 3)
     assert model.explained_variance[2] < 1e-20
+
+
+@st.composite
+def _pca_problem(draw):
+    """(x, k) with n <= D and n > D, columns on scales 1e-3..1e3 around offsets,
+    and rank cut by setting columns to copies or combinations of others."""
+    n, d = draw(st.integers(2, 24)), draw(st.integers(1, 16))
+    k = draw(st.integers(1, min(n - 1, d)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = (rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+         + rng.uniform(-100, 100, size=d))
+    columns, weights = st.integers(0, d - 1), st.floats(-3.0, 3.0)
+    for i, j, a, l, b in draw(st.lists(st.tuples(columns, columns, weights, columns, weights),
+                                       max_size=3)):
+        x[:, i] = a * x[:, j] + b * x[:, l]
+    return x, k
+
+
+@given(_pca_problem())
+@example((np.random.default_rng(0).random((5, 12)), 4))           # n <= D
+@example((np.hstack([np.arange(20.0)[:, None]] * 3), 2))          # rank one
+def test_pca_matches_thin_svd(problem):
+    x, k = problem
+    n = x.shape[0]
+    model = fit_pca(x, k)
+    reference, s = _svd_pca(x, k)
+    lam = s ** 2 / (n - 1)
+    lam1 = lam[0]
+    assert np.max(np.abs(model.components @ model.components.T - np.eye(k))) < 1e-12
+    ev = model.explained_variance
+    assert np.all(np.abs(ev - lam[:k]) <= 1e-9 * lam[:k] + 1e-12 * lam1)
+    assert np.all(np.diff(ev) <= 1e-12 * lam1)
+    assert np.all(ev >= 0.0)
+    pivots = np.argmax(np.abs(model.components), axis=1)
+    assert np.all(model.components[np.arange(k), pivots] > 0.0)
+    # the span of the top k is defined only when the eigenvalue after it is apart
+    gap = lam[k - 1] - (lam[k] if k < lam.size else 0.0)
+    if gap > 0.0 and gap >= 1e-6 * lam1:
+        projector = model.components.T @ model.components
+        assert np.max(np.abs(projector - reference.T @ reference)) <= 1e-12 * lam1 / gap
+
+
+def test_pca_digits_benchmark_shape_matches_thin_svd():
+    x = flatten(digits.make_digits(2000, seed=0))
+    assert x.shape == (2000, 784)
+    model = fit_pca(x, 32)
+    reference, s = _svd_pca(x, 32)
+    assert np.max(np.abs(model.components - reference)) < 1e-10
+    assert np.allclose(model.explained_variance, s[:32] ** 2 / 1999, rtol=1e-9, atol=0.0)
 
 
 def test_pca_project_dim_mismatch():
