@@ -82,8 +82,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ConfigInvalid(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.runs < 1:
-            raise ConfigInvalid("runs must be >= 1")
         if not self.methods:
             raise ConfigInvalid("at least one method is required")
         if not self.shifts:
@@ -92,7 +90,8 @@ class ExperimentConfig:
             raise ConfigInvalid("sample sizes must be positive")
         for key, low in (("ae_epochs", 0), ("clf_epochs", 0), ("domain_epochs", 0),
                          ("batch_size", 1), ("domain_batch_size", 1), ("patience", 1),
-                         ("latent_dim", 1), ("hidden_dim", 1), ("domain_hidden_dim", 1)):
+                         ("latent_dim", 1), ("hidden_dim", 1), ("domain_hidden_dim", 1),
+                         ("runs", 1), ("n_perms", 1)):
             value = getattr(self, key)
             if not isinstance(value, numbers.Integral) or value < low:
                 raise ConfigInvalid(f"{key} must be an integer >= {low}, got {value!r}")

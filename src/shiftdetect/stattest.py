@@ -34,6 +34,7 @@ MULTIVARIATE_SAMPLE_CAP = 1000
 KS_BLOCK_ELEMENTS = 1 << 15  # pooled values per KS rank pass: 256 KB temporaries stay in cache
 PERM_CHUNK = 256  # permutations drawn and evaluated per MMD batch
 KERNEL_BLOCK_ELEMENTS = 1 << 15  # kernel entries finished per row block: 256 KB stays in cache
+MMD_BLOCK_ROWS = 256  # kernel rows per product of the permutation evaluation's upper block triangle
 
 
 class TestTag(str, Enum):
@@ -280,37 +281,66 @@ def _mmd2_observed(kernel: np.ndarray, m: int, n: int) -> float:
     )
 
 
-def _mmd2_from_assignments(kernel: np.ndarray, total: float, member_x: np.ndarray,
-                           m: int, n: int) -> np.ndarray:
+def _mmd2_from_assignments(kernel: np.ndarray, row_sums: np.ndarray, member_x: np.ndarray,
+                           m: int, n: int, scratch: np.ndarray) -> np.ndarray:
     """Batch-evaluate the unbiased MMD^2 from a cached kernel matrix.
 
-    total is kernel.sum(), taken once per test. member_x is a (B, N) 0/1
-    matrix; row b marks which pooled samples play the role of X in
-    permutation b. Uses kernel diag == 1 (RBF, identical points) to
-    subtract diagonals in closed form.
+    member_x is a (B, N) 0/1 matrix; row b marks which pooled samples play
+    the role of X in permutation b. Each row needs only z.K.z and z.K.1.
+    row_sums is kernel.sum(axis=1), taken once per test, so z.K.1 is one
+    matrix-vector product. K is symmetric, so z.K.z is the sum over row
+    blocks [lo, hi) of the diagonal block's form plus twice the form of
+    the block to its right: one product member_x[:, lo:hi] @ K[lo:hi, lo:]
+    per block, about B*N^2/2 multiply-adds in all. The products go into
+    scratch, a flat buffer of at least B*N floats reused across calls.
+    Uses kernel diag == 1 (RBF, identical points) to subtract diagonals in
+    closed form. The last bits depend on the block layout (MMD_BLOCK_ROWS).
     """
-    kv = member_x @ kernel  # (B, N)
-    s_xx = np.einsum("bn,bn->b", kv, member_x) - m
-    s_x_tot = kv.sum(axis=1)
-    s_xy = s_x_tot - (s_xx + m)
-    s_yy = total - 2.0 * s_x_tot + (s_xx + m) - n
+    b, total_n = member_x.shape
+    zkz = np.zeros(b)
+    for lo in range(0, total_n, MMD_BLOCK_ROWS):
+        hi = min(total_n, lo + MMD_BLOCK_ROWS)
+        prod = scratch[:b * (total_n - lo)].reshape(b, total_n - lo)
+        np.matmul(member_x[:, lo:hi], kernel[lo:hi, lo:], out=prod)
+        zkz += np.einsum("bn,bn->b", prod[:, :hi - lo], member_x[:, lo:hi])
+        if hi < total_n:
+            zkz += 2.0 * np.einsum("bn,bn->b", prod[:, hi - lo:], member_x[:, hi:])
+    zk1 = member_x @ row_sums
+    s_xx = zkz - m
+    s_xy = zk1 - zkz
+    s_yy = row_sums.sum() - 2.0 * zk1 + zkz - n
     return s_xx / (m * (m - 1)) + s_yy / (n * (n - 1)) - 2.0 * s_xy / (m * n)
+
+
+def _smallest_m(keys: np.ndarray, m: int) -> np.ndarray:
+    """0/1 matrix marking the m smallest keys of each row, as argpartition picks them.
+
+    The set is read as keys <= the row's m-th smallest key: one partition
+    of the keys, no index arrays, and the 0/1 matrix is written over the
+    partitioned copy. A row where a key ties with the m-th smallest has
+    more than m such keys; it is redone by argpartition, so every row
+    equals the argpartition choice bit for bit.
+    """
+    member_x = np.partition(keys, m - 1, axis=1)
+    kth = member_x[:, m - 1:m].copy()
+    np.less_equal(keys, kth, out=member_x)
+    for row in np.flatnonzero(member_x.sum(axis=1) != m):
+        member_x[row] = 0.0
+        member_x[row, np.argpartition(keys[row], m - 1)[:m]] = 1.0
+    return member_x
 
 
 def _permutation_memberships(seed: int, n_perms: int, total_n: int, m: int):
     """Yield (B, N) 0/1 X-membership matrices, B <= PERM_CHUNK, n_perms rows in all.
 
     Every row comes from one generator seeded by SeedSequence([seed]). Row
-    i draws N uniform keys and its X-set is the m smallest (argpartition),
+    i draws N uniform keys and its X-set is the m smallest (_smallest_m),
     so each row has exactly m members, and the first rows do not depend on
     n_perms or on the chunk size.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     for start in range(0, n_perms, PERM_CHUNK):
-        keys = rng.random((min(PERM_CHUNK, n_perms - start), total_n))
-        member_x = np.zeros_like(keys)
-        np.put_along_axis(member_x, np.argpartition(keys, m - 1, axis=1)[:, :m], 1.0, axis=1)
-        yield member_x
+        yield _smallest_m(rng.random((min(PERM_CHUNK, n_perms - start), total_n)), m)
 
 
 def mmd_permutation_test(x, y, n_perms: int = 1000, alpha: float = 0.05,
@@ -318,11 +348,15 @@ def mmd_permutation_test(x, y, n_perms: int = 1000, alpha: float = 0.05,
     """Permutation test on the unbiased MMD^2 with a cached kernel matrix.
 
     The pooled kernel matrix is computed once; permutations are evaluated
-    from the cache in chunks of at most PERM_CHUNK by one matrix product
-    each. p-value is the add-one estimator (1 + #{perm >= observed}) /
-    (1 + n_perms), which is valid and strictly positive. All permutations
-    come from one stream seeded by seed, so results do not depend on thread
-    count or chunking. bandwidth=None selects the median heuristic. Raises
+    from the cache in chunks of at most PERM_CHUNK, each by products over
+    the kernel's upper block triangle (see _mmd2_from_assignments), about
+    N^2/2 multiply-adds per permutation. p-value is the add-one estimator
+    (1 + #{perm >= observed}) / (1 + n_perms), which is valid and strictly
+    positive. A drawn permutation that reproduces the observed split (the
+    first m pooled rows as X, or, when m == n, the last n as X) counts as
+    >= observed whatever its rounding. All permutations come from one
+    stream seeded by seed, so results do not depend on thread count or
+    chunking. bandwidth=None selects the median heuristic. Raises
     NonFiniteInput on NaN or infinite values.
     """
     x, y = _as_samples(x, y)
@@ -337,11 +371,15 @@ def mmd_permutation_test(x, y, n_perms: int = 1000, alpha: float = 0.05,
 
     kernel = _kernel_matrix(np.vstack([x, y]), bandwidth)
     observed = _mmd2_observed(kernel, m, n)
-    total = kernel.sum()
+    row_sums = kernel.sum(axis=1)
+    scratch = np.empty(min(PERM_CHUNK, n_perms) * (m + n))
 
     exceed = 0
     for member_x in _permutation_memberships(seed, n_perms, m + n, m):
-        exceed += int(np.sum(_mmd2_from_assignments(kernel, total, member_x, m, n) >= observed))
+        values = _mmd2_from_assignments(kernel, row_sums, member_x, m, n, scratch)
+        x_kept = member_x[:, :m].sum(axis=1)
+        tie = (x_kept == m) | (x_kept == 0) if m == n else x_kept == m
+        exceed += int(np.sum((values >= observed) | tie))
     p = (1.0 + exceed) / (1.0 + n_perms)
     return TestOutcome(
         statistic=observed,

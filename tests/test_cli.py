@@ -302,6 +302,7 @@ def test_bench_bad_config_exit_65(tmp_path):
     ("momentum", 1.0), ("momentum", -0.1),
     ("patience", 0),
     ("latent_dim", 0), ("hidden_dim", 0), ("domain_hidden_dim", 0),
+    ("n_perms", 0), ("n_perms", 100.0), ("runs", 0), ("runs", 1.5),
 ])
 def test_bench_bad_training_setting_exit_65_before_corpus(tmp_path, monkeypatch, capsys,
                                                          key, value):

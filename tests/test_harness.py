@@ -133,7 +133,7 @@ def test_failing_cell_raises_and_shuts_the_pool_down(small_corpus, monkeypatch):
 # records.csv of a tiny grid over all eight kinds, (pca, multivariate) and an
 # adversarial shift, with sizes that hit both skip reasons; the hash pins the
 # bytes a refactor of the method dispatch must keep
-GOLDEN_RECORDS_SHA256 = "38b2c733a80ebbeca02adc8a5de469f3e9750bb105441a96354c6de6a3819bb6"
+GOLDEN_RECORDS_SHA256 = "ecd225b0eda31d93d978db81f914cdd28f39912231a99bf7b18b4f17bba16da5"
 
 
 @pytest.mark.parametrize("threads", [1, 2])

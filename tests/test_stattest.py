@@ -349,24 +349,51 @@ def test_mmd_permutation_deterministic_per_seed():
         assert a == b
 
 
+def _relabel_problem(rng, m, n, rows):
+    """A pooled sample, its kernel, and random relabelings as 0/1 X-memberships."""
+    pooled = rng.normal(size=(m + n, 4))
+    kernel = stattest._kernel_matrix(pooled, 1.0)
+    perms = [rng.permutation(m + n) for _ in range(rows)]
+    member = np.zeros((rows, m + n))
+    for row, perm in zip(member, perms):
+        row[perm[:m]] = 1.0
+    return pooled, kernel, perms, member
+
+
+def _from_assignments(kernel, member, m, n):
+    scratch = np.empty(member.size)
+    return stattest._mmd2_from_assignments(kernel, kernel.sum(axis=1), member, m, n, scratch)
+
+
 def test_mmd_permutation_stats_match_naive_relabeling():
     # the cached-kernel-matrix evaluation must agree with literally permuting
     # the pooled rows and recomputing the unbiased estimate
-    from shiftdetect.stattest import _kernel_matrix, _mmd2_from_assignments
-
     rng = np.random.default_rng(12)
     for _ in range(5):
-        m, n = rng.integers(3, 15), rng.integers(3, 15)
-        pooled = rng.normal(size=(m + n, 4))
-        kernel = _kernel_matrix(pooled, 1.0)
-        perms = [rng.permutation(m + n) for _ in range(8)]
-        member = np.zeros((len(perms), m + n))
-        for row, perm in zip(member, perms):
-            row[perm[:m]] = 1.0
-        fast = _mmd2_from_assignments(kernel, kernel.sum(), member, int(m), int(n))
-        for value, perm in zip(fast, perms):
+        m, n = int(rng.integers(3, 15)), int(rng.integers(3, 15))
+        pooled, kernel, perms, member = _relabel_problem(rng, m, n, 8)
+        for value, perm in zip(_from_assignments(kernel, member, m, n), perms):
             naive = mmd2_unbiased(pooled[perm[:m]], pooled[perm[m:]])
             assert abs(value - naive) < 1e-10
+
+
+@given(st.integers(2, 12), st.integers(2, 12), st.sampled_from([1, 3, 7]),
+       st.integers(0, 2**32 - 1))
+@example(3, 4, 7, 0)   # N = 7: one block
+@example(2, 2, 7, 1)   # N = 4 < block: one short block
+@example(5, 9, 7, 2)   # N = 14: two whole blocks
+@example(6, 9, 7, 3)   # N = 15: a ragged last block of one row
+@example(4, 5, 3, 4)   # N = 9: three blocks of 3
+@example(2, 3, 1, 5)   # one row per block
+def test_blocked_mmd_evaluation_matches_relabeled_rows(m, n, block, seed):
+    # z.K.z over the upper block triangle equals the estimate on literally
+    # relabelled rows for any block layout, m != n included
+    rng = np.random.default_rng(seed)
+    pooled, kernel, perms, member = _relabel_problem(rng, m, n, 5)
+    with mock.patch.object(stattest, "MMD_BLOCK_ROWS", block):
+        fast = _from_assignments(kernel, member, m, n)
+    for value, perm in zip(fast, perms):
+        assert abs(value - mmd2_unbiased(pooled[perm[:m]], pooled[perm[m:]])) < 1e-10
 
 
 def test_mmd_permutation_pvalues_valid_under_null():
@@ -400,6 +427,56 @@ def test_mmd_draws_exactly_m_members_at_chunk_edges(n_perms):
     exceed = round(out.p_value * (1 + n_perms)) - 1
     assert 0 <= exceed <= n_perms
     assert out.p_value == (1.0 + exceed) / (1.0 + n_perms)
+
+
+def _argpartition_reference(keys, m):
+    member = np.zeros_like(keys)
+    np.put_along_axis(member, np.argpartition(keys, m - 1, axis=1)[:, :m], 1.0, axis=1)
+    return member
+
+
+@given(st.integers(1, 6).flatmap(lambda rows: st.integers(2, 12).flatmap(
+    lambda total: st.tuples(
+        hnp.arrays(np.float64, (rows, total), elements=st.integers(0, 4).map(float)),
+        st.integers(1, total - 1)))))
+@example((np.array([[0.5, 0.1, 0.5, 0.9, 0.5, 0.2]]), 3))  # three keys tie at the 3rd smallest
+@example((np.array([[0.3, 0.3, 0.7, 0.1], [0.2, 0.4, 0.6, 0.8]]), 2))
+@example((np.zeros((2, 5)), 4))                             # every key tied
+def test_smallest_m_equals_argpartition_with_ties(problem):
+    keys, m = problem
+    assert np.array_equal(stattest._smallest_m(keys, m), _argpartition_reference(keys, m))
+
+
+@pytest.mark.parametrize("n_perms, total_n, m", [(300, 23, 9), (257, 2000, 1000), (5, 4, 2)])
+def test_mmd_draws_equal_argpartition_reference(n_perms, total_n, m):
+    rng = np.random.default_rng(np.random.SeedSequence([6]))
+    reference = [_argpartition_reference(rng.random((min(stattest.PERM_CHUNK, n_perms - lo),
+                                                     total_n)), m)
+                 for lo in range(0, n_perms, stattest.PERM_CHUNK)]
+    drawn = _draws(6, n_perms, total_n, m)
+    assert len(drawn) == len(reference)
+    assert all(np.array_equal(a, b) for a, b in zip(drawn, reference))
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (2, 3)])
+def test_mmd_draws_of_the_observed_split_count_as_ties(m, n):
+    # a draw of the observed X-set (or, when m == n, its swap) counts however
+    # its permuted value rounds; every other draw is clear of the observed value
+    rng = np.random.default_rng(m * 10 + n)
+    for seed in range(5):
+        x = rng.normal(size=(m, 2))
+        y = 50.0 + rng.normal(size=(n, 2))
+        pooled = np.vstack([x, y])
+        out = mmd_permutation_test(x, y, n_perms=50, seed=seed)
+        member = np.vstack(_draws(seed, 50, m + n, m))
+        kept = member[:, :m].sum(axis=1)
+        tie = (kept == m) | ((kept == 0) & (m == n))
+        others = np.array([mmd2_unbiased(pooled[row == 1], pooled[row == 0])
+                           for row in member[~tie]])
+        assert tie.any()
+        assert np.min(np.abs(others - out.statistic)) > 1e-9
+        exceed = tie.sum() + np.sum(others > out.statistic)
+        assert out.p_value == (1.0 + exceed) / 51.0
 
 
 def test_mmd_draws_are_prefix_stable():
