@@ -23,11 +23,11 @@ from .dimred import (
     SrpMatrix,
     build_srp,
     fit_pca,
-    load_reducer,
+    load_model,
     pca_project,
     pca_reconstruct,
     reduce,
-    save_reducer,
+    save_model,
     srp_project,
 )
 from .harness import (
@@ -55,8 +55,6 @@ from .nets import (
     grad_check,
     hard_predictions,
     init_network,
-    load_net,
-    save_net,
     softmax_outputs,
     train_autoencoder,
     train_domain_classifier,

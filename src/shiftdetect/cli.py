@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, digits, harness, nets, shifts
 from .data import TensorDataset, flatten, load_csv, load_idx, write_csv, write_idx
-from .dimred import DrKind, reduce
+from .dimred import DrKind, load_model, reduce
 from .errors import ConfigInvalid, ShiftDetectError
 from .harness import ExperimentConfig, MethodSpec, NamedShift
 from .stattest import TestMode, dispatch_test
@@ -50,17 +50,34 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+def _require_files(*paths) -> None:
+    for p in paths:
+        if not Path(p).exists():
+            raise FileNotFoundError(p)
+
+
+def _read_dataset(images, labels=None) -> TensorDataset:
+    """A CSV file, or an IDX pair when labels is given."""
+    if labels is None:
+        _require_files(images)
+        return load_csv(images)
+    _require_files(images, labels)
+    return load_idx(images, labels)
+
+
 def _load_dataset(arg: str) -> TensorDataset:
     """CSV path, or an 'images,labels' IDX pair."""
-    if "," in arg:
-        images_path, labels_path = arg.split(",", 1)
-        for p in (images_path, labels_path):
-            if not Path(p).exists():
-                raise FileNotFoundError(p)
-        return load_idx(images_path, labels_path)
-    if not Path(arg).exists():
-        raise FileNotFoundError(arg)
-    return load_csv(arg)
+    return _read_dataset(*arg.split(",", 1))
+
+
+def _read_json(path, what: str):
+    """The JSON document at path; what names it in the ConfigInvalid message."""
+    _require_files(path)
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ConfigInvalid(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _write_dataset(ds: TensorDataset, arg: str) -> None:
@@ -84,27 +101,27 @@ def _outcome_payload(outcome) -> dict:
 # ---------------------------------------------------------------------------
 # detect
 
-def _one_shot_config(args, source: TensorDataset, method: MethodSpec) -> ExperimentConfig:
+def _one_shot_config(args, source: TensorDataset, method: MethodSpec,
+                     **reducer_settings) -> ExperimentConfig:
     """The training flags of detect/exemplars as a config for fitting on the source.
 
-    The latent size is clamped to min(latent_dim, n - 1, D), so PCA stays
-    defined on small samples; seeds derive from --seed as in bench.
+    Seeds derive from --seed as in bench. detect passes the settings that
+    only its reducers read (latent_dim, ae_lr0) as reducer_settings.
     """
-    k = min(args.latent_dim, max(1, min(source.n - 1, math.prod(source.image_shape))))
     return ExperimentConfig(
         methods=(method,), shifts=(NamedShift("no_shift", shifts.preset("no_shift")),),
         n_train=source.n, n_val=0, n_test=0, alpha=args.alpha, seed=args.seed,
-        latent_dim=k, hidden_dim=args.hidden_dim, domain_hidden_dim=args.hidden_dim,
+        hidden_dim=args.hidden_dim, domain_hidden_dim=args.hidden_dim,
         ae_epochs=args.epochs, clf_epochs=args.epochs, domain_epochs=args.epochs,
         batch_size=args.batch_size, domain_batch_size=args.batch_size,
-        lr0=args.lr0, ae_lr0=args.ae_lr0, patience=args.patience)
+        lr0=args.lr0, patience=args.patience, **reducer_settings)
 
 
-def _domain_check(args, source: TensorDataset, target: TensorDataset) -> harness.DomainCheck:
-    cfg = _one_shot_config(args, source, MethodSpec(DrKind.CLASSIF))
+def _domain_check(cfg: ExperimentConfig, source: TensorDataset,
+                  target: TensorDataset) -> harness.DomainCheck:
     return harness.run_domain_classifier_test(
-        flatten(source), flatten(target), cfg.domain_train_config(args.seed),
-        alpha=args.alpha, seed=args.seed, hidden_dims=(cfg.domain_hidden_dim,))
+        flatten(source), flatten(target), cfg.domain_train_config(cfg.seed),
+        alpha=cfg.alpha, seed=cfg.seed, hidden_dims=(cfg.domain_hidden_dim,))
 
 
 def cmd_detect(args) -> int:
@@ -112,11 +129,14 @@ def cmd_detect(args) -> int:
     kind, mode = method.kind, method.mode
     source = _load_dataset(args.source)
     target = _load_dataset(args.target)
+    # the latent size is clamped to min(latent_dim, n - 1, D), so PCA stays
+    # defined on small samples
+    k = min(args.latent_dim, max(1, min(source.n - 1, math.prod(source.image_shape))))
+    cfg = _one_shot_config(args, source, method, latent_dim=k, ae_lr0=args.ae_lr0)
     fit_info = {}
     if kind == DrKind.CLASSIF:
-        outcome = _domain_check(args, source, target).outcome
+        outcome = _domain_check(cfg, source, target).outcome
     else:
-        cfg = _one_shot_config(args, source, method)
         handle = harness.fit_reducers(source, cfg).handle_for(kind)
         if isinstance(handle, nets.SoftmaxClassifier):
             fit_info["classifier_best_epoch"] = handle.best_epoch
@@ -138,19 +158,14 @@ def cmd_detect(args) -> int:
 
 def cmd_shift(args) -> int:
     ds = _load_dataset(args.input)
-    if not Path(args.spec).exists():
-        raise FileNotFoundError(args.spec)
-    with open(args.spec) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"spec is not valid JSON: {exc}") from exc
-    spec = harness.parse_shift_spec(doc)
+    spec = harness.parse_shift_spec(_read_json(args.spec, "spec"))
     classifier = None
     if args.model:
-        if not Path(args.model).exists():
-            raise FileNotFoundError(args.model)
-        classifier = nets.load_net(args.model)
+        _require_files(args.model)
+        classifier = load_model(args.model)
+        if not isinstance(classifier, nets.SoftmaxClassifier):
+            raise ConfigInvalid(f"--model must be a saved label classifier, "
+                                f"got a {type(classifier).__name__}")
     shifted = shifts.apply_shift(spec, ds, classifier=classifier)
     _write_dataset(shifted, args.output)
     n_changed = ""
@@ -179,14 +194,9 @@ def _dataset_from_config(doc: dict, cfg: ExperimentConfig) -> TensorDataset:
         n_pool = int(ds_cfg.get("n_pool", cfg.n_train + cfg.n_val + cfg.n_test))
         return digits.make_digits(n_pool, seed=int(ds_cfg.get("seed", cfg.seed)))
     if kind == "idx":
-        for key in ("images", "labels"):
-            if not Path(ds_cfg[key]).exists():
-                raise FileNotFoundError(ds_cfg[key])
-        return load_idx(ds_cfg["images"], ds_cfg["labels"])
+        return _read_dataset(ds_cfg["images"], ds_cfg["labels"])
     if kind == "csv":
-        if not Path(ds_cfg["path"]).exists():
-            raise FileNotFoundError(ds_cfg["path"])
-        return load_csv(ds_cfg["path"])
+        return _read_dataset(ds_cfg["path"])
     raise ConfigInvalid(f"unknown dataset kind {kind!r}")
 
 
@@ -205,13 +215,7 @@ def _write_tables(result, outdir: Path) -> list:
 
 
 def cmd_bench(args) -> int:
-    if not Path(args.config).exists():
-        raise FileNotFoundError(args.config)
-    with open(args.config) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
+    doc = _read_json(args.config, "config")
     cfg = ExperimentConfig.from_dict(doc)
     dataset = _dataset_from_config(doc, cfg)
     outdir = Path(args.out)
@@ -257,7 +261,8 @@ def cmd_exemplars(args) -> int:
         print(f"error: k={args.k} exceeds held-out target size {n_heldout_target}",
               file=sys.stderr)
         return EXIT_USAGE
-    check = _domain_check(args, source, target)
+    check = _domain_check(_one_shot_config(args, source, MethodSpec(DrKind.CLASSIF)),
+                          source, target)
     report = harness.top_exemplars(check.clf, check.heldout_target, args.k,
                                    check.outcome.p_value, alpha=args.alpha)
     outdir = Path(args.out)
@@ -295,9 +300,8 @@ def cmd_exemplars(args) -> int:
 # report
 
 def cmd_report(args) -> int:
-    if not Path(args.records).exists():
-        raise FileNotFoundError(args.records)
-    result = harness.read_records_csv(args.records, alpha=args.alpha)
+    _require_files(args.records)
+    result = harness.read_records_csv(args.records)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _emit({"outdir": str(outdir), "artifacts": _write_tables(result, outdir)})
@@ -313,12 +317,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_training_flags(p):
-        p.add_argument("--latent-dim", type=int, default=32)
         p.add_argument("--hidden-dim", type=int, default=64)
         p.add_argument("--epochs", type=int, default=20)
         p.add_argument("--batch-size", type=int, default=32)
         p.add_argument("--lr0", type=float, default=0.1)
-        p.add_argument("--ae-lr0", type=float, default=2.0)
         p.add_argument("--patience", type=int, default=10)
 
     p = sub.add_parser(
@@ -333,6 +335,8 @@ def build_parser() -> _Parser:
                    choices=[m.value for m in TestMode])
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--latent-dim", type=int, default=32)
+    p.add_argument("--ae-lr0", type=float, default=2.0)
     add_training_flags(p)
     p.set_defaults(func=cmd_detect)
 
@@ -363,7 +367,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("report", help="re-derive accuracy tables from records.csv")
     p.add_argument("--records", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
     p.set_defaults(func=cmd_report)
     return parser
 
@@ -379,13 +382,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc}", file=sys.stderr)
         return EXIT_NOINPUT
-    except ConfigInvalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ShiftDetectError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, KeyError) as exc:
+    except (ShiftDetectError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -5,12 +5,14 @@ random projection, untrained and trained autoencoders, the soft and hard
 outputs of a label classifier, and (end-to-end, in the harness) a domain
 classifier, each one row of METHOD_TABLE. All reducers are fitted on
 training data only and are frozen afterwards: reducing the same matrix
-twice yields bit-identical output.
+twice yields bit-identical output. save_model and load_model write and read
+every model type METHOD_TABLE names, in one file format.
 """
 
 from __future__ import annotations
 
 import math
+import zipfile
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -20,9 +22,6 @@ import scipy.linalg
 
 from . import nets
 from .errors import BadK, DimensionMismatch, IncompatibleMode, NotFitted
-
-REDUCER_FORMAT_VERSION = 1
-
 
 class DrKind(str, Enum):
     NORED = "nored"
@@ -203,30 +202,71 @@ def reduce(kind: DrKind, fitted, x: np.ndarray) -> Representation:
     return row.transform(fitted, np.asarray(x, dtype=np.float64))
 
 
-def save_reducer(model, path) -> None:
-    """Persist a PcaModel or SrpMatrix as a versioned flat npz dump."""
-    if isinstance(model, PcaModel):
-        np.savez(path, format_version=REDUCER_FORMAT_VERSION, kind="pca",
-                 mean=model.mean, components=model.components,
-                 explained_variance=model.explained_variance)
-    elif isinstance(model, SrpMatrix):
-        np.savez(path, format_version=REDUCER_FORMAT_VERSION, kind="srp",
-                 matrix=model.matrix, sparsity=model.sparsity, seed=model.seed)
-    else:
-        raise TypeError(f"cannot persist reducer of type {type(model).__name__}; "
-                        "network-backed reducers are saved via nets.save_net")
+# ---------------------------------------------------------------------------
+# Persistence: one versioned npz file per fitted model
+
+def _net_arrays(prefix: str, net: nets.NetParams) -> dict:
+    arrays = {f"{prefix}n_layers": net.n_layers,
+              f"{prefix}activations": np.array(net.activations)}
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        arrays.update({f"{prefix}w{i}": w, f"{prefix}b{i}": b})
+    return arrays
 
 
-def load_reducer(path):
+def _net_from(prefix: str, archive) -> nets.NetParams:
+    n_layers = int(archive[f"{prefix}n_layers"])
+    return nets.NetParams(weights=[archive[f"{prefix}w{i}"] for i in range(n_layers)],
+                          biases=[archive[f"{prefix}b{i}"] for i in range(n_layers)],
+                          activations=[str(a) for a in archive[f"{prefix}activations"]])
+
+
+# kind tag -> (model type, its arrays, the model back from an open archive)
+_SAVED_KINDS = {
+    "pca": (PcaModel,
+            lambda m: dict(mean=m.mean, components=m.components,
+                           explained_variance=m.explained_variance),
+            lambda a: PcaModel(mean=a["mean"], components=a["components"],
+                               explained_variance=a["explained_variance"])),
+    "srp": (SrpMatrix,
+            lambda m: dict(matrix=m.matrix, sparsity=m.sparsity, seed=m.seed),
+            lambda a: SrpMatrix(matrix=a["matrix"], sparsity=float(a["sparsity"]),
+                                seed=int(a["seed"]))),
+    "classifier": (nets.SoftmaxClassifier,
+                   lambda m: dict(num_classes=m.num_classes, **_net_arrays("net_", m.net)),
+                   lambda a: nets.SoftmaxClassifier(net=_net_from("net_", a),
+                                                    num_classes=int(a["num_classes"]))),
+    "autoencoder": (nets.Autoencoder,
+                    lambda m: dict(trained=m.trained, **_net_arrays("enc_", m.encoder),
+                                   **_net_arrays("dec_", m.decoder)),
+                    lambda a: nets.Autoencoder(encoder=_net_from("enc_", a),
+                                               decoder=_net_from("dec_", a),
+                                               trained=bool(a["trained"]))),
+}
+_FORMAT_VERSION = 1
+
+
+def save_model(model, path) -> None:
+    """Write a fitted model of a type METHOD_TABLE names to one flat npz file.
+
+    The file holds format_version, a kind tag and the model's arrays;
+    load_model gives back a model whose outputs are bit-identical.
+    """
+    for kind, (model_type, arrays, _) in _SAVED_KINDS.items():
+        if isinstance(model, model_type):
+            np.savez(path, format_version=_FORMAT_VERSION, kind=kind, **arrays(model))
+            return
+    raise TypeError(f"cannot save a {type(model).__name__}")
+
+
+def load_model(path):
+    """The model save_model wrote to path; a file that is not one raises ValueError."""
+    if not zipfile.is_zipfile(path):  # np.load would read an array or try to unpickle
+        raise ValueError(f"{path} is not an npz archive")
     with np.load(path) as archive:
         version = int(archive["format_version"])
-        if version != REDUCER_FORMAT_VERSION:
-            raise ValueError(f"unsupported reducer format version {version}")
+        if version != _FORMAT_VERSION:
+            raise ValueError(f"unsupported model format version {version}")
         kind = str(archive["kind"])
-        if kind == "pca":
-            return PcaModel(mean=archive["mean"], components=archive["components"],
-                            explained_variance=archive["explained_variance"])
-        if kind == "srp":
-            return SrpMatrix(matrix=archive["matrix"], sparsity=float(archive["sparsity"]),
-                             seed=int(archive["seed"]))
-    raise ValueError(f"unknown reducer kind {kind!r}")
+        if kind not in _SAVED_KINDS:
+            raise ValueError(f"unknown model kind {kind!r}")
+        return _SAVED_KINDS[kind][2](archive)

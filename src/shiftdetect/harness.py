@@ -86,9 +86,14 @@ class ExperimentConfig:
             raise ConfigInvalid("at least one method is required")
         if not self.shifts:
             raise ConfigInvalid("at least one shift is required")
-        if min(self.sample_sizes) < 1:
-            raise ConfigInvalid("sample sizes must be positive")
-        for key, low in (("ae_epochs", 0), ("clf_epochs", 0), ("domain_epochs", 0),
+        sizes = self.sample_sizes
+        if (not isinstance(sizes, (list, tuple)) or not sizes
+                or not all(isinstance(s, numbers.Integral) and s >= 1 for s in sizes)):
+            raise ConfigInvalid(f"sample_sizes must be a non-empty list of integers >= 1, "
+                                f"got {sizes!r}")
+        object.__setattr__(self, "sample_sizes", tuple(sizes))
+        for key, low in (("n_train", 1), ("n_val", 0), ("n_test", 0),
+                         ("ae_epochs", 0), ("clf_epochs", 0), ("domain_epochs", 0),
                          ("batch_size", 1), ("domain_batch_size", 1), ("patience", 1),
                          ("latent_dim", 1), ("hidden_dim", 1), ("domain_hidden_dim", 1),
                          ("runs", 1), ("n_perms", 1)):
@@ -110,8 +115,6 @@ class ExperimentConfig:
             named = tuple(_shift_from_entry(s) for s in raw.pop("shifts"))
         except KeyError as exc:
             raise ConfigInvalid(f"missing config key: {exc}") from exc
-        if "sample_sizes" in raw:
-            raw["sample_sizes"] = tuple(int(s) for s in raw["sample_sizes"])
         try:
             return ExperimentConfig(methods=methods, shifts=named, **raw)
         except TypeError as exc:
@@ -142,8 +145,10 @@ def _method_from_entry(entry) -> MethodSpec:
 def parse_shift_spec(entry: dict) -> shifts.ShiftSpec:
     """ShiftSpec of a preset entry ({"preset": name, ...}) or a custom spec.
 
-    The labels "name" and "intensity" are skipped; an unknown key or a bad
-    value raises ConfigInvalid.
+    The labels "name" and "intensity" are skipped. A custom spec carries
+    only the keys ShiftSpec.to_dict writes for its kind; a preset entry
+    carries epsilon only for adv_shift, and delta for no_shift only as 0.
+    An unknown or unread key or a bad value raises ConfigInvalid.
     """
     if not isinstance(entry, dict):
         raise ConfigInvalid(f"a shift entry must be a JSON object, got {entry!r}")
@@ -152,7 +157,12 @@ def parse_shift_spec(entry: dict) -> shifts.ShiftSpec:
     try:
         if preset_name is None:
             return shifts.ShiftSpec.from_dict(fields)
-        return shifts.preset(preset_name, **fields)
+        spec = shifts.preset(preset_name, **fields)
+        if "epsilon" in fields and preset_name != "adv_shift":
+            raise ValueError(f"{preset_name} does not read epsilon")
+        if preset_name == "no_shift" and fields.get("delta", 0.0) != 0.0:
+            raise ValueError(f"no_shift takes delta 0 only, got {fields['delta']!r}")
+        return spec
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad shift entry {entry!r}: {exc}") from exc
 

@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import BadDims, DimensionMismatch, Diverged
 
-NET_FORMAT_VERSION = 1
-
 _ACTIVATIONS = ("relu", "tanh", "identity")
 
 
@@ -91,7 +89,7 @@ class SoftmaxClassifier:
     net: NetParams  # logits for num_classes classes
     num_classes: int
     # epoch whose snapshot training kept; 0 is the initial net (for the label
-    # classifier, constant outputs). None when unknown, e.g. after load_net.
+    # classifier, constant outputs). None when unknown, e.g. after dimred.load_model.
     best_epoch: int | None = None
 
 
@@ -431,61 +429,3 @@ def domain_scores(clf: SoftmaxClassifier, x: np.ndarray) -> np.ndarray:
 
 def accuracy(clf: SoftmaxClassifier, x: np.ndarray, y) -> float:
     return float(np.mean(hard_predictions(clf, x) == np.asarray(y, dtype=np.int64)))
-
-
-# ---------------------------------------------------------------------------
-# Persistence
-
-def _pack_params(prefix: str, net: NetParams, payload: dict) -> None:
-    payload[f"{prefix}n_layers"] = net.n_layers
-    payload[f"{prefix}activations"] = np.array(net.activations)
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        payload[f"{prefix}w{i}"] = w
-        payload[f"{prefix}b{i}"] = b
-
-
-def _unpack_params(prefix: str, archive) -> NetParams:
-    n_layers = int(archive[f"{prefix}n_layers"])
-    return NetParams(
-        weights=[archive[f"{prefix}w{i}"] for i in range(n_layers)],
-        biases=[archive[f"{prefix}b{i}"] for i in range(n_layers)],
-        activations=[str(a) for a in archive[f"{prefix}activations"]],
-    )
-
-
-def save_net(model, path) -> None:
-    """Versioned flat dump; loading reproduces identical outputs bit-for-bit."""
-    payload = {"format_version": NET_FORMAT_VERSION}
-    if isinstance(model, SoftmaxClassifier):
-        payload["kind"] = "classifier"
-        payload["num_classes"] = model.num_classes
-        _pack_params("net_", model.net, payload)
-    elif isinstance(model, Autoencoder):
-        payload["kind"] = "autoencoder"
-        payload["trained"] = model.trained
-        _pack_params("enc_", model.encoder, payload)
-        _pack_params("dec_", model.decoder, payload)
-    elif isinstance(model, NetParams):
-        payload["kind"] = "net"
-        _pack_params("net_", model, payload)
-    else:
-        raise TypeError(f"cannot persist {type(model).__name__}")
-    np.savez(path, **payload)
-
-
-def load_net(path):
-    with np.load(path) as archive:
-        version = int(archive["format_version"])
-        if version != NET_FORMAT_VERSION:
-            raise ValueError(f"unsupported net format version {version}")
-        kind = str(archive["kind"])
-        if kind == "classifier":
-            return SoftmaxClassifier(net=_unpack_params("net_", archive),
-                                     num_classes=int(archive["num_classes"]))
-        if kind == "autoencoder":
-            return Autoencoder(encoder=_unpack_params("enc_", archive),
-                               decoder=_unpack_params("dec_", archive),
-                               trained=bool(archive["trained"]))
-        if kind == "net":
-            return _unpack_params("net_", archive)
-    raise ValueError(f"unknown model kind {kind!r}")

@@ -24,8 +24,16 @@ KIND_ONLY_ZERO = "only_zero"
 KIND_ADVERSARIAL = "adversarial"
 KIND_COMPOSITE = "composite"
 
-_KINDS = (KIND_GAUSSIAN_NOISE, KIND_IMAGE, KIND_KNOCKOUT, KIND_ONLY_ZERO,
-          KIND_ADVERSARIAL, KIND_COMPOSITE)
+# the parameter fields each kind reads, besides delta and seed
+_KIND_FIELDS = {
+    KIND_GAUSSIAN_NOISE: ("sigma",),
+    KIND_IMAGE: ("rot_max_deg", "trans_max_frac", "zoom_max_frac"),
+    KIND_KNOCKOUT: ("class_id",),
+    KIND_ONLY_ZERO: (),
+    KIND_ADVERSARIAL: ("epsilon",),
+    KIND_COMPOSITE: ("parts",),
+}
+_KINDS = tuple(_KIND_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -58,22 +66,21 @@ class ShiftSpec:
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "delta": self.delta, "seed": self.seed}
-        if self.kind == KIND_GAUSSIAN_NOISE:
-            out["sigma"] = self.sigma
-        elif self.kind == KIND_IMAGE:
-            out.update(rot_max_deg=self.rot_max_deg, trans_max_frac=self.trans_max_frac,
-                       zoom_max_frac=self.zoom_max_frac)
-        elif self.kind == KIND_KNOCKOUT:
-            out["class_id"] = self.class_id
-        elif self.kind == KIND_ADVERSARIAL:
-            out["epsilon"] = self.epsilon
-        elif self.kind == KIND_COMPOSITE:
+        out.update((name, getattr(self, name)) for name in _KIND_FIELDS[self.kind])
+        if self.kind == KIND_COMPOSITE:
             out["parts"] = [p.to_dict() for p in self.parts]
         return out
 
     @staticmethod
     def from_dict(raw: dict) -> "ShiftSpec":
+        """Inverse of to_dict; a key that to_dict does not write for the kind
+        raises ValueError."""
         raw = dict(raw)
+        kind = raw.get("kind")
+        if kind in _KINDS:
+            unread = set(raw) - {"kind", "delta", "seed", *_KIND_FIELDS[kind]}
+            if unread:
+                raise ValueError(f"{kind} shifts do not read {', '.join(sorted(unread))}")
         parts = tuple(ShiftSpec.from_dict(p) for p in raw.pop("parts", ()))
         return ShiftSpec(parts=parts, **raw)
 

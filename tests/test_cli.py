@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from shiftdetect import harness
+from shiftdetect import harness, nets
 from shiftdetect.cli import main
-from shiftdetect.data import TensorDataset, load_csv, write_csv
-from shiftdetect.dimred import DrKind
+from shiftdetect.data import TensorDataset, flatten, load_csv, write_csv
+from shiftdetect.dimred import DrKind, fit_pca, save_model
 
 
 @pytest.fixture()
@@ -189,9 +189,37 @@ def test_shift_bad_spec_exit_65(tmp_path, sample_files):
     spec.write_text("{not json")
     assert main(["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec)]) == 65
     for doc in ({"kind": "no_such_kind"}, {"preset": "ko_shift", "bogus": 1},
-                {"kind": "gaussian_noise", "bogus": 1}, ["ko_shift"]):
+                {"kind": "gaussian_noise", "bogus": 1}, ["ko_shift"],
+                # parameters the shift would not read
+                {"preset": "medium_gn_shift", "epsilon": 0.3},
+                {"preset": "no_shift", "delta": 0.7},
+                {"kind": "gaussian_noise", "sigma": 5, "class_id": 4},
+                {"kind": "composite", "parts": [{"kind": "only_zero", "sigma": 1}]}):
         spec.write_text(json.dumps(doc))
         assert main(["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec)]) == 65
+    spec.write_text(json.dumps({"preset": "no_shift", "delta": 0.0}))
+    assert main(["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec)]) == 0
+
+
+def test_shift_adversarial_with_a_saved_classifier(tmp_path, sample_files, capsys):
+    src, _, _ = sample_files
+    ds = load_csv(src)
+    clf = nets.train_label_classifier((flatten(ds), ds.labels), (flatten(ds), ds.labels), 2,
+                                      nets.TrainConfig(max_epochs=3, batch_size=16),
+                                      hidden_dims=(16,))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"preset": "adv_shift", "delta": 0.5, "epsilon": 0.1}))
+    argv = ["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec), "--model"]
+    save_model(clf, tmp_path / "clf.npz")
+    assert main(argv + [str(tmp_path / "clf.npz")]) == 0
+    assert json.loads(capsys.readouterr().out)["n_changed"] == 80  # floor(0.5 * 160)
+
+    assert main(argv + [str(tmp_path / "none.npz")]) == 66
+    ae = nets.Autoencoder(encoder=nets.init_network((8, 2)), decoder=nets.init_network((2, 8)))
+    for name, model in (("ae", ae), ("pca", fit_pca(flatten(ds), 2))):
+        save_model(model, tmp_path / f"{name}.npz")
+        assert main(argv + [str(tmp_path / f"{name}.npz")]) == 65
+        assert f"got a {type(model).__name__}" in capsys.readouterr().err
 
 
 def test_shift_to_idx_refuses_labels_above_a_byte(tmp_path):
@@ -303,6 +331,9 @@ def test_bench_bad_config_exit_65(tmp_path):
     ("patience", 0),
     ("latent_dim", 0), ("hidden_dim", 0), ("domain_hidden_dim", 0),
     ("n_perms", 0), ("n_perms", 100.0), ("runs", 0), ("runs", 1.5),
+    ("n_train", 10.5), ("n_train", -3), ("n_train", 0), ("n_val", -1), ("n_test", 2.5),
+    ("sample_sizes", [10.5]), ("sample_sizes", []), ("sample_sizes", [10, 0]),
+    ("sample_sizes", 10),
 ])
 def test_bench_bad_training_setting_exit_65_before_corpus(tmp_path, monkeypatch, capsys,
                                                          key, value):
@@ -367,6 +398,17 @@ def test_exemplars_shifted_data_reported(tmp_path, sample_files, capsys):
     assert (outdir / "top_different_samples.csv").exists()
 
 
+def test_exemplars_bad_alpha_exit_65_and_reducer_flags_gone(tmp_path, sample_files,
+                                                             monkeypatch, capsys):
+    _refuse_work(monkeypatch)
+    src, _, far = sample_files
+    argv = ["exemplars", str(src), str(far), "--out", str(tmp_path / "ex6")]
+    assert main(argv + ["--alpha", "1.5"]) == 65
+    assert "alpha must be in (0, 1)" in capsys.readouterr().err
+    for flag in ("--latent-dim", "--ae-lr0"):  # only the domain classifier trains here
+        assert main(argv + [flag, "4"]) == 64
+
+
 def test_exemplars_k_too_large_exit_64(tmp_path, sample_files, monkeypatch, capsys):
     def no_training(*args, **kwargs):
         raise AssertionError("domain classifier trained before -k was checked")
@@ -421,5 +463,6 @@ def test_report_reemits_tables(tmp_path, capsys):
 
 
 def test_report_missing_records_exit_66(tmp_path):
-    assert main(["report", "--records", str(tmp_path / "no.csv"),
-                 "--out", str(tmp_path / "r")]) == 66
+    argv = ["report", "--records", str(tmp_path / "no.csv"), "--out", str(tmp_path / "r")]
+    assert main(argv) == 66
+    assert main(argv + ["--alpha", "0.1"]) == 64  # the tables read only reject and p_value

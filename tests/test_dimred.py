@@ -3,17 +3,20 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from shiftdetect import digits, nets
+from shiftdetect import digits, harness, nets, shifts
 from shiftdetect.data import flatten
 from shiftdetect.dimred import (
+    METHOD_TABLE,
     DrKind,
+    PcaModel,
+    SrpMatrix,
     build_srp,
     fit_pca,
-    load_reducer,
+    load_model,
     pca_project,
     pca_reconstruct,
     reduce,
-    save_reducer,
+    save_model,
     srp_project,
 )
 from shiftdetect.errors import BadK, DimensionMismatch, IncompatibleMode, NotFitted
@@ -308,16 +311,85 @@ def test_reduce_not_fitted_and_classif():
         reduce(DrKind.CLASSIF, None, x)
 
 
-def test_reducer_persistence_round_trip(tmp_path):
-    rng = np.random.default_rng(16)
-    x = rng.random((30, 10))
-    pca = fit_pca(x, 4)
-    save_reducer(pca, tmp_path / "pca.npz")
-    back = load_reducer(tmp_path / "pca.npz")
-    assert np.array_equal(pca_project(back, x), pca_project(pca, x))
+# ---------------------------------------------------------------------------
+# persistence
 
-    srp = build_srp(10, 3, seed=6)
-    save_reducer(srp, tmp_path / "srp.npz")
-    srp_back = load_reducer(tmp_path / "srp.npz")
-    assert np.array_equal(srp_back.matrix, srp.matrix)
-    assert srp_back.seed == 6
+def test_save_load_model_round_trip(tmp_path):
+    # every model METHOD_TABLE names, fitted as the harness fits them:
+    # "uae" an untrained autoencoder, "tae" a trained one
+    train = digits.make_digits(60, seed=3)
+    cfg = harness.ExperimentConfig(
+        methods=tuple(harness.MethodSpec(kind) for kind in DrKind),
+        shifts=(harness.NamedShift("none", shifts.preset("no_shift")),),
+        n_train=train.n, n_val=0, n_test=0, latent_dim=4, hidden_dim=8,
+        ae_epochs=2, clf_epochs=2, batch_size=16)
+    models = harness.fit_reducers(train, cfg).models
+    assert {type(m) for m in models.values()} == {
+        row.model_type for row in METHOD_TABLE.values() if row.model is not None}
+    assert models["tae"].trained and not models["uae"].trained
+    loaded = {}
+    for name, model in models.items():
+        save_model(model, tmp_path / f"{name}.npz")
+        loaded[name] = load_model(tmp_path / f"{name}.npz")
+        assert type(loaded[name]) is type(model)
+    assert loaded["tae"].trained and not loaded["uae"].trained
+    assert (loaded["srp"].seed, loaded["srp"].sparsity) == (models["srp"].seed,
+                                                            models["srp"].sparsity)
+    x = flatten(digits.make_digits(20, seed=4))
+    for kind, row in METHOD_TABLE.items():
+        if row.model is not None:
+            want, got = reduce(kind, models[row.model], x), reduce(kind, loaded[row.model], x)
+            assert np.array_equal(got.values, want.values) and got.arity == want.arity
+    with pytest.raises(TypeError, match="cannot save a NetParams"):
+        save_model(models["tae"].encoder, tmp_path / "bare.npz")
+
+
+def test_load_model_reads_the_saved_key_layout(tmp_path):
+    """A file in the format_version 1 key layout, written here with np.savez, loads."""
+    rng = np.random.default_rng(16)
+    w = [rng.standard_normal(shape) for shape in ((6, 4), (4, 3), (3, 6))]
+    b = [rng.standard_normal(shape[1]) for shape in ((6, 4), (4, 3), (3, 6))]
+    layouts = {
+        "pca": dict(kind="pca", mean=w[0][:, 0], components=w[0].T,
+                    explained_variance=b[0]),
+        "srp": dict(kind="srp", matrix=w[0], sparsity=2.5, seed=6),
+        "classifier": dict(kind="classifier", num_classes=3, net_n_layers=2,
+                           net_activations=np.array(["relu", "identity"]),
+                           net_w0=w[0], net_b0=b[0], net_w1=w[1], net_b1=b[1]),
+        "autoencoder": dict(kind="autoencoder", trained=True,
+                            enc_n_layers=1, enc_activations=np.array(["tanh"]),
+                            enc_w0=w[2].T, enc_b0=b[1], dec_n_layers=1,
+                            dec_activations=np.array(["identity"]), dec_w0=w[2], dec_b0=b[2]),
+    }
+    for name, arrays in layouts.items():
+        np.savez(tmp_path / f"{name}.npz", format_version=1, **arrays)
+    pca = load_model(tmp_path / "pca.npz")
+    assert isinstance(pca, PcaModel)
+    assert np.array_equal(pca.components, w[0].T) and np.array_equal(pca.mean, w[0][:, 0])
+    assert np.array_equal(pca.explained_variance, b[0])
+    srp = load_model(tmp_path / "srp.npz")
+    assert isinstance(srp, SrpMatrix) and (srp.sparsity, srp.seed) == (2.5, 6)
+    assert np.array_equal(srp.matrix, w[0])
+    clf = load_model(tmp_path / "classifier.npz")
+    assert isinstance(clf, nets.SoftmaxClassifier) and clf.num_classes == 3
+    ae = load_model(tmp_path / "autoencoder.npz")
+    assert isinstance(ae, nets.Autoencoder) and ae.trained
+    for net, want_w, want_b, acts in ((clf.net, w[:2], b[:2], ["relu", "identity"]),
+                                      (ae.encoder, [w[2].T], [b[1]], ["tanh"]),
+                                      (ae.decoder, [w[2]], [b[2]], ["identity"])):
+        assert net.activations == acts
+        assert all(np.array_equal(got, want) for got, want in zip(net.weights, want_w))
+        assert all(np.array_equal(got, want) for got, want in zip(net.biases, want_b))
+        assert (len(net.weights), len(net.biases)) == (len(want_w), len(want_b))
+
+    np.savez(tmp_path / "v2.npz", format_version=2, **layouts["pca"])
+    np.savez(tmp_path / "net.npz", format_version=1, kind="net", net_n_layers=1,
+             net_activations=np.array(["identity"]), net_w0=w[2], net_b0=b[2])
+    np.save(tmp_path / "array.npy", w[0])
+    (tmp_path / "rows.csv").write_text("0.5,0.25,1\n")
+    for name, message in (("v2.npz", "unsupported model format version 2"),
+                          ("net.npz", "unknown model kind 'net'"),
+                          ("array.npy", "is not an npz archive"),
+                          ("rows.csv", "is not an npz archive")):
+        with pytest.raises(ValueError, match=message):
+            load_model(tmp_path / name)

@@ -17,10 +17,8 @@ from shiftdetect.nets import (
     grad_check,
     hard_predictions,
     init_network,
-    load_net,
     loss_and_gradients,
     reconstruction_mse,
-    save_net,
     softmax_outputs,
     train_autoencoder,
     train_domain_classifier,
@@ -396,24 +394,3 @@ def test_concurrent_domain_classifiers_match_serial():
         threaded = list(pool.map(lambda job: train_domain_classifier(*job, hidden_dims=(16,)),
                                  jobs))
     assert [_params_sha256(c.net) for c in threaded] == [_params_sha256(c.net) for c in serial]
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-def test_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(15)
-    x = rng.random((10, 6))
-    clf = SoftmaxClassifier(net=init_network((6, 5, 3), seed=19), num_classes=3)
-    save_net(clf, tmp_path / "clf.npz")
-    back = load_net(tmp_path / "clf.npz")
-    assert isinstance(back, SoftmaxClassifier)
-    assert back.num_classes == 3
-    assert np.array_equal(softmax_outputs(back, x), softmax_outputs(clf, x))
-
-    ae = train_autoencoder(x, x, (6, 4, 2), TrainConfig(max_epochs=2, batch_size=4, seed=20))
-    save_net(ae, tmp_path / "ae.npz")
-    ae_back = load_net(tmp_path / "ae.npz")
-    assert isinstance(ae_back, Autoencoder)
-    assert ae_back.trained
-    assert np.array_equal(encode(ae_back, x), encode(ae, x))
