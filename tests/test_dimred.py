@@ -314,6 +314,23 @@ def test_reduce_not_fitted_and_classif():
 # ---------------------------------------------------------------------------
 # persistence
 
+def test_reducer_persistence_round_trip(tmp_path):
+    rng = np.random.default_rng(16)
+    x = rng.random((30, 10))
+    pca = fit_pca(x, 4)
+    save_model(pca, tmp_path / "pca.npz")
+    back = load_model(tmp_path / "pca.npz")
+    assert isinstance(back, PcaModel)
+    assert np.array_equal(pca_project(back, x), pca_project(pca, x))
+
+    srp = build_srp(10, 3, seed=6)
+    save_model(srp, tmp_path / "srp.npz")
+    srp_back = load_model(tmp_path / "srp.npz")
+    assert isinstance(srp_back, SrpMatrix)
+    assert np.array_equal(srp_back.matrix, srp.matrix)
+    assert srp_back.seed == 6
+
+
 def test_save_load_model_round_trip(tmp_path):
     # every model METHOD_TABLE names, fitted as the harness fits them:
     # "uae" an untrained autoencoder, "tae" a trained one

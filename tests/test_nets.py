@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from shiftdetect import nets
+from shiftdetect.dimred import load_model, save_model
 from shiftdetect.errors import BadDims, DimensionMismatch
 from shiftdetect.nets import (
     Autoencoder,
@@ -394,3 +395,21 @@ def test_concurrent_domain_classifiers_match_serial():
         threaded = list(pool.map(lambda job: train_domain_classifier(*job, hidden_dims=(16,)),
                                  jobs))
     assert [_params_sha256(c.net) for c in threaded] == [_params_sha256(c.net) for c in serial]
+
+
+def test_save_load_round_trip(tmp_path):
+    rng = np.random.default_rng(15)
+    x = rng.random((10, 6))
+    clf = SoftmaxClassifier(net=init_network((6, 5, 3), seed=19), num_classes=3)
+    save_model(clf, tmp_path / "clf.npz")
+    back = load_model(tmp_path / "clf.npz")
+    assert isinstance(back, SoftmaxClassifier)
+    assert back.num_classes == 3
+    assert np.array_equal(softmax_outputs(back, x), softmax_outputs(clf, x))
+
+    ae = train_autoencoder(x, x, (6, 4, 2), TrainConfig(max_epochs=2, batch_size=4, seed=20))
+    save_model(ae, tmp_path / "ae.npz")
+    ae_back = load_model(tmp_path / "ae.npz")
+    assert isinstance(ae_back, Autoencoder)
+    assert ae_back.trained
+    assert np.array_equal(encode(ae_back, x), encode(ae, x))
