@@ -61,10 +61,14 @@ uae = train_autoencoder(x_train, flatten(split.val), arch,
                         TrainConfig(max_epochs=0, seed=2))
 tae = train_autoencoder(x_train, flatten(split.val), arch,
                         TrainConfig(max_epochs=10, patience=5, lr0=2.0, seed=2))
-print(f"UAE: untrained encoder, reconstruction MSE "
-      f"{nets.reconstruction_mse(uae, x_test):.4f}")
-print(f"TAE: trained encoder,   reconstruction MSE "
-      f"{nets.reconstruction_mse(tae, x_test):.4f} "
+
+
+def reconstruction_mse(ae):
+    return np.mean((nets.forward(ae.decoder, nets.encode(ae, x_test)) - x_test) ** 2)
+
+
+print(f"UAE: untrained encoder, reconstruction MSE {reconstruction_mse(uae):.4f}")
+print(f"TAE: trained encoder,   reconstruction MSE {reconstruction_mse(tae):.4f} "
       f"(pixel variance {x_test.var():.4f})")
 
 # --- label-classifier representations -----------------------------------------

@@ -12,7 +12,6 @@ from .data import (
     load_csv,
     load_idx,
     random_split,
-    unflatten,
     write_csv,
     write_idx,
 )
@@ -25,7 +24,6 @@ from .dimred import (
     fit_pca,
     load_model,
     pca_project,
-    pca_reconstruct,
     reduce,
     save_model,
     srp_project,
@@ -81,7 +79,6 @@ from .stattest import (
     ks_two_sample,
     mmd2_unbiased,
     mmd_permutation_test,
-    rbf_kernel,
 )
 
 __version__ = "0.1.0"

@@ -194,9 +194,3 @@ def random_split(pool: TensorDataset, n_train: int, n_val: int, n_test: int,
 def flatten(ds: TensorDataset) -> np.ndarray:
     """Row i is image i in raster order (rows, cols, channels); shape (N, H*W*C)."""
     return ds.images.reshape(ds.n, -1)
-
-
-def unflatten(matrix: np.ndarray, image_shape: tuple[int, int, int],
-              labels: np.ndarray, num_classes: int) -> TensorDataset:
-    matrix = np.asarray(matrix, dtype=np.float64)
-    return TensorDataset(matrix.reshape(matrix.shape[0], *image_shape), labels, num_classes)

@@ -106,16 +106,6 @@ def pca_project(model: PcaModel, x: np.ndarray) -> np.ndarray:
     return (x - model.mean) @ model.components.T
 
 
-def pca_reconstruct(model: PcaModel, z: np.ndarray) -> np.ndarray:
-    """Map latent rows back to the input space (lossy for K < rank)."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape[1] != model.components.shape[0]:
-        raise DimensionMismatch(
-            f"z has {z.shape[1]} columns, model has {model.components.shape[0]} components"
-        )
-    return z @ model.components + model.mean
-
-
 # ---------------------------------------------------------------------------
 # Sparse random projection
 

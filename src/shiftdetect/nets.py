@@ -347,16 +347,6 @@ def encode(ae: Autoencoder, x: np.ndarray) -> np.ndarray:
     return forward(ae.encoder, x)
 
 
-def reconstruct(ae: Autoencoder, x: np.ndarray) -> np.ndarray:
-    return forward(ae.decoder, encode(ae, x))
-
-
-def reconstruction_mse(ae: Autoencoder, x: np.ndarray) -> float:
-    """Per-element mean squared reconstruction error."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.mean((reconstruct(ae, x) - x) ** 2))
-
-
 def train_label_classifier(train, val, num_classes: int, cfg: TrainConfig,
                            hidden_dims=(256,)) -> SoftmaxClassifier:
     """Cross-entropy training with early stopping on validation accuracy."""

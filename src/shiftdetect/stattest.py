@@ -10,6 +10,7 @@ Domain-classifier accuracies use an exact two-sided binomial test.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -201,16 +202,6 @@ def bonferroni_aggregate(p_values, alpha: float) -> TestOutcome:
 # ---------------------------------------------------------------------------
 # Maximum mean discrepancy
 
-def rbf_kernel(x, y, bandwidth: float = 1.0) -> float:
-    """Squared exponential kernel exp(-||x-y||^2 / (2*bandwidth^2))."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.size != y.size:
-        raise DimensionMismatch(f"vector lengths differ: {x.size} vs {y.size}")
-    sq = float(np.sum((x - y) ** 2))
-    return math.exp(-0.5 * sq / (bandwidth * bandwidth))
-
-
 def _pairwise_sq_dists(z: np.ndarray, finish=None) -> np.ndarray:
     """max(0, (|z_i|^2 + |z_j|^2) - 2 z_i.z_j), built in place of the Gram matrix.
 
@@ -343,6 +334,17 @@ def _permutation_memberships(seed: int, n_perms: int, total_n: int, m: int):
         yield _smallest_m(rng.random((min(PERM_CHUNK, n_perms - start), total_n)), m)
 
 
+def _stop_count(n_perms: int, alpha: float) -> int:
+    """Smallest h >= 1 with (1.0 + h) / (1.0 + n_perms) >= alpha, for 0 < alpha < 1.
+
+    The search evaluates that float expression itself, so a test stops
+    (e reaches h) exactly when its full-run p-value (1 + e) / (1 + n_perms)
+    could no longer fall below alpha, bit for bit.
+    """
+    return 1 + bisect.bisect_left(range(1, n_perms + 1), True,
+                                  key=lambda h: (1.0 + h) / (1.0 + n_perms) >= alpha)
+
+
 def mmd_permutation_test(x, y, n_perms: int = 1000, alpha: float = 0.05,
                          seed: int = 0, bandwidth: float | None = 1.0) -> TestOutcome:
     """Permutation test on the unbiased MMD^2 with a cached kernel matrix.
@@ -350,14 +352,25 @@ def mmd_permutation_test(x, y, n_perms: int = 1000, alpha: float = 0.05,
     The pooled kernel matrix is computed once; permutations are evaluated
     from the cache in chunks of at most PERM_CHUNK, each by products over
     the kernel's upper block triangle (see _mmd2_from_assignments), about
-    N^2/2 multiply-adds per permutation. p-value is the add-one estimator
-    (1 + #{perm >= observed}) / (1 + n_perms), which is valid and strictly
-    positive. A drawn permutation that reproduces the observed split (the
-    first m pooled rows as X, or, when m == n, the last n as X) counts as
-    >= observed whatever its rounding. All permutations come from one
-    stream seeded by seed, so results do not depend on thread count or
-    chunking. bandwidth=None selects the median heuristic. Raises
-    NonFiniteInput on NaN or infinite values.
+    N^2/2 multiply-adds per permutation. A drawn permutation counts as an
+    exceedance when its value is >= observed, or when it reproduces the
+    observed split (the first m pooled rows as X, or, when m == n, the last
+    n as X) whatever its rounding.
+
+    The test stops early once it cannot reject (Besag & Clifford, 1991).
+    With e exceedances among all n_perms draws the add-one p-value
+    (1 + e) / (1 + n_perms) is below alpha iff e < h, h = _stop_count(n_perms,
+    alpha). Drawing stops at the end of the chunk in which the count
+    reaches h; with L the 1-based index of the draw that brought it there,
+    p = max(h / L, (1 + h) / (1 + n_perms)). h / L is the valid sequential
+    p-value; the max keeps p >= alpha, so reject == (p < alpha) holds for
+    every test. A test whose count stays below h runs all draws and reports
+    (1 + e) / (1 + n_perms), so a rejecting test's p-value is the full
+    run's. L is read from a running count over the draws, and every draw
+    comes from one stream seeded by seed, so the outcome does not depend on
+    PERM_CHUNK or on the thread count. bandwidth=None selects the median
+    heuristic. Raises NonFiniteInput on NaN or infinite values and
+    ValueError unless n_perms >= 1 and 0 < alpha < 1.
     """
     x, y = _as_samples(x, y)
     m, n = x.shape[0], y.shape[0]
@@ -365,6 +378,8 @@ def mmd_permutation_test(x, y, n_perms: int = 1000, alpha: float = 0.05,
         raise TooFewSamples(f"need at least 2 samples per side, got m={m}, n={n}")
     if n_perms < 1:
         raise ValueError("n_perms must be >= 1")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     _require_finite(x, y)
     if bandwidth is None:
         bandwidth = median_bandwidth(x, y)
@@ -373,14 +388,21 @@ def mmd_permutation_test(x, y, n_perms: int = 1000, alpha: float = 0.05,
     observed = _mmd2_observed(kernel, m, n)
     row_sums = kernel.sum(axis=1)
     scratch = np.empty(min(PERM_CHUNK, n_perms) * (m + n))
+    stop = _stop_count(n_perms, alpha)
 
-    exceed = 0
+    exceed = drawn = 0
     for member_x in _permutation_memberships(seed, n_perms, m + n, m):
         values = _mmd2_from_assignments(kernel, row_sums, member_x, m, n, scratch)
         x_kept = member_x[:, :m].sum(axis=1)
         tie = (x_kept == m) | (x_kept == 0) if m == n else x_kept == m
-        exceed += int(np.sum((values >= observed) | tie))
-    p = (1.0 + exceed) / (1.0 + n_perms)
+        count = exceed + np.cumsum((values >= observed) | tie)
+        if count[-1] >= stop:
+            draws = drawn + 1 + int(np.argmax(count >= stop))
+            p = max(stop / draws, (1.0 + stop) / (1.0 + n_perms))
+            break
+        exceed, drawn = int(count[-1]), drawn + member_x.shape[0]
+    else:
+        p = (1.0 + exceed) / (1.0 + n_perms)
     return TestOutcome(
         statistic=observed,
         p_value=p,
@@ -475,7 +497,7 @@ def dispatch_test(rep_source: Representation, rep_target: Representation,
 
     Continuous + univariate: per-dimension KS tests aggregated with the
     Bonferroni correction. Continuous + multivariate: MMD permutation test,
-    only admissible up to MULTIVARIATE_SAMPLE_CAP target samples.
+    only admissible up to MULTIVARIATE_SAMPLE_CAP samples on each side.
     Categorical (hard predictions): chi-squared independence test. The
     domain-classifier method has no standalone representation and is
     handled by the experiment harness.
@@ -501,7 +523,7 @@ def dispatch_test(rep_source: Representation, rep_target: Representation,
         out = bonferroni_aggregate(p_values, alpha)
         return out
 
-    if rep_target.values.shape[0] > MULTIVARIATE_SAMPLE_CAP:
+    if max(rep_source.values.shape[0], rep_target.values.shape[0]) > MULTIVARIATE_SAMPLE_CAP:
         # the exact text is the skip reason a grid cell records
         raise SampleCapExceeded(f"multivariate mode capped at {MULTIVARIATE_SAMPLE_CAP}")
     return mmd_permutation_test(rep_source.values, rep_target.values,

@@ -11,7 +11,6 @@ from shiftdetect.data import (
     load_csv,
     load_idx,
     random_split,
-    unflatten,
     write_csv,
     write_idx,
 )
@@ -177,5 +176,5 @@ def test_flatten_shape_and_constant():
 def test_flatten_unflatten_round_trip():
     rng = np.random.default_rng(2)
     ds = TensorDataset(rng.random((4, 3, 5, 2)), rng.integers(0, 2, 4), 2)
-    back = unflatten(flatten(ds), ds.image_shape, ds.labels, ds.num_classes)
+    back = TensorDataset(flatten(ds).reshape(ds.n, *ds.image_shape), ds.labels, ds.num_classes)
     assert np.array_equal(back.images, ds.images)

@@ -133,7 +133,7 @@ def test_failing_cell_raises_and_shuts_the_pool_down(small_corpus, monkeypatch):
 # records.csv of a tiny grid over all eight kinds, (pca, multivariate) and an
 # adversarial shift, with sizes that hit both skip reasons; the hash pins the
 # bytes a refactor of the method dispatch must keep
-GOLDEN_RECORDS_SHA256 = "ecd225b0eda31d93d978db81f914cdd28f39912231a99bf7b18b4f17bba16da5"
+GOLDEN_RECORDS_SHA256 = "a5568cd0965b93a29afb43a1d41835435a57ad8afcb3a46526f9712e0bd1da45"
 
 
 @pytest.mark.parametrize("threads", [1, 2])

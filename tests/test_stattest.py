@@ -36,7 +36,6 @@ from shiftdetect.stattest import (
     median_bandwidth,
     mmd2_unbiased,
     mmd_permutation_test,
-    rbf_kernel,
 )
 
 
@@ -53,6 +52,12 @@ def brute_force_ks_stat(a, b):
     return best
 
 
+def rbf_kernel(x, y, bandwidth=1.0):
+    """Squared exponential kernel exp(-||x-y||^2 / (2*bandwidth^2)) of two vectors."""
+    x, y = np.asarray(x, dtype=np.float64).ravel(), np.asarray(y, dtype=np.float64).ravel()
+    return math.exp(-0.5 * float(np.sum((x - y) ** 2)) / (bandwidth * bandwidth))
+
+
 def brute_force_mmd2(x, y):
     """Literal three-loop evaluation of the unbiased estimator."""
     m, n = len(x), len(y)
@@ -60,6 +65,23 @@ def brute_force_mmd2(x, y):
     yy = sum(rbf_kernel(y[i], y[j]) for i in range(n) for j in range(n) if i != j)
     xy = sum(rbf_kernel(x[i], y[j]) for i in range(m) for j in range(n))
     return xx / (m * (m - 1)) + yy / (n * (n - 1)) - 2.0 * xy / (m * n)
+
+
+def sequential_p_value(hits, n_perms, alpha):
+    """Permutation p-value from the exceedance indicators of the draws, in draw order.
+
+    h is the smallest count whose add-one p-value (1 + h) / (1 + n_perms)
+    reaches alpha. Fewer than h exceedances in all n_perms draws give the
+    full-run estimate (1 + e) / (1 + n_perms); otherwise the test stops at
+    the draw L that brings the count to h and the estimate is
+    max(h / L, (1 + h) / (1 + n_perms)).
+    """
+    h = next(h for h in range(1, n_perms + 1) if (1.0 + h) / (1.0 + n_perms) >= alpha)
+    count = np.cumsum(hits)
+    if count[-1] < h:
+        return (1.0 + count[-1]) / (1.0 + n_perms)
+    first = int(np.argmax(count >= h)) + 1
+    return max(h / first, (1.0 + h) / (1.0 + n_perms))
 
 
 def exact_binomial_two_sided(k, n):
@@ -421,12 +443,13 @@ def test_mmd_draws_exactly_m_members_at_chunk_edges(n_perms):
     assert member.shape == (n_perms, 23)
     assert set(np.unique(member)) <= {0.0, 1.0}
     assert (member.sum(axis=1) == 9).all()
-    out = mmd_permutation_test(np.arange(18.0).reshape(9, 2),
-                               np.arange(28.0).reshape(14, 2) / 3.0,
-                               n_perms=n_perms, seed=4)
-    exceed = round(out.p_value * (1 + n_perms)) - 1
-    assert 0 <= exceed <= n_perms
-    assert out.p_value == (1.0 + exceed) / (1.0 + n_perms)
+    x, y = np.arange(18.0).reshape(9, 2), np.arange(28.0).reshape(14, 2) / 3.0
+    out = mmd_permutation_test(x, y, n_perms=n_perms, seed=4)
+    pooled = np.vstack([x, y])
+    naive = np.array([mmd2_unbiased(pooled[row == 1], pooled[row == 0]) for row in member])
+    tie = member[:, :9].sum(axis=1) == 9
+    assert np.min(np.abs(naive[~tie] - out.statistic)) > 1e-9
+    assert out.p_value == sequential_p_value(tie | (naive >= out.statistic), n_perms, 0.05)
 
 
 def _argpartition_reference(keys, m):
@@ -475,8 +498,9 @@ def test_mmd_draws_of_the_observed_split_count_as_ties(m, n):
                            for row in member[~tie]])
         assert tie.any()
         assert np.min(np.abs(others - out.statistic)) > 1e-9
-        exceed = tie.sum() + np.sum(others > out.statistic)
-        assert out.p_value == (1.0 + exceed) / 51.0
+        hits = tie.copy()
+        hits[~tie] = others > out.statistic
+        assert out.p_value == sequential_p_value(hits, 50, 0.05)
 
 
 def test_mmd_draws_are_prefix_stable():
@@ -517,15 +541,92 @@ def test_kernel_row_blocks_keep_every_bit(block):
 
 
 def test_mmd_permutation_p_value_counts_drawn_relabelings():
-    # the chunked cached-kernel p-value equals counting literal relabelings
+    # the chunked cached-kernel p-value equals counting literal relabelings,
+    # for a test that stops early and for one that rejects after every draw
     rng = np.random.default_rng(16)
-    x, y = rng.normal(size=(8, 3)), rng.normal(0.4, 1.0, size=(11, 3))
-    pooled = np.vstack([x, y])
-    out = mmd_permutation_test(x, y, n_perms=200, seed=8)
-    naive = np.array([mmd2_unbiased(pooled[row == 1], pooled[row == 0])
-                      for row in np.vstack(_draws(8, 200, 19, 8))])
-    assert np.min(np.abs(naive - out.statistic)) > 1e-9
-    assert out.p_value == (1.0 + np.sum(naive >= out.statistic)) / 201.0
+    x, shift_noise = rng.normal(size=(8, 3)), rng.normal(size=(11, 3))
+    member = np.vstack(_draws(8, 200, 19, 8))
+    rejects = []
+    for shift in (0.4, 3.0):
+        y = shift + shift_noise
+        pooled = np.vstack([x, y])
+        out = mmd_permutation_test(x, y, n_perms=200, seed=8)
+        naive = np.array([mmd2_unbiased(pooled[row == 1], pooled[row == 0]) for row in member])
+        assert np.min(np.abs(naive - out.statistic)) > 1e-9
+        assert out.p_value == sequential_p_value(naive >= out.statistic, 200, 0.05)
+        rejects.append(out.reject)
+    assert rejects == [False, True]
+
+
+@st.composite
+def _stopping_problem(draw):
+    m, n, d = draw(st.integers(2, 8)), draw(st.integers(2, 8)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = draw(st.sampled_from([0.0, 0.5, 1.5, 4.0]))
+    x, y = rng.normal(size=(m, d)), shift + rng.normal(size=(n, d))
+    n_perms = draw(st.integers(1, 600))
+    alpha = draw(st.one_of(st.sampled_from([0.05, 0.01, 0.1, 0.5]),
+                           st.floats(1e-4, 0.999)))
+    return x, y, n_perms, alpha, draw(st.integers(0, 2**32 - 1))
+
+
+@given(_stopping_problem())
+@example((np.zeros((2, 1)), 4.0 + np.arange(3.0)[:, None], 999, 0.05, 0))
+@example((np.arange(6.0)[:, None], 9.0 + np.arange(6.0)[:, None], 600, 0.05, 3))
+def test_mmd_stopped_test_agrees_with_full_count(problem):
+    # the early-stopped test decides as counting every draw does, and keeps
+    # the full count's p-value whenever it rejects
+    x, y, n_perms, alpha, seed = problem
+    m, n = len(x), len(y)
+    out = mmd_permutation_test(x, y, n_perms=n_perms, alpha=alpha, seed=seed)
+    kernel = stattest._kernel_matrix(np.vstack([x, y]), 1.0)
+    exceed = 0
+    for member in _draws(seed, n_perms, m + n, m):
+        values = _from_assignments(kernel, member, m, n)
+        kept = member[:, :m].sum(axis=1)
+        tie = (kept == m) | ((kept == 0) & (m == n))
+        exceed += int(np.sum((values >= out.statistic) | tie))
+    full = (1.0 + exceed) / (1.0 + n_perms)
+    assert out.reject == (full < alpha) == (out.p_value < alpha)
+    if out.reject:
+        assert out.p_value == full
+    else:
+        assert out.p_value >= alpha
+    assert 0.0 < out.p_value <= 1.0
+
+
+def _exceeding_from(first):
+    """Stand-in evaluation: the draws from the first-th on (1-based) exceed any observed value."""
+    drawn = [0]
+
+    def evaluate(kernel, row_sums, member_x, m, n, scratch):
+        index = drawn[0] + np.arange(1, member_x.shape[0] + 1)
+        drawn[0] += member_x.shape[0]
+        return np.where(index >= first, np.inf, -np.inf)
+
+    return evaluate
+
+
+@pytest.mark.parametrize("n_perms, alpha, first, p_value, reject", [
+    (999, 0.05, 951, 50 / 1000, False),  # h = 49 reached at L = 999: h / L = 0.049 < alpha
+    (999, 0.05, 952, 49 / 1000, True),   # 48 exceedances: the full run's add-one estimate
+    (99, 0.07, 50, 6 / 55, False),       # 7 / 100 >= 0.07 in floats, so h = 6, L = 55
+])
+def test_mmd_stopped_p_value_at_the_hth_exceedance(n_perms, alpha, first, p_value, reject):
+    rng = np.random.default_rng(30)
+    x, y = rng.normal(size=(20, 2)), rng.normal(size=(20, 2))  # no draw repeats the split
+    for chunk in (7, stattest.PERM_CHUNK):
+        with mock.patch.object(stattest, "PERM_CHUNK", chunk), \
+                mock.patch.object(stattest, "_mmd2_from_assignments", _exceeding_from(first)):
+            out = mmd_permutation_test(x, y, n_perms=n_perms, alpha=alpha, seed=1)
+        assert (out.p_value, out.reject) == (p_value, reject)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.05, 2.0, math.nan])
+def test_mmd_permutation_rejects_alpha_outside_unit_interval(alpha):
+    x, y = np.zeros((5, 2)), np.ones((5, 2))
+    with pytest.raises(ValueError, match="alpha"):
+        mmd_permutation_test(x, y, n_perms=10, alpha=alpha)
 
 
 def test_mmd_entry_points_reject_unequal_widths():
@@ -694,6 +795,20 @@ def test_dispatch_multivariate_cap():
     out = dispatch_test(_cont(rng.normal(size=(100, 3))),
                         _cont(rng.normal(size=(1000, 3))),
                         DrKind.PCA, TestMode.MULTIVARIATE, n_perms=20)
+    assert out.test_tag == TestTag.MMD_PERM
+
+
+def test_dispatch_multivariate_cap_applies_to_the_source_too():
+    # the kernel is (source + target) rows square: a large source is refused
+    # with the same text as a large target
+    rng = np.random.default_rng(12)
+    src = _cont(rng.normal(size=(stattest.MULTIVARIATE_SAMPLE_CAP + 1, 3)))
+    tgt = _cont(rng.normal(size=(10, 3)))
+    for a, b in ((src, tgt), (tgt, src)):
+        with pytest.raises(SampleCapExceeded, match="^multivariate mode capped at 1000$"):
+            dispatch_test(a, b, DrKind.PCA, TestMode.MULTIVARIATE, n_perms=20)
+    out = dispatch_test(_cont(src.values[:-1]), tgt, DrKind.PCA, TestMode.MULTIVARIATE,
+                        n_perms=20)
     assert out.test_tag == TestTag.MMD_PERM
 
 
