@@ -170,6 +170,16 @@ def write_csv(ds: TensorDataset, path) -> None:
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
+def split_indices(n: int, n_train: int, n_val: int, n_test: int,
+                  seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row indices of the train/val/test parts random_split takes from n rows."""
+    total = n_train + n_val + n_test
+    if total > n:
+        raise InsufficientData(f"requested {total} samples from a pool of {n}")
+    perm = np.random.default_rng(seed).permutation(n)
+    return perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:total]
+
+
 def random_split(pool: TensorDataset, n_train: int, n_val: int, n_test: int,
                  seed: int) -> DataSplit:
     """Partition a pool into disjoint train/val/test parts of exact sizes.
@@ -179,16 +189,9 @@ def random_split(pool: TensorDataset, n_train: int, n_val: int, n_test: int,
     split bit-exactly. Leftover samples beyond the requested counts are
     left unused.
     """
-    total = n_train + n_val + n_test
-    if total > pool.n:
-        raise InsufficientData(f"requested {total} samples from a pool of {pool.n}")
-    perm = np.random.default_rng(seed).permutation(pool.n)
-    return DataSplit(
-        train=pool.subset(perm[:n_train]),
-        val=pool.subset(perm[n_train:n_train + n_val]),
-        test=pool.subset(perm[n_train + n_val:total]),
-        seed=seed,
-    )
+    train, val, test = split_indices(pool.n, n_train, n_val, n_test, seed)
+    return DataSplit(train=pool.subset(train), val=pool.subset(val),
+                     test=pool.subset(test), seed=seed)
 
 
 def flatten(ds: TensorDataset) -> np.ndarray:

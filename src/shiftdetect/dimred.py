@@ -150,8 +150,9 @@ def srp_project(model: SrpMatrix, x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class MethodRow:
     """The fitted model a method reads, by name (methods over one model share
-    it) and type, and its transform (model, rows) -> Representation. CLASSIF
-    has no transform: the harness trains and tests it end to end. BBSDH
+    it) and type, and its transform (model, rows) -> Representation. NORED's
+    transform returns the rows themselves, uncopied. CLASSIF has no
+    transform: the harness trains and tests it end to end. BBSDH
     (categorical ids) and CLASSIF (its binomial test) have no multivariate test.
     """
 
@@ -162,7 +163,7 @@ class MethodRow:
 
 
 METHOD_TABLE = {
-    DrKind.NORED: MethodRow(None, object, lambda _, x: Representation(x.copy())),
+    DrKind.NORED: MethodRow(None, object, lambda _, x: Representation(x)),
     DrKind.PCA: MethodRow("pca", PcaModel, lambda m, x: Representation(pca_project(m, x))),
     DrKind.SRP: MethodRow("srp", SrpMatrix, lambda m, x: Representation(srp_project(m, x))),
     DrKind.UAE: MethodRow("uae", nets.Autoencoder, lambda m, x: Representation(nets.encode(m, x))),
@@ -179,8 +180,9 @@ METHOD_TABLE = {
 def reduce(kind: DrKind, fitted, x: np.ndarray) -> Representation:
     """Apply a fitted reducer to a flattened data matrix.
 
-    fitted is the model METHOD_TABLE names for the kind (ignored for NORED);
-    a missing or mistyped one raises NotFitted. CLASSIF has no standalone
+    fitted is the model METHOD_TABLE names for the kind (ignored for NORED,
+    which returns the float64 rows of x uncopied); a missing or mistyped
+    one raises NotFitted. CLASSIF has no standalone
     representation and raises IncompatibleMode.
     """
     kind = DrKind(kind)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nets, shifts
-from .data import DataSplit, TensorDataset, flatten, random_split
+from .data import DataSplit, TensorDataset, flatten, split_indices
 from .dimred import METHOD_TABLE, DrKind, Representation, build_srp, fit_pca, reduce
 from .errors import ConfigInvalid, EmptyResult, NotFound, ShiftDetectError
 from .nets import SoftmaxClassifier, TrainConfig
@@ -88,7 +88,7 @@ class ExperimentConfig:
             raise ConfigInvalid("at least one shift is required")
         sizes = self.sample_sizes
         if (not isinstance(sizes, (list, tuple)) or not sizes
-                or not all(isinstance(s, numbers.Integral) and s >= 1 for s in sizes)):
+                or not all(_is_int(s) and s >= 1 for s in sizes)):
             raise ConfigInvalid(f"sample_sizes must be a non-empty list of integers >= 1, "
                                 f"got {sizes!r}")
         object.__setattr__(self, "sample_sizes", tuple(sizes))
@@ -96,9 +96,9 @@ class ExperimentConfig:
                          ("ae_epochs", 0), ("clf_epochs", 0), ("domain_epochs", 0),
                          ("batch_size", 1), ("domain_batch_size", 1), ("patience", 1),
                          ("latent_dim", 1), ("hidden_dim", 1), ("domain_hidden_dim", 1),
-                         ("runs", 1), ("n_perms", 1)):
+                         ("runs", 1), ("n_perms", 1), ("seed", 0)):
             value = getattr(self, key)
-            if not isinstance(value, numbers.Integral) or value < low:
+            if not _is_int(value) or value < low:
                 raise ConfigInvalid(f"{key} must be an integer >= {low}, got {value!r}")
         for key in ("lr0", "ae_lr0"):
             if not getattr(self, key) > 0:
@@ -130,6 +130,11 @@ class ExperimentConfig:
         return TrainConfig(batch_size=self.domain_batch_size, lr0=self.lr0,
                            momentum=self.momentum, max_epochs=self.domain_epochs,
                            patience=self.patience, seed=seed)
+
+
+def _is_int(value) -> bool:
+    # a JSON true is a numbers.Integral, but no count or seed
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _method_from_entry(entry) -> MethodSpec:
@@ -367,22 +372,24 @@ def run_experiment(dataset: TensorDataset, cfg: ExperimentConfig,
     The training split is fixed once; each run re-splits the remaining pool
     into validation (source) and test (target), applies every shift to the
     test side only, and draws nested subsamples of each requested size from
-    one per-(run, shift) shuffled order. Cells run in a pool of
-    max(1, threads) threads, one (run, shift) block ahead: block k+1 is
-    queued before block k's results are collected, so the pool does not
-    wait at block boundaries while the next shift is applied. Records come
-    back in grid order regardless of threads.
+    one per-(run, shift) shuffled order. The split is held as row indices
+    into dataset: the training rows exist only while the reducers are
+    fitted, and each run gathers its own validation and test rows. Cells
+    run in a pool of max(1, threads) threads, one (run, shift) block ahead:
+    block k+1 is queued before block k's results are collected, so the pool
+    does not wait at block boundaries while the next shift is applied.
+    Records come back in grid order regardless of threads.
     """
     started = time.time()
-    split = random_split(dataset, cfg.n_train, cfg.n_val, cfg.n_test, seed=cfg.seed)
-    fitted = fit_reducers(split.train, cfg)
-    vt_pool = concat_datasets(split.val, split.test)
+    train_idx, val_idx, test_idx = split_indices(dataset.n, cfg.n_train, cfg.n_val,
+                                                 cfg.n_test, seed=cfg.seed)
+    fitted = fit_reducers(dataset.subset(train_idx), cfg)
 
     keyed_records = []
     pool = ThreadPoolExecutor(max_workers=max(1, threads))
     try:
         in_flight = []
-        for block in _grid_blocks(cfg, fitted, vt_pool):
+        for block in _grid_blocks(cfg, fitted, dataset, np.concatenate([val_idx, test_idx])):
             queued = [(key, pool.submit(cell)) for key, cell in block]
             keyed_records.extend((key, future.result()) for key, future in in_flight)
             in_flight = queued
@@ -401,66 +408,77 @@ def run_experiment(dataset: TensorDataset, cfg: ExperimentConfig,
     return ExperimentResult(records=[r for _, r in keyed_records], metadata=metadata)
 
 
-def _grid_blocks(cfg: ExperimentConfig, fitted: FittedReducers, vt_pool: TensorDataset):
+def _grid_blocks(cfg: ExperimentConfig, fitted: FittedReducers, dataset: TensorDataset,
+                 vt_idx: np.ndarray):
     """Yield the [(key, cell), ...] of each (run, shift) block in grid order.
 
-    A block's shift is applied and its representations reduced only when
-    the block is asked for.
+    vt_idx holds the dataset rows of the validation/test pool. Each kind
+    reduces a run's source rows once, and each block's target once; a
+    block's shift is applied and its target reduced only when the block is
+    asked for, and it holds nothing else but what its cells read.
     """
+    kinds = dict.fromkeys(m.kind for m in cfg.methods if m.kind != DrKind.CLASSIF)
     for run in range(cfg.runs):
         perm = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, 21, run])).permutation(vt_pool.n)
-        val_r = vt_pool.subset(perm[:cfg.n_val])
-        test_r = vt_pool.subset(perm[cfg.n_val:cfg.n_val + cfg.n_test])
-        source_flat_full = flatten(val_r)
+            np.random.SeedSequence([cfg.seed, 21, run])).permutation(vt_idx.size)
+        source_flat = flatten(dataset)[vt_idx[perm[:cfg.n_val]]]
+        test_r = dataset.subset(vt_idx[perm[cfg.n_val:cfg.n_val + cfg.n_test]])
+        source_reps = {k: reduce(k, fitted.handle_for(k), source_flat) for k in kinds}
 
         for shift_idx, named in enumerate(cfg.shifts):
             spec = shifts.with_seed(named.spec, _derive_seed(cfg.seed, 31, run, shift_idx))
-            shifted = shifts.apply_shift(spec, test_r, classifier=fitted.models.get("label_clf"))
-            target_flat = flatten(shifted)
+            target_flat = flatten(shifts.apply_shift(
+                spec, test_r, classifier=fitted.models.get("label_clf")))
             src_order = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed, 41, run, shift_idx])
-            ).permutation(source_flat_full.shape[0])
+            ).permutation(source_flat.shape[0])
             tgt_order = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed, 42, run, shift_idx])
             ).permutation(target_flat.shape[0])
-            source_flat = source_flat_full[src_order]
-            target_shuffled = target_flat[tgt_order]
-            n_src, n_tgt = source_flat.shape[0], target_shuffled.shape[0]
+            reps = {k: (_rows(rep, src_order),
+                        _rows(reduce(k, fitted.handle_for(k), target_flat), tgt_order))
+                    for k, rep in source_reps.items()}
+            n_src, n_tgt = source_flat.shape[0], target_flat.shape[0]
 
             block = []
             for midx, method in enumerate(cfg.methods):
-                test = _method_test(cfg, fitted, method, source_flat, target_shuffled,
-                                    run, shift_idx, midx)
+                if method.kind == DrKind.CLASSIF:
+                    test = _domain_test(cfg, source_flat, src_order, target_flat, tgt_order,
+                                        run, shift_idx)
+                else:
+                    test = _rep_test(cfg, method, *reps[method.kind], run, shift_idx, midx)
                 for s in cfg.sample_sizes:
                     key = (shift_idx, midx, s, run)
                     base = dict(shift=named.name, intensity=named.intensity,
                                 delta=named.spec.delta, method=method.kind.value,
                                 mode=method.mode.value, sample_size=s, run=run)
                     block.append((key, _make_cell(base, s, n_src, n_tgt, test)))
+            del target_flat, reps, test  # the cells hold what they read
             yield block
 
 
-def _method_test(cfg, fitted, method, source_flat, target_flat, run, shift_idx, midx):
-    """The method's test on the first s rows of each side, as a function of s.
+def _rows(rep: Representation, order: np.ndarray) -> Representation:
+    return Representation(rep.values[order], rep.arity)
 
-    The domain classifier trains on the flat rows; every other method
-    reduces both sides once here and tests slices of its representations.
-    The test's seeds derive from the cell's grid coordinates.
+
+def _domain_test(cfg, source_flat, src_order, target_flat, tgt_order, run, shift_idx):
+    """The domain classifier on the first s rows of each side's order, as a
+    function of s. It trains on the flat rows; its seeds derive from the
+    cell's grid coordinates.
     """
-    if method.kind == DrKind.CLASSIF:
-        def test(s):
-            return run_domain_classifier_test(
-                source_flat[:s], target_flat[:s],
-                cfg.domain_train_config(_derive_seed(cfg.seed, 51, run, shift_idx, s)),
-                alpha=cfg.alpha, seed=_derive_seed(cfg.seed, 52, run, shift_idx, s),
-                hidden_dims=(cfg.domain_hidden_dim,)).outcome
-        return test
+    def test(s):
+        return run_domain_classifier_test(
+            source_flat[src_order[:s]], target_flat[tgt_order[:s]],
+            cfg.domain_train_config(_derive_seed(cfg.seed, 51, run, shift_idx, s)),
+            alpha=cfg.alpha, seed=_derive_seed(cfg.seed, 52, run, shift_idx, s),
+            hidden_dims=(cfg.domain_hidden_dim,)).outcome
+    return test
 
-    handle = fitted.handle_for(method.kind)
-    rep_src = reduce(method.kind, handle, source_flat)
-    rep_tgt = reduce(method.kind, handle, target_flat)
 
+def _rep_test(cfg, method, rep_src, rep_tgt, run, shift_idx, midx):
+    """The method's test on the first s rows of each shuffled representation,
+    as a function of s; its seed derives from the cell's grid coordinates.
+    """
     def test(s):
         return dispatch_test(
             Representation(rep_src.values[:s], rep_src.arity),

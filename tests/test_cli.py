@@ -333,7 +333,8 @@ def test_bench_bad_config_exit_65(tmp_path):
     ("n_perms", 0), ("n_perms", 100.0), ("runs", 0), ("runs", 1.5),
     ("n_train", 10.5), ("n_train", -3), ("n_train", 0), ("n_val", -1), ("n_test", 2.5),
     ("sample_sizes", [10.5]), ("sample_sizes", []), ("sample_sizes", [10, 0]),
-    ("sample_sizes", 10),
+    ("sample_sizes", 10), ("sample_sizes", [True]),
+    ("seed", 2.5), ("seed", "3"), ("seed", -1), ("seed", True), ("runs", True),
 ])
 def test_bench_bad_training_setting_exit_65_before_corpus(tmp_path, monkeypatch, capsys,
                                                          key, value):

@@ -1,10 +1,18 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import threading
+import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shiftdetect
 from shiftdetect import digits, harness, nets, shifts
 from shiftdetect.data import TensorDataset
 from shiftdetect.dimred import DrKind
@@ -130,29 +138,82 @@ def test_failing_cell_raises_and_shuts_the_pool_down(small_corpus, monkeypatch):
         pool.submit(print)  # a shut-down pool takes no new work
 
 
+def test_grid_reduces_each_side_once_per_kind(small_corpus, monkeypatch):
+    # a run's source rows once per kind, and each block's target once per
+    # kind: both modes of pca share one reduction, classif reduces nothing
+    reduce = harness.reduce
+    calls = []
+
+    def counting_reduce(kind, fitted, x):
+        calls.append(DrKind(kind))
+        return reduce(kind, fitted, x)
+
+    monkeypatch.setattr(harness, "reduce", counting_reduce)
+    cfg = _small_config(methods=(MethodSpec(DrKind.NORED), MethodSpec(DrKind.PCA),
+                                 MethodSpec(DrKind.PCA, TestMode.MULTIVARIATE),
+                                 MethodSpec(DrKind.BBSDS), MethodSpec(DrKind.BBSDH),
+                                 MethodSpec(DrKind.CLASSIF)),
+                        sample_sizes=(10,))
+    run_experiment(small_corpus, cfg)
+    per_kind = cfg.runs + cfg.runs * len(cfg.shifts)
+    kinds = (DrKind.NORED, DrKind.PCA, DrKind.BBSDS, DrKind.BBSDH)
+    assert Counter(calls) == {kind: per_kind for kind in kinds}
+
+
+def test_training_rows_are_freed_before_the_first_cell(small_corpus, monkeypatch):
+    fit, dispatch = harness.fit_reducers, harness.dispatch_test
+    train_images, alive_in_cells = [], []
+
+    def watched_fit(train, cfg):
+        train_images.append(weakref.ref(train.images))
+        return fit(train, cfg)
+
+    def watching_dispatch(*args, **kwargs):
+        alive_in_cells.append(train_images[0]() is not None)
+        return dispatch(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "fit_reducers", watched_fit)
+    monkeypatch.setattr(harness, "dispatch_test", watching_dispatch)
+    cfg = _small_config(methods=tuple(MethodSpec(k) for k in DrKind), sample_sizes=(10,),
+                        runs=1)
+    run_experiment(small_corpus, cfg)
+    assert alive_in_cells and not any(alive_in_cells)
+
+
 # records.csv of a tiny grid over all eight kinds, (pca, multivariate) and an
 # adversarial shift, with sizes that hit both skip reasons; the hash pins the
 # bytes a refactor of the method dispatch must keep
-GOLDEN_RECORDS_SHA256 = "a5568cd0965b93a29afb43a1d41835435a57ad8afcb3a46526f9712e0bd1da45"
+GOLDEN_CONFIG = {
+    "dataset": {"kind": "synthetic", "seed": 3},
+    "methods": [k.value for k in DrKind] + [["pca", "multivariate"]],
+    "shifts": [{"preset": "no_shift", "name": "no_shift", "intensity": "none"},
+               {"preset": "adv_shift", "delta": 0.5, "name": "adv", "intensity": "medium"}],
+    "n_train": 200, "n_val": 60, "n_test": 60, "sample_sizes": [2, 20, 100], "runs": 1,
+    "latent_dim": 4, "hidden_dim": 16, "domain_hidden_dim": 4,
+    "ae_epochs": 2, "clf_epochs": 2, "domain_epochs": 2, "n_perms": 50, "seed": 3,
+}
+GOLDEN_RECORDS_SHA256 = "6c50e93e56e0c0cb442f6d11bcc4443279eaa7da93a6fad2c8d16dc2cf11e0bb"
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_golden_records_all_kinds(tmp_path, threads):
-    cfg = ExperimentConfig(
-        methods=tuple(MethodSpec(k) for k in DrKind)
-        + (MethodSpec(DrKind.PCA, TestMode.MULTIVARIATE),),
-        shifts=(NamedShift("no_shift", shifts.preset("no_shift"), "none"),
-                NamedShift("adv", shifts.preset("adv_shift", 0.5), "medium")),
-        n_train=200, n_val=60, n_test=60, sample_sizes=(2, 20, 100), runs=1,
-        latent_dim=4, hidden_dim=16, domain_hidden_dim=4,
-        ae_epochs=2, clf_epochs=2, domain_epochs=2, n_perms=50, seed=3)
-    result = run_experiment(digits.make_digits(320, seed=3), cfg, threads=threads)
+    # fit_pca's eigensolver moves its last bits with the BLAS thread count, so
+    # the grid runs in a child process held at one BLAS thread
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    package_root = str(Path(shiftdetect.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    config_path, out = tmp_path / "config.json", tmp_path / "out"
+    config_path.write_text(json.dumps(GOLDEN_CONFIG))
+    subprocess.run([sys.executable, "-m", "shiftdetect.cli", "bench", "--config",
+                    str(config_path), "--out", str(out), "--threads", str(threads)],
+                   env=env, check=True, capture_output=True)
+    result = read_records_csv(out / "records.csv")
     reasons = {r.reason for r in result.records if r.status == "skipped"}
     assert reasons == {"fewer than 2 samples per half",
                        "insufficient samples (source 60, target 60)"}
-    path = tmp_path / "records.csv"
-    write_records_csv(result, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_RECORDS_SHA256
+    assert hashlib.sha256((out / "records.csv").read_bytes()).hexdigest() == \
+        GOLDEN_RECORDS_SHA256
 
 
 def test_multivariate_cells_capped_not_errored():
