@@ -191,8 +191,15 @@ def _dataset_from_config(doc: dict, cfg: ExperimentConfig) -> TensorDataset:
         raise ConfigInvalid("config needs a 'dataset' object")
     kind = ds_cfg.get("kind", "synthetic")
     if kind == "synthetic":
-        n_pool = int(ds_cfg.get("n_pool", cfg.n_train + cfg.n_val + cfg.n_test))
-        return digits.make_digits(n_pool, seed=int(ds_cfg.get("seed", cfg.seed)))
+        # checked here, before the corpus is built
+        need = cfg.n_train + cfg.n_val + cfg.n_test
+        seed, n_pool = ds_cfg.get("seed", cfg.seed), ds_cfg.get("n_pool", need)
+        if not harness._is_int(seed) or seed < 0:
+            raise ConfigInvalid(f"dataset.seed must be an integer >= 0, got {seed!r}")
+        if not harness._is_int(n_pool) or n_pool < need:
+            raise ConfigInvalid(f"dataset.n_pool must be an integer >= n_train + n_val + "
+                                f"n_test = {need}, got {n_pool!r}")
+        return digits.make_digits(n_pool, seed=seed)
     if kind == "idx":
         return _read_dataset(ds_cfg["images"], ds_cfg["labels"])
     if kind == "csv":

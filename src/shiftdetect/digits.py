@@ -8,6 +8,8 @@ geometry (28x28x1, 10 classes) without bundling or downloading anything.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .data import DataSplit, TensorDataset
@@ -75,28 +77,47 @@ def make_digits(n: int, seed: int = 0, size: int = IMAGE_SIZE,
     rotation_offsets adds a systematic per-class rotation bias on top of
     the random jitter, which is how a deliberately non-iid subpopulation
     can be produced (all other style draws stay identically distributed).
-    Images are rendered and transformed in batches; the random draws keep
-    their per-image order, so the output does not depend on the batch size.
+    Its keys must be class ids 0-9, and noise_sigma must be >= 0; anything
+    else raises ValueError.
+
+    Draw order: the n labels, then per image its six style uniforms (stroke
+    radius, brightness, rotation, x and y translation, zoom) followed by its
+    size * size standard normals. Style is low + span * U and the noise
+    sigma * Z + 0.0, the formulas of Generator.uniform and Generator.normal,
+    so the bits equal those of per-image uniform and normal calls. Images
+    are rendered and transformed in batches (affine_transform_images, whose
+    out-of-image corners read 0.0 times the nearest edge pixel); the output
+    does not depend on the batch size.
     """
-    rotation_offsets = rotation_offsets or {}
+    offsets = np.zeros(10)
+    for label, degrees in (rotation_offsets or {}).items():
+        if (not isinstance(label, numbers.Integral) or isinstance(label, bool)
+                or not 0 <= label < 10):
+            raise ValueError(f"rotation_offsets keys must be class ids 0-9, got {label!r}")
+        offsets[label] = degrees
+    if not noise_sigma >= 0:
+        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 10, size=n)
     images = np.empty((n, size, size, 1))
     table = _segment_distances(size)
+    uniforms = np.empty((BATCH_IMAGES, 6))
+    normals = np.empty((BATCH_IMAGES, size, size, 1))
     for start in range(0, n, BATCH_IMAGES):
         stop = min(start + BATCH_IMAGES, n)
-        style = np.empty((stop - start, 6))
-        for j, i in enumerate(range(start, stop)):
-            # Generator.uniform's own formula, low + (high - low) * U, without
-            # its per-call argument checks; the same bits as six uniform calls
-            style[j] = _STYLE_LOW + _STYLE_SPAN * rng.random(6)
-            style[j, 2] += rotation_offsets.get(int(labels[i]), 0.0)
-            # the noise is drawn here to keep the draw order; it is added below
-            images[i] = rng.normal(0.0, noise_sigma, size=(size, size, 1))
+        count = stop - start
+        for j in range(count):
+            rng.random(out=uniforms[j])
+            rng.standard_normal(out=normals[j])
+        style = _STYLE_LOW + _STYLE_SPAN * uniforms[:count]
+        style[:, 2] += offsets[labels[start:stop]]
+        noise = noise_sigma * normals[:count]
+        noise += 0.0  # as loc + scale * Z in Generator.normal: -0.0 becomes 0.0
         base = _render_batch(table, labels[start:stop], style[:, 0], style[:, 1])
         jittered = affine_transform_images(base[..., None], style[:, 2],
                                            style[:, 3:5], style[:, 5])
-        images[start:stop] = np.clip(jittered + images[start:stop], 0.0, 1.0)
+        jittered += noise
+        np.clip(jittered, 0.0, 1.0, out=images[start:stop])
     return TensorDataset(images, labels, 10)
 
 

@@ -11,6 +11,7 @@ the input gradient; each in-place operation rounds as the expression it replaces
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,34 +151,51 @@ def forward(net: NetParams, x: np.ndarray) -> np.ndarray:
     return a
 
 
+def _packed(arrays) -> tuple[np.ndarray, list]:
+    """One flat, uninitialised array, and views of it shaped like `arrays`."""
+    flat = np.empty(sum(a.size for a in arrays))
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return flat, views
+
+
 class _StepBuffers:
     """Arrays a backprop step writes into, for up to `rows` rows. One per
-    training run, never shared: domain classifiers train concurrently."""
+    training run, never shared: domain classifiers train concurrently.
+    grads_w and grads_b are views of the one array grads, laid out as
+    weights then biases."""
 
     def __init__(self, net: NetParams, rows: int):
         self.batch = np.empty((rows, net.in_dim))
+        self.rows = np.arange(rows)
         self.post = [np.empty((rows, w.shape[1])) for w in net.weights]
         self.delta = [np.empty((rows, w.shape[1])) for w in net.weights]
-        self.grads_w = [np.empty_like(w) for w in net.weights]
-        self.grads_b = [np.empty_like(b) for b in net.biases]
+        self.grads, grads = _packed(net.weights + net.biases)
+        self.grads_w, self.grads_b = grads[:net.n_layers], grads[net.n_layers:]
 
 
-def _loss_and_delta(loss: str, output: np.ndarray, target, out=None) -> tuple[float, np.ndarray]:
+def _loss_and_delta(loss: str, output: np.ndarray, target, out=None,
+                    rows=None) -> tuple[float, np.ndarray]:
+    """Mean loss and its gradient w.r.t. output. rows, when given, starts
+    with np.arange(batch). The reductions round as np.max/sum/mean do."""
     batch = output.shape[0]
     if loss == "mse":
         residual = np.subtract(output, target, out=out)
-        value = float(np.mean(residual * residual))
+        value = float(np.add.reduce(residual * residual, axis=None)) / residual.size
         residual *= 2.0
         residual /= residual.size
         return value, residual
     if loss == "softmax_ce":
         labels = np.asarray(target, dtype=np.int64)
-        shift = output - output.max(axis=1, keepdims=True)
-        log_norm = np.log(np.sum(np.exp(shift), axis=1, keepdims=True))
+        rows = np.arange(batch) if rows is None else rows[:batch]
+        shift = output - np.maximum.reduce(output, axis=1, keepdims=True)
+        log_norm = np.log(np.add.reduce(np.exp(shift), axis=1, keepdims=True))
         log_probs = shift - log_norm
-        value = float(-np.mean(log_probs[np.arange(batch), labels]))
+        value = -(float(np.add.reduce(log_probs[rows, labels])) / batch)
         delta = np.exp(log_probs, out=out)
-        delta[np.arange(batch), labels] -= 1.0
+        delta[rows, labels] -= 1.0
         delta /= batch
         return value, delta
     raise ValueError(f"unknown loss {loss!r}")
@@ -197,11 +215,12 @@ def loss_and_gradients(net: NetParams, x: np.ndarray, target, loss: str,
     post = [x]
     for w, b, tag, out in zip(net.weights, net.biases, net.activations, buffers.post):
         post.append(_dense(post[-1], w, b, tag, out[:rows]))
-    value, delta = _loss_and_delta(loss, post[-1], target, out=buffers.delta[-1][:rows])
+    value, delta = _loss_and_delta(loss, post[-1], target, out=buffers.delta[-1][:rows],
+                                   rows=buffers.rows)
     for layer in range(net.n_layers - 1, -1, -1):
         _backprop_activation(net.activations[layer], delta, post[layer + 1])
         np.matmul(post[layer].T, delta, out=buffers.grads_w[layer])
-        np.sum(delta, axis=0, out=buffers.grads_b[layer])
+        np.add.reduce(delta, axis=0, out=buffers.grads_b[layer])
         if layer:
             delta = np.matmul(delta, net.weights[layer].T, out=buffers.delta[layer - 1][:rows])
     grad_x = delta @ net.weights[0].T if input_grad else None
@@ -252,14 +271,21 @@ def _sgd(net: NetParams, x: np.ndarray, target, loss: str, score_fn, cfg: TrainC
     after every epoch. Returns (snapshot, epoch) for the best (strictly
     smallest) score, so the result is never worse than the best epoch seen;
     epoch 0 is the initial net. A step updates `net` in place with v *= m;
-    g *= lr; v -= g; p += v, which rounds as v = m*v - lr*g.
+    g *= lr; v -= g; p += v, which rounds as v = m*v - lr*g. To make that
+    four numpy calls per step, `net`'s weights and biases are first moved
+    into one flat array, laid out as the gradients are, and `net` holds
+    views of it from then on.
     """
     autoencode = target is x
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-    params = net.weights + net.biases
-    velocity = [np.zeros_like(p) for p in params]
+    params, views = _packed(net.weights + net.biases)
+    for view, p in zip(views, net.weights + net.biases):
+        view[...] = p
+    net.weights[:], net.biases[:] = views[:net.n_layers], views[net.n_layers:]
+    velocity = np.zeros_like(params)
     buffers = _StepBuffers(net, min(n, cfg.batch_size))
+    grads = buffers.grads
 
     best, best_epoch = net.copy(), 0
     best_score = score_fn(net)
@@ -270,16 +296,15 @@ def _sgd(net: NetParams, x: np.ndarray, target, loss: str, score_fn, cfg: TrainC
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             batch = np.take(x, idx, axis=0, out=buffers.batch[:idx.size], mode="clip")
-            value, grads_w, grads_b, _ = loss_and_gradients(
+            value, _, _, _ = loss_and_gradients(
                 net, batch, batch if autoencode else target[idx], loss,
                 input_grad=False, buffers=buffers)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise Diverged(f"non-finite loss at epoch {epoch}")
-            for v, g, p in zip(velocity, grads_w + grads_b, params):
-                v *= cfg.momentum
-                g *= lr
-                v -= g
-                p += v
+            velocity *= cfg.momentum
+            grads *= lr
+            velocity -= grads
+            params += velocity
         score = score_fn(net)
         if not np.isfinite(score):
             raise Diverged(f"non-finite validation score at epoch {epoch}")

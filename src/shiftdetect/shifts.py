@@ -125,46 +125,76 @@ def affine_transform_images(images: np.ndarray, angle_deg, trans_frac,
 
     angle_deg and zoom hold one value per image, trans_frac one (x, y) pair
     per image; the conventions are those of affine_transform_image, and each
-    output image is bit-identical to that function's result on its own.
+    output image is bit-identical to that function's result on its own. A
+    non-finite angle or translation, or a zoom that is not a finite value
+    > 0, raises ValueError.
+
+    Border rule: a corner outside the image reads its nearest edge pixel
+    times 0.0 (so -0.0 or NaN where that pixel is negative or NaN), and an
+    inside corner reads its pixel. The corners are read from a copy of the
+    batch with a 2-pixel border of such cells: a floored source coordinate
+    clipped into [-2, h] x [-2, w] leaves every pair of neighbours that
+    touches the image where it was and moves a pair that lies wholly outside
+    into the border.
     """
     images = np.asarray(images)
     n, h, w, c = images.shape
     angle_deg = np.asarray(angle_deg, dtype=np.float64).reshape(n)
     trans = np.asarray(trans_frac, dtype=np.float64).reshape(n, 2)
     zoom = np.asarray(zoom, dtype=np.float64).reshape(n, 1, 1)
+    if not (np.isfinite(angle_deg).all() and np.isfinite(trans).all()
+            and np.isfinite(zoom).all() and (zoom > 0).all()):
+        raise ValueError("affine poses need a finite angle and translation "
+                         "and a finite zoom > 0")
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    dx = xs - cx - (trans[:, 0] * w)[:, None, None]
-    dy = ys - cy - (trans[:, 1] * w)[:, None, None]
+    # (n, 1, w) and (n, h, 1): the same values as the full (n, h, w) grids
+    dx = (np.arange(w, dtype=np.float64) - cx) - (trans[:, 0] * w)[:, None, None]
+    dy = (np.arange(h, dtype=np.float64)[:, None] - cy) - (trans[:, 1] * w)[:, None, None]
     # math.cos/sin per image: np.cos may differ from them in the last bit
     theta = [math.radians(a) for a in angle_deg]
     cos_t = np.array([math.cos(t) for t in theta]).reshape(n, 1, 1)
     sin_t = np.array([math.sin(t) for t in theta]).reshape(n, 1, 1)
-    src_x = (cos_t * dx + sin_t * dy) / zoom + cx
-    src_y = (-sin_t * dx + cos_t * dy) / zoom + cy
+    src_x = cos_t * dx + sin_t * dy
+    src_x /= zoom
+    src_x += cx
+    src_y = -sin_t * dx + cos_t * dy
+    src_y /= zoom
+    src_y += cy
 
     x0 = np.floor(src_x).astype(np.int64)
     y0 = np.floor(src_y).astype(np.int64)
-    fx = (src_x - x0)[..., None]
-    fy = (src_y - y0)[..., None]
-    # pixels are gathered by flat index; per axis, both neighbours' clipped
-    # offset and in-range mask are computed once for the four corners
-    pixels = images.reshape(n * h * w, c)
-    first_row = (np.arange(n) * h)[:, None, None]
-    rows = [(first_row + np.clip(yi, 0, h - 1)) * w for yi in (y0, y0 + 1)]
-    cols = [np.clip(xi, 0, w - 1) for xi in (x0, x0 + 1)]
-    row_ok = [(yi >= 0) & (yi < h) for yi in (y0, y0 + 1)]
-    col_ok = [(xi >= 0) & (xi < w) for xi in (x0, x0 + 1)]
+    fx = src_x - x0
+    fy = src_y - y0
+    # channels first, so the (n, h, w) weights broadcast over whole images;
+    # the border bands are filled from the edge rows, then the edge columns
+    hp, wp = h + 4, w + 4
+    padded = np.empty((c, n, hp, wp))
+    padded[:, :, 2:-2, 2:-2] = images.transpose(3, 0, 1, 2)
+    np.multiply(padded[:, :, 2:3, 2:-2], 0.0, out=padded[:, :, :2, 2:-2])
+    np.multiply(padded[:, :, -3:-2, 2:-2], 0.0, out=padded[:, :, -2:, 2:-2])
+    np.multiply(padded[:, :, :, 2:3], 0.0, out=padded[:, :, :, :2])
+    np.multiply(padded[:, :, :, -3:-2], 0.0, out=padded[:, :, :, -2:])
+    pixels = padded.reshape(c, n * hp * wp)
+    # flat index of each top-left corner in padded
+    base = np.clip(y0, -2, h, out=y0)
+    base *= wp
+    base += np.clip(x0, -2, w, out=x0)
+    base += (np.arange(n) * (hp * wp) + 2 * wp + 2)[:, None, None]
 
-    def corner(i, j):
-        return pixels[rows[i] + cols[j]] * (row_ok[i] & col_ok[j])[..., None]
+    def corner(offset, weight):
+        # weight * pixels[:, base + offset]; a weight times a pixel rounds
+        # as the pixel times the weight
+        value = pixels[:, offset:].take(base, axis=1)
+        value *= weight
+        return value
 
-    out = ((1 - fy) * (1 - fx) * corner(0, 0)
-           + (1 - fy) * fx * corner(0, 1)
-           + fy * (1 - fx) * corner(1, 0)
-           + fy * fx * corner(1, 1))
-    return np.clip(out, 0.0, 1.0)
+    gy, gx = 1 - fy, 1 - fx
+    out = corner(0, gy * gx)
+    out += corner(1, gy * fx)
+    out += corner(wp, fy * gx)
+    out += corner(wp + 1, fy * fx)
+    np.clip(out, 0.0, 1.0, out=out)
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
 def affine_transform_image(image: np.ndarray, angle_deg: float = 0.0,

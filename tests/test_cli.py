@@ -349,6 +349,25 @@ def test_bench_bad_training_setting_exit_65_before_corpus(tmp_path, monkeypatch,
     assert f"error: {key} must be" in capsys.readouterr().err
 
 
+# BENCH_CONFIG takes n_train + n_val + n_test = 490 rows
+@pytest.mark.parametrize("key, value", [
+    ("seed", 2.5), ("seed", "3"), ("seed", True), ("seed", -1),
+    ("n_pool", 600.7), ("n_pool", "600"), ("n_pool", True), ("n_pool", 489),
+])
+def test_bench_bad_synthetic_dataset_exit_65_before_corpus(tmp_path, monkeypatch, capsys,
+                                                          key, value):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("corpus built before the dataset object was checked")
+
+    monkeypatch.setattr("shiftdetect.digits.make_digits", no_corpus)
+    cfg_path = tmp_path / "config.json"
+    dataset = dict(BENCH_CONFIG["dataset"], **{key: value})
+    cfg_path.write_text(json.dumps(dict(BENCH_CONFIG, dataset=dataset)))
+    code = main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 65
+    assert f"error: dataset.{key} must be" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["bbsdh", "classif"])
 def test_bench_refuses_multivariate_for_a_univariate_method(tmp_path, monkeypatch, capsys,
                                                             kind):

@@ -42,6 +42,21 @@ def test_rotation_offset_changes_one_class_only():
     assert np.array_equal(base.images[~sixes], skew.images[~sixes])
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"rotation_offsets": {12: 5.0}}, {"rotation_offsets": {"6": 5.0}},
+    {"rotation_offsets": {True: 5.0}}, {"rotation_offsets": {-1: 5.0}},
+    {"noise_sigma": -0.01}, {"noise_sigma": float("nan")},
+])
+def test_make_digits_refuses_bad_arguments(kwargs):
+    with pytest.raises(ValueError):
+        digits.make_digits(5, seed=0, **kwargs)
+
+
+def test_benchmark_split_refuses_a_skewed_class_that_does_not_exist():
+    with pytest.raises(ValueError, match="class ids 0-9"):
+        digits.make_benchmark_split(10, 5, 5, seed=0, skewed_class=10)
+
+
 def test_benchmark_split_sizes():
     split = digits.make_benchmark_split(100, 30, 40, seed=2, skewed_class=6)
     assert (split.train.n, split.val.n, split.test.n) == (100, 30, 40)
@@ -66,7 +81,11 @@ def _sha256(array, dtype) -> str:
     (600, 5, 28, {6: 20.0},
      "99ffcc676132f470374206be65e63a31b3a3cc280122a9ed67aaa1b23771f50f",
      "1b19bf474198a753da5c0352fe0ed5a973afd899bcad4fd9a09e2bb8afb4e909"),
-], ids=["empty", "size16", "n700", "rotated-sixes"])
+    # n not a multiple of shifts.BATCH_IMAGES, several offsets, one negative
+    (77, 3, 28, {1: -5.0, 6: 20.0, 9: 3.5},
+     "ff8c85a72385ef494338f6ea144752200a75545fe9ea31a88bc651f5bf32cc85",
+     "4e315c403adec76fe377f32bd648997e278ba7250eee253e636b7bed6aba36b6"),
+], ids=["empty", "size16", "n700", "rotated-sixes", "n77-three-offsets"])
 def test_make_digits_golden_bytes(n, seed, size, offsets, images_sha, labels_sha):
     ds = digits.make_digits(n, seed=seed, size=size, rotation_offsets=offsets)
     assert ds.images.shape == (n, size, size, 1)

@@ -133,10 +133,14 @@ def _affine_reference(image, angle_deg, trans_frac, zoom):
 def _affine_batch(draw):
     n, h = draw(st.integers(1, 5)), draw(st.integers(1, 12))
     w = draw(st.integers(1, 12).filter(lambda v: v != h))
-    c = draw(st.sampled_from([1, 2]))
-    images = draw(hnp.arrays(np.float64, (n, h, w, c), elements=st.floats(0.0, 1.0)))
-    poses = draw(st.lists(st.tuples(st.floats(-180.0, 180.0), st.floats(-0.5, 0.5),
-                                    st.floats(-0.5, 0.5), st.floats(0.5, 2.0)),
+    c = draw(st.sampled_from([1, 2, 3]))
+    # -0.0 pixels pin the border rule: a corner outside the image reads its
+    # nearest edge pixel times 0.0, which is -0.0 there and not 0.0
+    pixels = st.one_of(st.just(-0.0), st.floats(0.0, 1.0))
+    images = draw(hnp.arrays(np.float64, (n, h, w, c), elements=pixels))
+    # translations of up to 4 widths and zooms down to 0.1 read far outside
+    poses = draw(st.lists(st.tuples(st.floats(-180.0, 180.0), st.floats(-4.0, 4.0),
+                                    st.floats(-4.0, 4.0), st.floats(0.1, 2.0)),
                           min_size=n, max_size=n))
     return images, poses
 
@@ -151,6 +155,15 @@ def test_affine_batch_equals_single_image_calls(batch):
         single = affine_transform_image(images[i], angle, (x, y), zoom)
         assert out[i].tobytes() == single.tobytes()
         assert single.tobytes() == _affine_reference(images[i], angle, (x, y), zoom).tobytes()
+
+
+@pytest.mark.parametrize("angle, trans, zoom", [
+    (0.0, (0.0, 0.0), 0.0), (0.0, (0.0, 0.0), -1.0), (float("nan"), (0.0, 0.0), 1.0),
+    (0.0, (float("inf"), 0.0), 1.0), (0.0, (0.0, 0.0), float("inf")),
+])
+def test_affine_refuses_a_degenerate_pose(angle, trans, zoom):
+    with pytest.raises(ValueError, match="finite"):
+        affine_transform_image(np.ones((4, 4, 1)), angle, trans, zoom)
 
 
 def test_image_shift_zero_params_identity():
