@@ -28,7 +28,7 @@ from .data import TensorDataset, flatten, load_csv, load_idx, write_csv, write_i
 from .dimred import DrKind, load_model, reduce
 from .errors import ConfigInvalid, ShiftDetectError
 from .harness import ExperimentConfig, MethodSpec, NamedShift
-from .stattest import TestMode, dispatch_test
+from .stattest import TestMode
 
 EXIT_SHIFT_DETECTED = 3
 EXIT_USAGE = 64
@@ -117,13 +117,6 @@ def _one_shot_config(args, source: TensorDataset, method: MethodSpec,
         lr0=args.lr0, patience=args.patience, **reducer_settings)
 
 
-def _domain_check(cfg: ExperimentConfig, source: TensorDataset,
-                  target: TensorDataset) -> harness.DomainCheck:
-    return harness.run_domain_classifier_test(
-        flatten(source), flatten(target), cfg.domain_train_config(cfg.seed),
-        alpha=cfg.alpha, seed=cfg.seed, hidden_dims=(cfg.domain_hidden_dim,))
-
-
 def cmd_detect(args) -> int:
     method = MethodSpec(DrKind(args.method), TestMode(args.mode))  # refuses a bad pair
     kind, mode = method.kind, method.mode
@@ -133,19 +126,15 @@ def cmd_detect(args) -> int:
     # defined on small samples
     k = min(args.latent_dim, max(1, min(source.n - 1, math.prod(source.image_shape))))
     cfg = _one_shot_config(args, source, method, latent_dim=k, ae_lr0=args.ae_lr0)
+    handle = harness.fit_reducers(source, cfg).handle_for(kind)
     fit_info = {}
-    if kind == DrKind.CLASSIF:
-        outcome = _domain_check(cfg, source, target).outcome
-    else:
-        handle = harness.fit_reducers(source, cfg).handle_for(kind)
-        if isinstance(handle, nets.SoftmaxClassifier):
-            fit_info["classifier_best_epoch"] = handle.best_epoch
-            if handle.best_epoch == 0:
-                _log("warning: the label classifier never beat its initial net on the "
-                     "held-out rows; its outputs are constant, so BBSD cannot see a shift")
-        outcome = dispatch_test(reduce(kind, handle, flatten(source)),
-                                reduce(kind, handle, flatten(target)), kind, mode,
-                                alpha=args.alpha, seed=args.seed)
+    if isinstance(handle, nets.SoftmaxClassifier):
+        fit_info["classifier_best_epoch"] = handle.best_epoch
+        if handle.best_epoch == 0:
+            _log("warning: the label classifier never beat its initial net on the "
+                 "held-out rows; its outputs are constant, so BBSD cannot see a shift")
+    outcome = harness.check(cfg, method, reduce(kind, handle, flatten(source)),
+                            reduce(kind, handle, flatten(target)), seed=cfg.seed)
     payload = _outcome_payload(outcome)
     payload.update(method=kind.value, mode=mode.value,
                    n_source=source.n, n_target=target.n, **fit_info)
@@ -232,7 +221,9 @@ def cmd_bench(args) -> int:
          f"{len(cfg.sample_sizes)} sizes x {cfg.runs} runs")
     result = harness.run_experiment(dataset, cfg, threads=args.threads)
     harness.write_records_csv(result, outdir / "records.csv")
-    artifacts = ["records.csv"] + _write_tables(result, outdir)
+    skipped = Counter(r.reason for r in result.records if r.status == "skipped")
+    usable = len(result.records) > skipped.total()
+    artifacts = ["records.csv"] + (_write_tables(result, outdir) if usable else [])
 
     manifest = {
         "config_path": str(args.config),
@@ -243,12 +234,15 @@ def cmd_bench(args) -> int:
         "threads": args.threads,
         "artifacts": artifacts,
         "n_records": len(result.records),
-        "skipped_by_reason": dict(Counter(
-            r.reason for r in result.records if r.status == "skipped")),
+        "skipped_by_reason": dict(skipped),
         "elapsed_seconds": result.metadata.get("elapsed_seconds"),
     }
     with open(outdir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
+    if not usable:
+        _log("error: no usable records; every cell was skipped: "
+             + "; ".join(f"{reason} ({n} cells)" for reason, n in skipped.items()))
+        return EXIT_DATA
     _emit({"outdir": str(outdir), "n_records": len(result.records),
            "artifacts": artifacts + ["manifest.json"]})
     return 0
@@ -268,8 +262,8 @@ def cmd_exemplars(args) -> int:
         print(f"error: k={args.k} exceeds held-out target size {n_heldout_target}",
               file=sys.stderr)
         return EXIT_USAGE
-    check = _domain_check(_one_shot_config(args, source, MethodSpec(DrKind.CLASSIF)),
-                          source, target)
+    check = harness.domain_check(_one_shot_config(args, source, MethodSpec(DrKind.CLASSIF)),
+                                 flatten(source), flatten(target), seed=args.seed)
     report = harness.top_exemplars(check.clf, check.heldout_target, args.k,
                                    check.outcome.p_value, alpha=args.alpha)
     outdir = Path(args.out)

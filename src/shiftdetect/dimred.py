@@ -2,8 +2,8 @@
 
 Eight reduction methods are supported: identity (no reduction), PCA, sparse
 random projection, untrained and trained autoencoders, the soft and hard
-outputs of a label classifier, and (end-to-end, in the harness) a domain
-classifier, each one row of METHOD_TABLE. All reducers are fitted on
+outputs of a label classifier, and a domain classifier (which reads the
+rows themselves), each one row of METHOD_TABLE. All reducers are fitted on
 training data only and are frozen afterwards: reducing the same matrix
 twice yields bit-identical output. save_model and load_model write and read
 every model type METHOD_TABLE names, in one file format.
@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from . import nets
-from .errors import BadK, DimensionMismatch, IncompatibleMode, NotFitted
+from .errors import BadK, DimensionMismatch, NotFitted
 
 class DrKind(str, Enum):
     NORED = "nored"
@@ -150,20 +150,25 @@ def srp_project(model: SrpMatrix, x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class MethodRow:
     """The fitted model a method reads, by name (methods over one model share
-    it) and type, and its transform (model, rows) -> Representation. NORED's
-    transform returns the rows themselves, uncopied. CLASSIF has no
-    transform: the harness trains and tests it end to end. BBSDH
-    (categorical ids) and CLASSIF (its binomial test) have no multivariate test.
+    it) and type, and its transform (model, rows) -> Representation. NORED
+    and CLASSIF read no model, and their transform returns the rows
+    themselves, uncopied: CLASSIF's test trains the domain classifier on
+    them (harness.check). BBSDH (categorical ids) and CLASSIF (its binomial
+    test) have no multivariate test.
     """
 
     model: str | None
     model_type: type
-    transform: Callable[[object, np.ndarray], Representation] | None
+    transform: Callable[[object, np.ndarray], Representation]
     multivariate: bool = True
 
 
+def _identity(_, x: np.ndarray) -> Representation:
+    return Representation(x)
+
+
 METHOD_TABLE = {
-    DrKind.NORED: MethodRow(None, object, lambda _, x: Representation(x)),
+    DrKind.NORED: MethodRow(None, object, _identity),
     DrKind.PCA: MethodRow("pca", PcaModel, lambda m, x: Representation(pca_project(m, x))),
     DrKind.SRP: MethodRow("srp", SrpMatrix, lambda m, x: Representation(srp_project(m, x))),
     DrKind.UAE: MethodRow("uae", nets.Autoencoder, lambda m, x: Representation(nets.encode(m, x))),
@@ -173,22 +178,19 @@ METHOD_TABLE = {
     DrKind.BBSDH: MethodRow("label_clf", nets.SoftmaxClassifier,
                             lambda m, x: Representation(nets.hard_predictions(m, x),
                                                         m.num_classes), multivariate=False),
-    DrKind.CLASSIF: MethodRow(None, object, None, multivariate=False),
+    DrKind.CLASSIF: MethodRow(None, object, _identity, multivariate=False),
 }
 
 
 def reduce(kind: DrKind, fitted, x: np.ndarray) -> Representation:
     """Apply a fitted reducer to a flattened data matrix.
 
-    fitted is the model METHOD_TABLE names for the kind (ignored for NORED,
-    which returns the float64 rows of x uncopied); a missing or mistyped
-    one raises NotFitted. CLASSIF has no standalone
-    representation and raises IncompatibleMode.
+    fitted is the model METHOD_TABLE names for the kind (ignored for NORED
+    and CLASSIF, which return the float64 rows of x uncopied); a missing or
+    mistyped one raises NotFitted.
     """
     kind = DrKind(kind)
     row = METHOD_TABLE[kind]
-    if row.transform is None:
-        raise IncompatibleMode(f"{kind.value} is handled end-to-end by the harness")
     if not isinstance(fitted, row.model_type):
         raise NotFitted(f"expected a fitted {row.model_type.__name__} for {kind.value}")
     return row.transform(fitted, np.asarray(x, dtype=np.float64))

@@ -11,7 +11,6 @@ a fixed base seed reproduces the result bit-exactly.
 from __future__ import annotations
 
 import csv
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nets, shifts
-from .data import DataSplit, TensorDataset, flatten, split_indices
+from .data import DataSplit, TensorDataset, _is_int, flatten, split_indices
 from .dimred import METHOD_TABLE, DrKind, Representation, build_srp, fit_pca, reduce
 from .errors import ConfigInvalid, EmptyResult, NotFound, ShiftDetectError
 from .nets import SoftmaxClassifier, TrainConfig
@@ -130,11 +129,6 @@ class ExperimentConfig:
         return TrainConfig(batch_size=self.domain_batch_size, lr0=self.lr0,
                            momentum=self.momentum, max_epochs=self.domain_epochs,
                            patience=self.patience, seed=seed)
-
-
-def _is_int(value) -> bool:
-    # a JSON true is a numbers.Integral, but no count or seed
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _method_from_entry(entry) -> MethodSpec:
@@ -331,6 +325,14 @@ def run_domain_classifier_test(source: np.ndarray, target: np.ndarray,
                        heldout_target_indices=held_tgt_idx)
 
 
+def domain_check(cfg: ExperimentConfig, source: np.ndarray, target: np.ndarray, seed: int,
+                 train_seed: int | None = None) -> DomainCheck:
+    """run_domain_classifier_test under cfg; train_seed (seed when None) seeds training."""
+    return run_domain_classifier_test(
+        source, target, cfg.domain_train_config(seed if train_seed is None else train_seed),
+        alpha=cfg.alpha, seed=seed, hidden_dims=(cfg.domain_hidden_dim,))
+
+
 @dataclass
 class ExemplarReport:
     gate_passed: bool
@@ -365,6 +367,19 @@ def top_exemplars(domain_clf: SoftmaxClassifier, target_heldout: np.ndarray,
 # ---------------------------------------------------------------------------
 # The experiment grid
 
+def check(cfg: ExperimentConfig, method: MethodSpec, source_rep: Representation,
+          target_rep: Representation, seed: int, train_seed: int | None = None) -> TestOutcome:
+    """The method's test of two representations that reduce gave for its kind.
+
+    classif runs domain_check on their rows; every other method goes
+    through dispatch_test with seed, and train_seed goes unread.
+    """
+    if method.kind == DrKind.CLASSIF:
+        return domain_check(cfg, source_rep.values, target_rep.values, seed, train_seed).outcome
+    return dispatch_test(source_rep, target_rep, method.kind, method.mode, alpha=cfg.alpha,
+                         seed=seed, n_perms=cfg.n_perms)
+
+
 def run_experiment(dataset: TensorDataset, cfg: ExperimentConfig,
                    threads: int = 1) -> ExperimentResult:
     """Execute the full (shift x method x sample size x run) grid.
@@ -372,13 +387,14 @@ def run_experiment(dataset: TensorDataset, cfg: ExperimentConfig,
     The training split is fixed once; each run re-splits the remaining pool
     into validation (source) and test (target), applies every shift to the
     test side only, and draws nested subsamples of each requested size from
-    one per-(run, shift) shuffled order. The split is held as row indices
-    into dataset: the training rows exist only while the reducers are
-    fitted, and each run gathers its own validation and test rows. Cells
-    run in a pool of max(1, threads) threads, one (run, shift) block ahead:
-    block k+1 is queued before block k's results are collected, so the pool
-    does not wait at block boundaries while the next shift is applied.
-    Records come back in grid order regardless of threads.
+    one per-(run, shift) shuffled order of each side. The split is held as
+    row indices into dataset: the training rows exist only while the
+    reducers are fitted, and each run gathers its own validation and test
+    rows. Every cell goes through check, on the first s rows of each side's
+    order. Cells run in a pool of max(1, threads) threads, one (run, shift)
+    block ahead: block k+1 is queued before block k's results are collected,
+    so the pool does not wait at block boundaries while the next shift is
+    applied. Records come back in grid order regardless of threads.
     """
     started = time.time()
     train_idx, val_idx, test_idx = split_indices(dataset.n, cfg.n_train, cfg.n_val,
@@ -417,7 +433,7 @@ def _grid_blocks(cfg: ExperimentConfig, fitted: FittedReducers, dataset: TensorD
     block's shift is applied and its target reduced only when the block is
     asked for, and it holds nothing else but what its cells read.
     """
-    kinds = dict.fromkeys(m.kind for m in cfg.methods if m.kind != DrKind.CLASSIF)
+    kinds = dict.fromkeys(m.kind for m in cfg.methods)
     for run in range(cfg.runs):
         perm = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, 21, run])).permutation(vt_idx.size)
@@ -435,56 +451,34 @@ def _grid_blocks(cfg: ExperimentConfig, fitted: FittedReducers, dataset: TensorD
             tgt_order = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed, 42, run, shift_idx])
             ).permutation(target_flat.shape[0])
-            reps = {k: (_rows(rep, src_order),
-                        _rows(reduce(k, fitted.handle_for(k), target_flat), tgt_order))
-                    for k, rep in source_reps.items()}
+            target_reps = {k: reduce(k, fitted.handle_for(k), target_flat) for k in kinds}
             n_src, n_tgt = source_flat.shape[0], target_flat.shape[0]
 
             block = []
             for midx, method in enumerate(cfg.methods):
-                if method.kind == DrKind.CLASSIF:
-                    test = _domain_test(cfg, source_flat, src_order, target_flat, tgt_order,
-                                        run, shift_idx)
-                else:
-                    test = _rep_test(cfg, method, *reps[method.kind], run, shift_idx, midx)
+                test = _method_test(cfg, method, (source_reps[method.kind], src_order),
+                                    (target_reps[method.kind], tgt_order), run, shift_idx, midx)
                 for s in cfg.sample_sizes:
                     key = (shift_idx, midx, s, run)
                     base = dict(shift=named.name, intensity=named.intensity,
                                 delta=named.spec.delta, method=method.kind.value,
                                 mode=method.mode.value, sample_size=s, run=run)
                     block.append((key, _make_cell(base, s, n_src, n_tgt, test)))
-            del target_flat, reps, test  # the cells hold what they read
+            del target_flat, target_reps, test  # the cells hold what they read
             yield block
 
 
-def _rows(rep: Representation, order: np.ndarray) -> Representation:
-    return Representation(rep.values[order], rep.arity)
-
-
-def _domain_test(cfg, source_flat, src_order, target_flat, tgt_order, run, shift_idx):
-    """The domain classifier on the first s rows of each side's order, as a
-    function of s. It trains on the flat rows; its seeds derive from the
-    cell's grid coordinates.
+def _method_test(cfg, method, source, target, run, shift_idx, midx):
+    """check on the first s rows of each (representation, order) side, as a
+    function of s. Its seeds derive from the cell's grid coordinates;
+    classif's carry no method index.
     """
     def test(s):
-        return run_domain_classifier_test(
-            source_flat[src_order[:s]], target_flat[tgt_order[:s]],
-            cfg.domain_train_config(_derive_seed(cfg.seed, 51, run, shift_idx, s)),
-            alpha=cfg.alpha, seed=_derive_seed(cfg.seed, 52, run, shift_idx, s),
-            hidden_dims=(cfg.domain_hidden_dim,)).outcome
-    return test
-
-
-def _rep_test(cfg, method, rep_src, rep_tgt, run, shift_idx, midx):
-    """The method's test on the first s rows of each shuffled representation,
-    as a function of s; its seed derives from the cell's grid coordinates.
-    """
-    def test(s):
-        return dispatch_test(
-            Representation(rep_src.values[:s], rep_src.arity),
-            Representation(rep_tgt.values[:s], rep_tgt.arity),
-            method.kind, method.mode, alpha=cfg.alpha,
-            seed=_derive_seed(cfg.seed, 61, run, shift_idx, midx, s), n_perms=cfg.n_perms)
+        reps = [Representation(rep.values[order[:s]], rep.arity) for rep, order in (source, target)]
+        if method.kind == DrKind.CLASSIF:
+            return check(cfg, method, *reps, _derive_seed(cfg.seed, 52, run, shift_idx, s),
+                         _derive_seed(cfg.seed, 51, run, shift_idx, s))
+        return check(cfg, method, *reps, _derive_seed(cfg.seed, 61, run, shift_idx, midx, s))
     return test
 
 

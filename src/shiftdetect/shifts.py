@@ -9,12 +9,13 @@ yields bitwise-identical output.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import nets
-from .data import TensorDataset, flatten
+from .data import TensorDataset, _is_int, flatten
 from .errors import ClassAbsent, DimensionMismatch, MissingContext
 
 KIND_GAUSSIAN_NOISE = "gaussian_noise"
@@ -45,6 +46,8 @@ class ShiftSpec:
     noise, on the 0-255 byte scale), rot_max_deg / trans_max_frac /
     zoom_max_frac (image), class_id (knockout), epsilon (adversarial),
     parts (composite; applied in order, each with its own delta and seed).
+    A float parameter the kind reads must be finite and >= 0, seed an
+    integer >= 0 and class_id an integer; anything else raises ValueError.
     """
 
     kind: str
@@ -63,6 +66,14 @@ class ShiftSpec:
             raise ValueError(f"unknown shift kind {self.kind!r}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must be in [0, 1], got {self.delta}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for name in _KIND_FIELDS[self.kind]:
+            value = getattr(self, name)
+            if name == "class_id" and not _is_int(value):
+                raise ValueError(f"class_id must be an integer, got {value!r}")
+            if name not in ("class_id", "parts") and not _is_param(value):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "delta": self.delta, "seed": self.seed}
@@ -85,6 +96,12 @@ class ShiftSpec:
         return ShiftSpec(parts=parts, **raw)
 
 
+def _is_param(value) -> bool:
+    """A finite real >= 0, as every float parameter of a shift must be."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value >= 0)
+
+
 # ---------------------------------------------------------------------------
 # Individual shift operations
 
@@ -101,8 +118,8 @@ def apply_gaussian_noise(ds: TensorDataset, sigma: float, delta: float,
     adding to the normalized pixels, then the result is clipped to [0, 1].
     Labels are untouched.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not _is_param(sigma):
+        raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
     if sigma == 0.0 or delta == 0.0 or ds.n == 0:
         return ds
     rng = np.random.default_rng(seed)
@@ -220,8 +237,8 @@ def apply_image_shift(ds: TensorDataset, rot_max_deg: float, trans_max_frac: flo
     U[-t, +t] * width, and a zoom-in factor U[1, 1 + zoom_max], so the
     result does not depend on processing order.
     """
-    if min(rot_max_deg, trans_max_frac, zoom_max_frac) < 0:
-        raise ValueError("image shift parameters must be >= 0")
+    if not all(map(_is_param, (rot_max_deg, trans_max_frac, zoom_max_frac))):
+        raise ValueError("image shift parameters must be finite numbers >= 0")
     if delta == 0.0 or ds.n == 0:
         return ds
     master = np.random.default_rng(seed)
@@ -273,8 +290,8 @@ def apply_adversarial(ds: TensorDataset, clf: nets.SoftmaxClassifier,
     x' = clip_[0,1](x + epsilon * sign(d CE(clf(x), y) / dx)); the true
     labels drive the loss and are left unchanged in the output.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not _is_param(epsilon):
+        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
     if clf.net.in_dim != ds.dim:
         raise DimensionMismatch(
             f"classifier expects dim {clf.net.in_dim}, dataset has {ds.dim}"

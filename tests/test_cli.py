@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from shiftdetect import harness, nets
 from shiftdetect.cli import main
 from shiftdetect.data import TensorDataset, flatten, load_csv, write_csv
-from shiftdetect.dimred import DrKind, fit_pca, save_model
+from shiftdetect.dimred import METHOD_TABLE, DrKind, fit_pca, save_model
+from shiftdetect.stattest import TestMode
 
 
 @pytest.fixture()
@@ -183,7 +185,7 @@ def test_shift_gaussian_medium_affected_count(tmp_path, sample_files, capsys):
     assert summary["n_changed"] == 80  # floor(0.5 * 160)
 
 
-def test_shift_bad_spec_exit_65(tmp_path, sample_files):
+def test_shift_bad_spec_exit_65(tmp_path, sample_files, capsys):
     src, _, _ = sample_files
     spec = tmp_path / "spec.json"
     spec.write_text("{not json")
@@ -197,6 +199,25 @@ def test_shift_bad_spec_exit_65(tmp_path, sample_files):
                 {"kind": "composite", "parts": [{"kind": "only_zero", "sigma": 1}]}):
         spec.write_text(json.dumps(doc))
         assert main(["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec)]) == 65
+    # a non-finite, negative or non-integer parameter is refused by name,
+    # before the shift runs
+    for field, doc in (("sigma", {"kind": "gaussian_noise", "sigma": float("inf")}),
+                       ("sigma", {"kind": "gaussian_noise", "sigma": float("nan")}),
+                       ("rot_max_deg", {"kind": "image", "rot_max_deg": float("nan")}),
+                       ("zoom_max_frac", {"kind": "image", "zoom_max_frac": 1e400}),
+                       ("trans_max_frac", {"kind": "image", "trans_max_frac": -0.1}),
+                       ("epsilon", {"kind": "adversarial", "epsilon": float("-inf")}),
+                       ("seed", {"kind": "gaussian_noise", "sigma": 5, "seed": 2.5}),
+                       ("seed", {"kind": "gaussian_noise", "sigma": 5, "seed": -3}),
+                       ("seed", {"kind": "gaussian_noise", "sigma": 5, "seed": True}),
+                       ("class_id", {"kind": "knockout", "class_id": 1.5}),
+                       ("class_id", {"kind": "knockout", "class_id": True}),
+                       ("sigma", {"kind": "composite", "parts": [
+                           {"kind": "gaussian_noise", "sigma": float("inf")}]})):
+        spec.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec)]) == 65
+        assert f"{field} must be" in capsys.readouterr().err
     spec.write_text(json.dumps({"preset": "no_shift", "delta": 0.0}))
     assert main(["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec)]) == 0
 
@@ -303,6 +324,21 @@ def test_bench_manifest_counts_skipped_cells_by_reason(tmp_path, capsys):
     }
     records = harness.read_records_csv(outdir / "records.csv").records
     assert sum(r.status == "skipped" for r in records) == 8
+
+
+def test_bench_every_cell_skipped_writes_manifest_exit_65(tmp_path, capsys):
+    doc = dict(BENCH_CONFIG, sample_sizes=[500], n_val=20, runs=1)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    outdir = tmp_path / "all_skipped"
+    code = main(["bench", "--config", str(cfg_path), "--out", str(outdir)])
+    err = capsys.readouterr().err
+    assert code == 65
+    reason = "insufficient samples (source 20, target 120)"
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["skipped_by_reason"] == {reason: 6}  # 3 methods x 2 shifts
+    assert manifest["artifacts"] == ["records.csv"]
+    assert reason in err
 
 
 def test_bench_grid_shape_and_smoke_budget(tmp_path, capsys):
@@ -462,6 +498,40 @@ def test_exemplars_k_below_one_exit_64(tmp_path, sample_files, monkeypatch, caps
     assert code == 64
     assert f"k must be >= 1, got {k}" in capsys.readouterr().err
     assert not (tmp_path / "ex4").exists()
+
+
+# SHA-256 of detect's stdout over every (kind, mode) pair MethodSpec accepts,
+# in DrKind x TestMode order, each on the same and then the far target; and
+# of the three files exemplars writes for the far target. Both commands'
+# outputs are pinned bit for bit.
+DETECT_GOLDEN_SHA256 = "8ceb05cbf3a44b41071fcb66d852678e592be7f09fdbde09833f9492880747c0"
+EXEMPLARS_GOLDEN_SHA256 = {
+    "report.json": "750f3dcf1e66411cc221eea90902271fcf45b753a1631b1fa23d2b75e8b24cae",
+    "top_different_samples.csv":
+        "d00645cf32341d757fbba430e4b2b793ecf7a76e31315495d6a269477e4035f4",
+    "top_similar_samples.csv":
+        "77ebffb027e2399c40ee2c7c6dd9fcbfbd26d066a0939e23b407898b2dd236f3",
+}
+
+
+def test_detect_and_exemplars_outputs_are_pinned(tmp_path, sample_files, capsys):
+    src, same, far = sample_files
+    digest = hashlib.sha256()
+    for kind in DrKind:
+        for mode in TestMode:
+            if mode == TestMode.MULTIVARIATE and not METHOD_TABLE[kind].multivariate:
+                continue
+            for target in (same, far):
+                main(["detect", str(src), str(target), "--method", kind.value,
+                      "--mode", mode.value, "--epochs", "3", "--latent-dim", "4",
+                      "--hidden-dim", "8", "--seed", "4"])
+                digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == DETECT_GOLDEN_SHA256
+    outdir = tmp_path / "ex"
+    assert main(["exemplars", str(src), str(far), "-k", "5", "--epochs", "3",
+                 "--out", str(outdir)]) == 0
+    assert {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+            for name in EXEMPLARS_GOLDEN_SHA256} == EXEMPLARS_GOLDEN_SHA256
 
 
 # ---------------------------------------------------------------------------

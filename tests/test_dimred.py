@@ -18,7 +18,7 @@ from shiftdetect.dimred import (
     save_model,
     srp_project,
 )
-from shiftdetect.errors import BadK, DimensionMismatch, IncompatibleMode, NotFitted
+from shiftdetect.errors import BadK, DimensionMismatch, NotFitted
 from shiftdetect.stattest import chi2_sf
 
 
@@ -325,8 +325,10 @@ def test_reduce_not_fitted_and_classif():
         for fitted in (None, wrong):
             with pytest.raises(NotFitted):
                 reduce(kind, fitted, x)
-    with pytest.raises(IncompatibleMode):
-        reduce(DrKind.CLASSIF, None, x)
+    # the domain classifier reads the flat rows, uncopied, as NORED does
+    for kind in (DrKind.NORED, DrKind.CLASSIF):
+        rep = reduce(kind, None, x)
+        assert np.shares_memory(rep.values, x) and rep.arity is None
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,8 @@ def test_failing_cell_raises_and_shuts_the_pool_down(small_corpus, monkeypatch):
 
 def test_grid_reduces_each_side_once_per_kind(small_corpus, monkeypatch):
     # a run's source rows once per kind, and each block's target once per
-    # kind: both modes of pca share one reduction, classif reduces nothing
+    # kind: both modes of pca share one reduction, and classif's reduction
+    # is the identity
     reduce = harness.reduce
     calls = []
 
@@ -156,7 +157,7 @@ def test_grid_reduces_each_side_once_per_kind(small_corpus, monkeypatch):
                         sample_sizes=(10,))
     run_experiment(small_corpus, cfg)
     per_kind = cfg.runs + cfg.runs * len(cfg.shifts)
-    kinds = (DrKind.NORED, DrKind.PCA, DrKind.BBSDS, DrKind.BBSDH)
+    kinds = (DrKind.NORED, DrKind.PCA, DrKind.BBSDS, DrKind.BBSDH, DrKind.CLASSIF)
     assert Counter(calls) == {kind: per_kind for kind in kinds}
 
 

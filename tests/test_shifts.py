@@ -307,6 +307,24 @@ def test_apply_shift_gaussian_sigma_zero_identity():
     assert np.array_equal(apply_shift(spec, ds).images, ds.images)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_apply_refuses_a_parameter_that_is_not_finite_and_nonnegative(bad):
+    # the parent let inf noise saturate every image, and NaN or inf image
+    # parameters end in numpy's OverflowError
+    ds = _dataset()
+    clf = nets.SoftmaxClassifier(net=nets.init_network((ds.dim, 4)), num_classes=4)
+    for apply in (lambda: apply_gaussian_noise(ds, bad, 1.0, seed=0),
+                  lambda: apply_image_shift(ds, bad, 0.1, 0.1, 1.0, seed=0),
+                  lambda: apply_image_shift(ds, 10.0, 0.1, bad, 1.0, seed=0),
+                  lambda: apply_adversarial(ds, clf, bad, 1.0, seed=0)):
+        with pytest.raises(ValueError):
+            apply()
+    for field in ("sigma", "rot_max_deg", "trans_max_frac", "zoom_max_frac", "epsilon"):
+        kind = {"sigma": "gaussian_noise", "epsilon": "adversarial"}.get(field, "image")
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ShiftSpec(kind=kind, **{field: bad})
+
+
 def test_apply_shift_adversarial_requires_classifier():
     ds = _dataset()
     with pytest.raises(MissingContext):
