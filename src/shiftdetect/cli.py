@@ -211,6 +211,9 @@ def _write_tables(result, outdir: Path) -> list:
 
 
 def cmd_bench(args) -> int:
+    if args.threads < 1:
+        print(f"error: threads must be >= 1, got {args.threads}", file=sys.stderr)
+        return EXIT_USAGE
     doc = _read_json(args.config, "config")
     cfg = ExperimentConfig.from_dict(doc)
     dataset = _dataset_from_config(doc, cfg)

@@ -219,19 +219,13 @@ def _spec_needs_classifier(spec: shifts.ShiftSpec) -> bool:
     return any(_spec_needs_classifier(p) for p in spec.parts)
 
 
-def concat_datasets(a: TensorDataset, b: TensorDataset) -> TensorDataset:
-    if a.image_shape != b.image_shape or a.num_classes != b.num_classes:
-        raise ConfigInvalid("datasets disagree in shape or class count")
-    return TensorDataset(np.concatenate([a.images, b.images]),
-                         np.concatenate([a.labels, b.labels]), a.num_classes)
-
-
 def fit_reducers(train: TensorDataset, cfg: ExperimentConfig) -> FittedReducers:
     """Fit the models METHOD_TABLE names for cfg.methods, on training data only.
 
     The label classifier is also fitted when a shift is adversarial. It and
     the trained autoencoder carve an internal 90/10 early-stopping split out
-    of the training part; validation and test data are never seen here.
+    of the training part, drawn only when one of them is fitted; validation
+    and test data are never seen here.
     """
     needed = {METHOD_TABLE[m.kind].model for m in cfg.methods}
     if any(_spec_needs_classifier(s.spec) for s in cfg.shifts):
@@ -249,6 +243,8 @@ def fit_reducers(train: TensorDataset, cfg: ExperimentConfig) -> FittedReducers:
         models["uae"] = nets.train_autoencoder(
             x, x[:1], arch, cfg.train_config(0, _derive_seed(cfg.seed, 12)))
 
+    if not needed & {"tae", "label_clf"}:
+        return FittedReducers(models)
     inner_n = max(1, int(0.9 * train.n))
     perm = np.random.default_rng(_derive_seed(cfg.seed, 13)).permutation(train.n)
     x_fit, x_stop = x[perm[:inner_n]], x[perm[inner_n:]]
@@ -391,18 +387,20 @@ def run_experiment(dataset: TensorDataset, cfg: ExperimentConfig,
     row indices into dataset: the training rows exist only while the
     reducers are fitted, and each run gathers its own validation and test
     rows. Every cell goes through check, on the first s rows of each side's
-    order. Cells run in a pool of max(1, threads) threads, one (run, shift)
+    order. Cells run in a pool of `threads` (>= 1) threads, one (run, shift)
     block ahead: block k+1 is queued before block k's results are collected,
     so the pool does not wait at block boundaries while the next shift is
     applied. Records come back in grid order regardless of threads.
     """
+    if threads < 1:
+        raise ConfigInvalid(f"threads must be >= 1, got {threads}")
     started = time.time()
     train_idx, val_idx, test_idx = split_indices(dataset.n, cfg.n_train, cfg.n_val,
                                                  cfg.n_test, seed=cfg.seed)
     fitted = fit_reducers(dataset.subset(train_idx), cfg)
 
     keyed_records = []
-    pool = ThreadPoolExecutor(max_workers=max(1, threads))
+    pool = ThreadPoolExecutor(max_workers=threads)
     try:
         in_flight = []
         for block in _grid_blocks(cfg, fitted, dataset, np.concatenate([val_idx, test_idx])):
@@ -570,12 +568,10 @@ def original_split_check(given: DataSplit, random_seed: int, alpha: float = 0.05
     canonical = bonferroni_aggregate(
         ks_pvalues_by_column(flatten(part_a), flatten(part_b)), alpha)
 
-    pooled = concat_datasets(part_a, part_b)
-    perm = np.random.default_rng(random_seed).permutation(pooled.n)
-    re_a = pooled.subset(perm[:part_a.n])
-    re_b = pooled.subset(perm[part_a.n:])
+    pooled = np.concatenate([flatten(part_a), flatten(part_b)])
+    perm = np.random.default_rng(random_seed).permutation(pooled.shape[0])
     resplit = bonferroni_aggregate(
-        ks_pvalues_by_column(flatten(re_a), flatten(re_b)), alpha)
+        ks_pvalues_by_column(pooled[perm[:part_a.n]], pooled[perm[part_a.n:]]), alpha)
     return canonical, resplit
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
+from scipy.special import bdtr, chdtrc, kolmogorov
 
 from .dimred import DrKind, Representation
 from .errors import (
@@ -64,25 +64,6 @@ class TestOutcome:
 # ---------------------------------------------------------------------------
 # Kolmogorov-Smirnov
 
-def kolmogorov_sf(lam: float) -> float:
-    """Survival function of the Kolmogorov distribution, Q(lam) = 2*sum_j (-1)^(j-1) exp(-2 j^2 lam^2).
-
-    The series is truncated once terms drop below 1e-12; the result is
-    clamped to [0, 1].
-    """
-    if lam <= 0.0:
-        return 1.0
-    total = 0.0
-    sign = 1.0
-    for j in range(1, 100_000):
-        term = math.exp(-2.0 * j * j * lam * lam)
-        if term < 1e-12:
-            break
-        total += sign * term
-        sign = -sign
-    return min(1.0, max(0.0, 2.0 * total))
-
-
 def _ks_statistics(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     """KS statistic of every column of an (n, K) and an (m, K) sample.
 
@@ -115,17 +96,9 @@ def _ks_statistics(source: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _ks_pvalues(stats: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Asymptotic p-values with the small-sample correction
-    lam = (sqrt(ne) + 0.12 + 0.11/sqrt(ne)) * S, ne = n*m/(n+m).
-
-    The scalar kolmogorov_sf runs once per distinct lam (statistics take
-    few distinct values): np.exp would round differently from math.exp on
-    some inputs and change the p-values' last bits.
-    """
+    """Asymptotic p-values with the small-sample correction (see ks_two_sample)."""
     ne = n * m / (n + m)
-    lam = (math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * stats
-    distinct, inverse = np.unique(lam, return_inverse=True)
-    return np.array([kolmogorov_sf(float(v)) for v in distinct], dtype=np.float64)[inverse]
+    return kolmogorov((math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * stats)
 
 
 def _as_samples(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -150,10 +123,10 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     """Two-sample KS test: exact statistic, asymptotic p-value.
 
     The statistic is sup_z |F_a(z) - F_b(z)| over all pooled sample
-    points. The p-value uses the Kolmogorov asymptotic distribution with
-    the small-sample correction lam = (sqrt(ne) + 0.12 + 0.11/sqrt(ne)) * S
-    where ne = n*m/(n+m). This is the one-column case of
-    ks_pvalues_by_column.
+    points. The p-value is the Kolmogorov survival function
+    (scipy.special.kolmogorov) at lam = (sqrt(ne) + 0.12 + 0.11/sqrt(ne)) * S,
+    ne = n*m/(n+m), Stephens' small-sample correction. This is the
+    one-column case of ks_pvalues_by_column.
     """
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
@@ -415,14 +388,6 @@ def mmd_permutation_test(x, y, n_perms: int = 1000, alpha: float = 0.05,
 # ---------------------------------------------------------------------------
 # Chi-squared and binomial
 
-def chi2_sf(x: float, df: int) -> float:
-    """Upper-tail probability of the chi-squared distribution via the
-    regularized incomplete gamma function."""
-    if x <= 0.0:
-        return 1.0
-    return float(gammaincc(df / 2.0, x / 2.0))
-
-
 def chi2_independence(counts) -> tuple[float, float]:
     """Pearson independence test on a 2xK table of class frequencies.
 
@@ -450,32 +415,18 @@ def chi2_independence(counts) -> tuple[float, float]:
     n_sum = counts.sum()
     expected = np.outer(row_tot, col_tot) / n_sum
     x2 = float(np.sum((counts - expected) ** 2 / expected))
-    return x2, chi2_sf(x2, k_eff - 1)
-
-
-def _log_binom_pmf(i: np.ndarray, n: int) -> np.ndarray:
-    return gammaln(n + 1) - gammaln(i + 1.0) - gammaln(n - i + 1.0) + n * math.log(0.5)
+    return x2, float(chdtrc(k_eff - 1, x2))
 
 
 def binomial_two_sided(successes: int, n: int) -> float:
     """Exact two-sided p under Bin(n, 1/2): 2 * min(P(X<=k), P(X>=k)), clamped to 1.
 
-    Tail sums are accumulated in the log domain so extreme tails (e.g.
-    2^-100) stay accurate.
+    At p = 1/2, P(X>=k) = P(X<=n-k), so this is twice scipy.special.bdtr at
+    min(k, n-k); extreme tails (e.g. 2^-100) keep full relative precision.
     """
     if n < 1 or successes < 0 or successes > n:
         raise BadCounts(f"successes={successes}, n={n}")
-    lower_i = np.arange(0, successes + 1, dtype=np.float64)
-    upper_i = np.arange(successes, n + 1, dtype=np.float64)
-
-    def logsumexp(v):
-        mx = np.max(v)
-        return mx + math.log(np.sum(np.exp(v - mx)))
-
-    log_lower = logsumexp(_log_binom_pmf(lower_i, n))
-    log_upper = logsumexp(_log_binom_pmf(upper_i, n))
-    p = 2.0 * math.exp(min(log_lower, log_upper))
-    return min(1.0, p)
+    return min(1.0, 2.0 * float(bdtr(min(successes, n - successes), n, 0.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +471,7 @@ def dispatch_test(rep_source: Representation, rep_target: Representation,
 
     if mode == TestMode.UNIVARIATE:
         p_values = ks_pvalues_by_column(rep_source.values, rep_target.values)
-        out = bonferroni_aggregate(p_values, alpha)
-        return out
+        return bonferroni_aggregate(p_values, alpha)
 
     if max(rep_source.values.shape[0], rep_target.values.shape[0]) > MULTIVARIATE_SAMPLE_CAP:
         # the exact text is the skip reason a grid cell records

@@ -385,6 +385,21 @@ def test_bench_bad_training_setting_exit_65_before_corpus(tmp_path, monkeypatch,
     assert f"error: {key} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_bench_threads_below_one_exit_64_before_corpus(tmp_path, monkeypatch, capsys, threads):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("corpus built before --threads was checked")
+
+    monkeypatch.setattr("shiftdetect.digits.make_digits", no_corpus)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(BENCH_CONFIG))
+    code = main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "x"),
+                 "--threads", threads])
+    assert code == 64
+    assert f"error: threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 # BENCH_CONFIG takes n_train + n_val + n_test = 490 rows
 @pytest.mark.parametrize("key, value", [
     ("seed", 2.5), ("seed", "3"), ("seed", True), ("seed", -1),
@@ -504,9 +519,9 @@ def test_exemplars_k_below_one_exit_64(tmp_path, sample_files, monkeypatch, caps
 # in DrKind x TestMode order, each on the same and then the far target; and
 # of the three files exemplars writes for the far target. Both commands'
 # outputs are pinned bit for bit.
-DETECT_GOLDEN_SHA256 = "8ceb05cbf3a44b41071fcb66d852678e592be7f09fdbde09833f9492880747c0"
+DETECT_GOLDEN_SHA256 = "6f5e6d3e2d361f4e97ff4278308b63064d1ebab9b736f39aa47447428b404990"
 EXEMPLARS_GOLDEN_SHA256 = {
-    "report.json": "750f3dcf1e66411cc221eea90902271fcf45b753a1631b1fa23d2b75e8b24cae",
+    "report.json": "a020f3fac6fb382161841b75987e8600226d8331bb9d46d8a50272fb634b8102",
     "top_different_samples.csv":
         "d00645cf32341d757fbba430e4b2b793ecf7a76e31315495d6a269477e4035f4",
     "top_similar_samples.csv":

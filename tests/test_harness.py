@@ -93,6 +93,16 @@ def test_pipelined_pool_records_do_not_depend_on_threads(small_corpus):
     assert results[0] == results[1] == results[2]
 
 
+@pytest.mark.parametrize("threads", [0, -2])
+def test_run_experiment_refuses_threads_below_one(small_corpus, monkeypatch, threads):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("reducers fitted before threads was checked")
+
+    monkeypatch.setattr(harness, "fit_reducers", no_fit)
+    with pytest.raises(ConfigInvalid, match=f"threads must be >= 1, got {threads}"):
+        run_experiment(small_corpus, _small_config(), threads=threads)
+
+
 class _RecordingPool(ThreadPoolExecutor):
     made = []
 
@@ -193,7 +203,7 @@ GOLDEN_CONFIG = {
     "latent_dim": 4, "hidden_dim": 16, "domain_hidden_dim": 4,
     "ae_epochs": 2, "clf_epochs": 2, "domain_epochs": 2, "n_perms": 50, "seed": 3,
 }
-GOLDEN_RECORDS_SHA256 = "6c50e93e56e0c0cb442f6d11bcc4443279eaa7da93a6fad2c8d16dc2cf11e0bb"
+GOLDEN_RECORDS_SHA256 = "31d2acb4cd339501206bea5576af9273288cd78e8fb97bc5fc21b42187207f0a"
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -342,6 +352,28 @@ def test_fit_reducers_fits_each_named_model_once():
         assert set(fitted.models) == {"label_clf"}
         assert fitted.handle_for(DrKind.BBSDH) is fitted.models["label_clf"]
         assert fitted.handle_for(DrKind.NORED) is None
+
+
+@pytest.mark.parametrize("kinds, split_drawn", [
+    ((DrKind.NORED, DrKind.PCA, DrKind.SRP, DrKind.UAE, DrKind.CLASSIF), False),
+    ((DrKind.NORED, DrKind.TAE), True),
+    ((DrKind.BBSDS,), True),
+])
+def test_fit_reducers_draws_the_early_stopping_split_only_for_trained_nets(
+        monkeypatch, kinds, split_drawn):
+    parts = []
+
+    def spy(*args):
+        parts.append(args)
+        return derive(*args)
+
+    derive = harness._derive_seed
+    monkeypatch.setattr(harness, "_derive_seed", spy)
+    ds = digits.make_digits(120, seed=4)
+    cfg = _small_config(methods=tuple(MethodSpec(k) for k in kinds), n_train=120, ae_epochs=1,
+                        clf_epochs=1)
+    harness.fit_reducers(ds, cfg)
+    assert ((cfg.seed, 13) in parts) == split_drawn
 
 
 @pytest.mark.parametrize("kind", [DrKind.BBSDH, DrKind.CLASSIF])

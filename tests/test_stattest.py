@@ -28,9 +28,7 @@ from shiftdetect.stattest import (
     binomial_two_sided,
     bonferroni_aggregate,
     chi2_independence,
-    chi2_sf,
     dispatch_test,
-    kolmogorov_sf,
     ks_pvalues_by_column,
     ks_two_sample,
     median_bandwidth,
@@ -127,14 +125,6 @@ def test_ks_empty_sample():
         ks_two_sample([], [1.0])
 
 
-def test_kolmogorov_sf_bounds():
-    assert kolmogorov_sf(0.0) == 1.0
-    assert kolmogorov_sf(1e-9) == 1.0
-    assert 0.0 <= kolmogorov_sf(5.0) < 1e-9
-    # reference value Q(1) ~ 0.26999967168 (alternating series, widely tabulated)
-    assert abs(kolmogorov_sf(1.0) - 0.2699996717) < 1e-9
-
-
 def _tie_heavy_columns(rng, n, m, k):
     """Quarter-step grids with shifted supports, plus two constant columns."""
     source = rng.integers(0, 5, size=(n, k)) / 4.0
@@ -195,6 +185,25 @@ def test_ks_by_column_equals_one_column_calls(problem):
         stat, p = ks_two_sample(source[:, j], target[:, j])
         assert p_values[j] == p
         assert statistics[j] == stat == brute_force_ks_stat(source[:, j], target[:, j])
+
+
+@given(_ks_problem())
+@example((np.zeros((3, 2)), np.ones((4, 2)), 1))  # S = 1 in every column
+def test_ks_pvalues_are_scipy_kolmogorov_of_the_corrected_statistic(problem):
+    source, target, _ = problem
+    n, m = source.shape[0], target.shape[0]
+    ne = n * m / (n + m)
+    factor = math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)
+    statistics = stattest._ks_statistics(source, target)
+    p_values = ks_pvalues_by_column(source, target)
+    assert np.array_equal(p_values, special.kolmogorov(factor * statistics))
+    assert ((0.0 <= p_values) & (p_values <= 1.0)).all()
+    # every statistic the pair (n, m) can take lies on the lattice j / lcm(n, m)
+    steps = math.lcm(n, m)
+    lattice = stattest._ks_pvalues(np.arange(steps + 1) / steps, n, m)
+    assert lattice[0] == 1.0 and (np.diff(lattice) <= 0.0).all()
+    order = np.argsort(statistics, kind="stable")
+    assert (np.diff(p_values[order]) <= 0.0).all()
 
 
 _ks_ints = st.integers(-40, 40).map(float)  # few distinct values: many ties
@@ -707,9 +716,28 @@ def test_chi2_degenerate():
         chi2_independence([[0, 0], [1, 2]])
 
 
-def test_chi2_sf_against_erfc():
-    for x in (0.5, 1.0, 4.0, 20.0):
-        assert abs(chi2_sf(x, 1) - math.erfc(math.sqrt(x / 2.0))) < 1e-12
+@st.composite
+def _sparse_table(draw):
+    k = draw(st.integers(2, 8))
+    table = draw(hnp.arrays(np.int64, (2, k), elements=st.integers(0, 40)))
+    empty = draw(hnp.arrays(np.bool_, k))
+    table[:, empty] = 0
+    return table
+
+
+@given(_sparse_table())
+@example(np.array([[3, 0, 5, 0], [1, 0, 9, 0]]))
+@example(np.array([[0, 7, 0], [2, 0, 0]]))
+def test_chi2_matches_scipy_contingency_with_empty_columns(table):
+    if (table.sum(axis=1) == 0).any():
+        with pytest.raises(DegenerateTable):
+            chi2_independence(table)
+        return
+    x2, p = chi2_independence(table)
+    kept = table[:, table.sum(axis=0) > 0]
+    oracle = stats.chi2_contingency(kept, correction=False)
+    assert x2 == pytest.approx(oracle.statistic, rel=1e-9, abs=1e-12)
+    assert p == pytest.approx(oracle.pvalue, rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -743,6 +771,19 @@ def test_binomial_matches_exact_oracle():
         k = int(rng.integers(0, n + 1))
         assert binomial_two_sided(k, n) == pytest.approx(
             exact_binomial_two_sided(k, n), abs=1e-9)
+
+
+@given(st.integers(1, 2000).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+@example((0, 2000))
+@example((1000, 2000))
+@example((1001, 2000))
+@example((1999, 2000))
+@example((1, 1075))  # about 5e-321: binomtest underflows to 0
+def test_binomial_matches_scipy_binomtest(problem):
+    k, n = problem
+    # below the smallest normal double neither side keeps relative precision
+    assert binomial_two_sided(k, n) == pytest.approx(
+        stats.binomtest(k, n, 0.5).pvalue, rel=1e-9, abs=np.finfo(np.float64).tiny)
 
 
 def test_binomial_bad_counts():
