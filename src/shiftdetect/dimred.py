@@ -49,10 +49,6 @@ class Representation:
     def is_categorical(self) -> bool:
         return self.arity is not None
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
 
 # ---------------------------------------------------------------------------
 # PCA

@@ -145,23 +145,20 @@ def parse_shift_spec(entry: dict) -> shifts.ShiftSpec:
     """ShiftSpec of a preset entry ({"preset": name, ...}) or a custom spec.
 
     The labels "name" and "intensity" are skipped. A custom spec carries
-    only the keys ShiftSpec.to_dict writes for its kind; a preset entry
-    carries epsilon only for adv_shift, and delta for no_shift only as 0.
-    An unknown or unread key or a bad value raises ConfigInvalid.
+    only the keys ShiftSpec.to_dict writes for its kind, and a preset entry
+    only the keys shifts.preset reads for its name. An unknown or unread
+    key, a null or a bad value raises ConfigInvalid.
     """
     if not isinstance(entry, dict):
         raise ConfigInvalid(f"a shift entry must be a JSON object, got {entry!r}")
     fields = {k: v for k, v in entry.items() if k not in ("name", "intensity")}
     preset_name = fields.pop("preset", None)
     try:
+        if None in fields.values():
+            raise ValueError("a shift key may not be null")
         if preset_name is None:
             return shifts.ShiftSpec.from_dict(fields)
-        spec = shifts.preset(preset_name, **fields)
-        if "epsilon" in fields and preset_name != "adv_shift":
-            raise ValueError(f"{preset_name} does not read epsilon")
-        if preset_name == "no_shift" and fields.get("delta", 0.0) != 0.0:
-            raise ValueError(f"no_shift takes delta 0 only, got {fields['delta']!r}")
-        return spec
+        return shifts.preset(preset_name, **fields)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad shift entry {entry!r}: {exc}") from exc
 
@@ -213,12 +210,6 @@ def _derive_seed(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _spec_needs_classifier(spec: shifts.ShiftSpec) -> bool:
-    if spec.kind == shifts.KIND_ADVERSARIAL:
-        return True
-    return any(_spec_needs_classifier(p) for p in spec.parts)
-
-
 def fit_reducers(train: TensorDataset, cfg: ExperimentConfig) -> FittedReducers:
     """Fit the models METHOD_TABLE names for cfg.methods, on training data only.
 
@@ -228,7 +219,7 @@ def fit_reducers(train: TensorDataset, cfg: ExperimentConfig) -> FittedReducers:
     and test data are never seen here.
     """
     needed = {METHOD_TABLE[m.kind].model for m in cfg.methods}
-    if any(_spec_needs_classifier(s.spec) for s in cfg.shifts):
+    if any(shifts.needs_classifier(s.spec) for s in cfg.shifts):
         needed.add("label_clf")
     x = flatten(train)
     d = x.shape[1]
@@ -276,7 +267,6 @@ class DomainCheck:
     outcome: TestOutcome
     accuracy: float
     n_heldout: int
-    heldout_source: np.ndarray
     heldout_target: np.ndarray
     heldout_target_indices: np.ndarray
 
@@ -317,8 +307,7 @@ def run_domain_classifier_test(source: np.ndarray, target: np.ndarray,
     outcome = TestOutcome(statistic=acc, p_value=p, alpha=alpha,
                           reject=p < alpha, test_tag=TestTag.BINOMIAL)
     return DomainCheck(clf=clf, outcome=outcome, accuracy=acc, n_heldout=n_heldout,
-                       heldout_source=held_src, heldout_target=held_tgt,
-                       heldout_target_indices=held_tgt_idx)
+                       heldout_target=held_tgt, heldout_target_indices=held_tgt_idx)
 
 
 def domain_check(cfg: ExperimentConfig, source: np.ndarray, target: np.ndarray, seed: int,
@@ -503,17 +492,13 @@ def _make_cell(base, s, n_src, n_tgt, test):
 # ---------------------------------------------------------------------------
 # Aggregation
 
-def _ok_records(result: ExperimentResult) -> list:
-    return [r for r in result.records if r.status == "ok"]
-
-
 def detection_accuracy(result: ExperimentResult, group_by: tuple) -> list:
     """Rejection rate within each group of non-skipped records.
 
     group_by names Record fields, e.g. ("method", "sample_size"). Returns
     sorted rows of {field: value, ..., "accuracy": rate, "n": count}.
     """
-    usable = _ok_records(result)
+    usable = [r for r in result.records if r.status == "ok"]
     if not usable:
         raise EmptyResult("no usable records")
     groups: dict = {}
@@ -536,19 +521,28 @@ def detection_accuracy(result: ExperimentResult, group_by: tuple) -> list:
     return rows
 
 
-def pvalue_evolution(result: ExperimentResult, shift: str, method: str) -> list:
-    """Mean and min/max p-value per sample size for one (shift, method) pair."""
-    recs = [r for r in _ok_records(result) if r.shift == shift and r.method == method]
-    if not recs:
-        raise NotFound(f"no records for shift={shift!r}, method={method!r}")
-    by_size: dict = {}
-    for rec in recs:
-        by_size.setdefault(rec.sample_size, []).append(rec.outcome.p_value)
+def _pvalue_curves(records) -> list:
+    """Mean and min/max p-value per (shift, method, mode, sample_size) of the
+    ok records, one row per group in sorted order, built in one pass."""
+    groups: dict = {}
+    for rec in records:
+        if rec.status == "ok":
+            key = (rec.shift, rec.method, rec.mode, rec.sample_size)
+            groups.setdefault(key, []).append(rec.outcome.p_value)
     return [
-        {"sample_size": s, "mean_p": float(np.mean(ps)), "min_p": float(np.min(ps)),
+        {"shift": shift, "method": method, "mode": mode, "sample_size": s,
+         "mean_p": float(np.mean(ps)), "min_p": float(np.min(ps)),
          "max_p": float(np.max(ps)), "n": len(ps)}
-        for s, ps in sorted(by_size.items())
+        for (shift, method, mode, s), ps in sorted(groups.items())
     ]
+
+
+def pvalue_evolution(result: ExperimentResult, shift: str, method: str) -> list:
+    """The p-value curve rows of one (shift, method) pair, by mode and sample size."""
+    rows = _pvalue_curves(r for r in result.records if r.shift == shift and r.method == method)
+    if not rows:
+        raise NotFound(f"no records for shift={shift!r}, method={method!r}")
+    return rows
 
 
 def original_split_check(given: DataSplit, random_seed: int, alpha: float = 0.05,
@@ -630,13 +624,11 @@ def write_accuracy_csv(result: ExperimentResult, group_by: tuple, path) -> None:
 
 
 def write_pvalue_curves_csv(result: ExperimentResult, path) -> None:
-    pairs = sorted({(r.shift, r.method) for r in _ok_records(result)})
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["shift", "method", "sample_size", "mean_p", "min_p",
+        writer.writerow(["shift", "method", "mode", "sample_size", "mean_p", "min_p",
                          "max_p", "n"])
-        for shift_name, method in pairs:
-            for row in pvalue_evolution(result, shift_name, method):
-                writer.writerow([shift_name, method, row["sample_size"],
-                                 repr(row["mean_p"]), repr(row["min_p"]),
-                                 repr(row["max_p"]), row["n"]])
+        for row in _pvalue_curves(result.records):
+            writer.writerow([row["shift"], row["method"], row["mode"], row["sample_size"],
+                             repr(row["mean_p"]), repr(row["min_p"]), repr(row["max_p"]),
+                             row["n"]])

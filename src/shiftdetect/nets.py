@@ -37,13 +37,6 @@ class NetParams:
     def in_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
-    def dims(self) -> tuple:
-        return (self.in_dim, *(w.shape[1] for w in self.weights))
-
     def copy(self) -> "NetParams":
         return NetParams(
             weights=[w.copy() for w in self.weights],
@@ -79,10 +72,6 @@ class Autoencoder:
     encoder: NetParams  # D -> ... -> K
     decoder: NetParams  # K -> ... -> D
     trained: bool = False
-
-    @property
-    def latent_dim(self) -> int:
-        return self.encoder.out_dim
 
 
 @dataclass

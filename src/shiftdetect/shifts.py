@@ -308,9 +308,19 @@ def apply_adversarial(ds: TensorDataset, clf: nets.SoftmaxClassifier,
     return TensorDataset(images, ds.labels, ds.num_classes)
 
 
+def needs_classifier(spec: ShiftSpec) -> bool:
+    """Whether spec or any of its parts is adversarial, so needs the label classifier."""
+    return spec.kind == KIND_ADVERSARIAL or any(map(needs_classifier, spec.parts))
+
+
 def apply_shift(spec: ShiftSpec, ds: TensorDataset,
                 classifier: nets.SoftmaxClassifier | None = None) -> TensorDataset:
-    """Dispatch a ShiftSpec; composites apply their parts in listed order."""
+    """Dispatch a ShiftSpec; composites apply their parts in listed order.
+
+    A spec that needs_classifier raises MissingContext without a classifier.
+    """
+    if classifier is None and needs_classifier(spec):
+        raise MissingContext("adversarial shift needs a classifier")
     if spec.kind == KIND_GAUSSIAN_NOISE:
         return apply_gaussian_noise(ds, spec.sigma, spec.delta, spec.seed)
     if spec.kind == KIND_IMAGE:
@@ -321,8 +331,6 @@ def apply_shift(spec: ShiftSpec, ds: TensorDataset,
     if spec.kind == KIND_ONLY_ZERO:
         return apply_only_zero(ds)
     if spec.kind == KIND_ADVERSARIAL:
-        if classifier is None:
-            raise MissingContext("adversarial shift needs a classifier")
         return apply_adversarial(ds, classifier, spec.epsilon, spec.delta, spec.seed)
     for part in spec.parts:
         ds = apply_shift(part, ds, classifier)
@@ -332,75 +340,65 @@ def apply_shift(spec: ShiftSpec, ds: TensorDataset,
 # ---------------------------------------------------------------------------
 # Named presets
 
-_GN_SIGMA = {"small": 1.0, "medium": 10.0, "large": 100.0}
-_IMG_PARAMS = {
-    "small": (10.0, 0.05, 0.1),
-    "medium": (40.0, 0.2, 0.2),
-    "large": (90.0, 0.4, 0.4),
+def _fixed(kind: str, **params):
+    """Builder of a one-part preset: params fixed, delta and seed given."""
+    return lambda delta, seed, epsilon: ShiftSpec(kind=kind, delta=delta, seed=seed, **params)
+
+
+_knockout = _fixed(KIND_KNOCKOUT, class_id=0)
+_medium_image = _fixed(KIND_IMAGE, rot_max_deg=40.0, trans_max_frac=0.2, zoom_max_frac=0.2)
+
+# name -> (intensity, build); build(delta, seed, epsilon) gives the preset's spec.
+# The two composites fix their first part and give delta to the second.
+_PRESETS = {
+    "no_shift": ("none", lambda delta, seed, epsilon: ShiftSpec(
+        kind=KIND_COMPOSITE, delta=0.0, seed=seed)),
+    "small_gn_shift": ("small", _fixed(KIND_GAUSSIAN_NOISE, sigma=1.0)),
+    "medium_gn_shift": ("medium", _fixed(KIND_GAUSSIAN_NOISE, sigma=10.0)),
+    "large_gn_shift": ("large", _fixed(KIND_GAUSSIAN_NOISE, sigma=100.0)),
+    "small_img_shift": ("small", _fixed(KIND_IMAGE, rot_max_deg=10.0, trans_max_frac=0.05,
+                                        zoom_max_frac=0.1)),
+    "medium_img_shift": ("medium", _medium_image),
+    "large_img_shift": ("large", _fixed(KIND_IMAGE, rot_max_deg=90.0, trans_max_frac=0.4,
+                                        zoom_max_frac=0.4)),
+    "adv_shift": ("medium", lambda delta, seed, epsilon: ShiftSpec(
+        kind=KIND_ADVERSARIAL, epsilon=epsilon, delta=delta, seed=seed)),
+    "ko_shift": ("small", _knockout),
+    "medium_img_shift+ko_shift": ("large", lambda delta, seed, epsilon: ShiftSpec(
+        kind=KIND_COMPOSITE, delta=delta, seed=seed,
+        parts=(_medium_image(0.5, seed, epsilon), _knockout(delta, seed + 1, epsilon)))),
+    "only_zero_shift+medium_img_shift": ("large", lambda delta, seed, epsilon: ShiftSpec(
+        kind=KIND_COMPOSITE, delta=delta, seed=seed,
+        parts=(ShiftSpec(kind=KIND_ONLY_ZERO, seed=seed), _medium_image(delta, seed + 1, epsilon)))),
 }
-
-PRESET_NAMES = (
-    "no_shift",
-    "small_gn_shift", "medium_gn_shift", "large_gn_shift",
-    "small_img_shift", "medium_img_shift", "large_img_shift",
-    "adv_shift", "ko_shift",
-    "medium_img_shift+ko_shift",
-    "only_zero_shift+medium_img_shift",
-)
-
-_INTENSITY = {
-    "no_shift": "none",
-    "small_gn_shift": "small", "small_img_shift": "small", "ko_shift": "small",
-    "medium_gn_shift": "medium", "medium_img_shift": "medium", "adv_shift": "medium",
-    "large_gn_shift": "large", "large_img_shift": "large",
-    "medium_img_shift+ko_shift": "large",
-    "only_zero_shift+medium_img_shift": "large",
-}
+PRESET_NAMES = tuple(_PRESETS)
 
 
-def preset(name: str, delta: float = 1.0, seed: int = 0,
-           epsilon: float = 0.1) -> ShiftSpec:
-    """Expand a named preset into a fully resolved ShiftSpec.
+def preset(name: str, delta: float | None = None, seed: int | None = None,
+           epsilon: float | None = None) -> ShiftSpec:
+    """Expand a named preset of _PRESETS into a fully resolved ShiftSpec.
 
-    Gaussian-noise levels use sigma in {1, 10, 100} (byte scale); image
-    levels use (rotation, translation, zoom) maxima in {(10, .05, .1),
-    (40, .2, .2), (90, .4, .4)}. The two composite presets fix their first
-    component and give the variable delta to the second.
+    None means "not given": delta defaults to 1.0, seed to 0 and epsilon to
+    0.1. A given delta or epsilon must show in the spec with the value given,
+    so only adv_shift reads epsilon and no_shift takes delta 0 only; any
+    other value, or an unknown name, raises ValueError.
     """
-    if name == "no_shift":
-        return ShiftSpec(kind=KIND_COMPOSITE, delta=0.0, seed=seed)
-    if name.endswith("_gn_shift"):
-        level = name.split("_")[0]
-        return ShiftSpec(kind=KIND_GAUSSIAN_NOISE, sigma=_GN_SIGMA[level],
-                         delta=delta, seed=seed)
-    if name.endswith("_img_shift") and "+" not in name:
-        rot, trans, zoom = _IMG_PARAMS[name.split("_")[0]]
-        return ShiftSpec(kind=KIND_IMAGE, rot_max_deg=rot, trans_max_frac=trans,
-                         zoom_max_frac=zoom, delta=delta, seed=seed)
-    if name == "adv_shift":
-        return ShiftSpec(kind=KIND_ADVERSARIAL, epsilon=epsilon, delta=delta, seed=seed)
-    if name == "ko_shift":
-        return ShiftSpec(kind=KIND_KNOCKOUT, class_id=0, delta=delta, seed=seed)
-    if name == "medium_img_shift+ko_shift":
-        rot, trans, zoom = _IMG_PARAMS["medium"]
-        return ShiftSpec(kind=KIND_COMPOSITE, delta=delta, seed=seed, parts=(
-            ShiftSpec(kind=KIND_IMAGE, rot_max_deg=rot, trans_max_frac=trans,
-                      zoom_max_frac=zoom, delta=0.5, seed=seed),
-            ShiftSpec(kind=KIND_KNOCKOUT, class_id=0, delta=delta, seed=seed + 1),
-        ))
-    if name == "only_zero_shift+medium_img_shift":
-        rot, trans, zoom = _IMG_PARAMS["medium"]
-        return ShiftSpec(kind=KIND_COMPOSITE, delta=delta, seed=seed, parts=(
-            ShiftSpec(kind=KIND_ONLY_ZERO, delta=1.0, seed=seed),
-            ShiftSpec(kind=KIND_IMAGE, rot_max_deg=rot, trans_max_frac=trans,
-                      zoom_max_frac=zoom, delta=delta, seed=seed + 1),
-        ))
-    raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+    spec = _PRESETS[name][1](1.0 if delta is None else delta, 0 if seed is None else seed,
+                             0.1 if epsilon is None else epsilon)
+    carried = spec.to_dict()
+    for key, value in (("delta", delta), ("epsilon", epsilon)):
+        if value is not None and key not in carried:
+            raise ValueError(f"{name} does not read {key}")
+        if value is not None and carried[key] != value:
+            raise ValueError(f"{name} takes {key} {carried[key]!r} only, got {value!r}")
+    return spec
 
 
 def intensity_of(name: str) -> str:
     """small / medium / large grouping of a preset name ('custom' otherwise)."""
-    return _INTENSITY.get(name, "custom")
+    return _PRESETS[name][0] if name in _PRESETS else "custom"
 
 
 def with_seed(spec: ShiftSpec, seed: int) -> ShiftSpec:

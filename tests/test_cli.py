@@ -191,7 +191,7 @@ def test_shift_bad_spec_exit_65(tmp_path, sample_files, capsys):
     spec.write_text("{not json")
     assert main(["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec)]) == 65
     for doc in ({"kind": "no_such_kind"}, {"preset": "ko_shift", "bogus": 1},
-                {"kind": "gaussian_noise", "bogus": 1}, ["ko_shift"],
+                {"kind": "gaussian_noise", "bogus": 1}, ["ko_shift"], {"preset": ["ko_shift"]},
                 # parameters the shift would not read
                 {"preset": "medium_gn_shift", "epsilon": 0.3},
                 {"preset": "no_shift", "delta": 0.7},
@@ -218,6 +218,14 @@ def test_shift_bad_spec_exit_65(tmp_path, sample_files, capsys):
         capsys.readouterr()
         assert main(["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec)]) == 65
         assert f"{field} must be" in capsys.readouterr().err
+    for doc, named in (({"preset": "huge_gn_shift"}, "unknown preset 'huge_gn_shift'"),
+                       ({"preset": "ko_shift", "seed": None}, "may not be null"),
+                       ({"preset": "adv_shift", "epsilon": None}, "may not be null")):
+        spec.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec)]) == 65
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
     spec.write_text(json.dumps({"preset": "no_shift", "delta": 0.0}))
     assert main(["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec)]) == 0
 

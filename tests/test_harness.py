@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -315,6 +316,24 @@ def test_pvalue_evolution_series(small_result):
         assert row["min_p"] <= row["mean_p"] <= row["max_p"]
     with pytest.raises(NotFound):
         pvalue_evolution(small_result, "nope", "nored")
+
+
+def test_pvalue_curves_keep_the_two_modes_apart(small_result, tmp_path):
+    # pca runs in both modes: KS and MMD p-values are separate curves
+    runs = _small_config().runs
+    series = pvalue_evolution(small_result, "no_shift", "pca")
+    assert [(row["mode"], row["sample_size"]) for row in series] == [
+        (mode, s) for mode in ("multivariate", "univariate") for s in (10, 50, 100)]
+    assert all(row["n"] == runs for row in series)
+    harness.write_pvalue_curves_csv(small_result, tmp_path / "curves.csv")
+    with open(tmp_path / "curves.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert list(rows[0]) == ["shift", "method", "mode", "sample_size", "mean_p", "min_p",
+                             "max_p", "n"]
+    pca = [(r["shift"], r["mode"], r["sample_size"], r["mean_p"], r["n"]) for r in rows
+           if r["method"] == "pca" and r["shift"] == "no_shift"]
+    assert pca == [("no_shift", row["mode"], str(row["sample_size"]), repr(row["mean_p"]),
+                    str(runs)) for row in series]
 
 
 def test_pvalue_declines_under_strong_shift(small_result):

@@ -1,6 +1,9 @@
 import hashlib
-
+import itertools
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from shiftdetect import digits, nets
 from shiftdetect.data import TensorDataset, flatten
 from shiftdetect.errors import ClassAbsent, DimensionMismatch, MissingContext
 from shiftdetect.shifts import (
+    PRESET_NAMES,
     ShiftSpec,
     affine_transform_image,
     affine_transform_images,
@@ -22,6 +26,7 @@ from shiftdetect.shifts import (
     apply_only_zero,
     apply_shift,
     intensity_of,
+    needs_classifier,
     preset,
     with_seed,
 )
@@ -356,8 +361,67 @@ def test_preset_names_and_intensities():
     assert intensity_of("small_img_shift") == "small"
     assert intensity_of("adv_shift") == "medium"
     assert intensity_of("medium_img_shift+ko_shift") == "large"
-    with pytest.raises(ValueError):
-        preset("nonexistent_shift")
+    for name in ("nonexistent_shift", "huge_gn_shift", "tiny_img_shift"):
+        with pytest.raises(ValueError, match=f"unknown preset '{name}'; known: no_shift"):
+            preset(name)
+    assert intensity_of("huge_gn_shift") == "custom"
+
+
+# sha256 of the JSON list of [name, delta, seed, epsilon, spec.to_dict(),
+# intensity_of(name)] over _preset_calls(), recorded from the name-parsing
+# presets the table replaced
+PRESET_SPECS_SHA256 = "721c51b9c0ddae727da8482050478ba2cb8e7f5462e2101a7c860a618c7efc70"
+
+
+def _preset_calls():
+    """Every (name, delta, seed, epsilon) a bench config may ask for over a grid:
+    no_shift at delta 0 only, and epsilon for adv_shift only (None: not given)."""
+    for name in PRESET_NAMES:
+        deltas = (0,) if name == "no_shift" else (0, 0.1, 0.5, 1)
+        epsilons = (0.1, 0.25) if name == "adv_shift" else (None,)
+        yield from itertools.product([name], deltas, (0, 7), epsilons)
+
+
+def test_preset_specs_are_pinned():
+    docs = [[name, delta, seed, eps, preset(name, delta, seed, eps).to_dict(),
+             intensity_of(name)] for name, delta, seed, eps in _preset_calls()]
+    assert len(docs) == 90
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == PRESET_SPECS_SHA256
+
+
+def test_preset_refuses_values_it_does_not_read():
+    with pytest.raises(ValueError, match="ko_shift does not read epsilon"):
+        preset("ko_shift", epsilon=0.2)
+    with pytest.raises(ValueError, match="no_shift takes delta 0.0 only, got 0.7"):
+        preset("no_shift", 0.7)
+    assert preset("no_shift") == preset("no_shift", 0.0) == preset("no_shift", delta=0)
+    assert preset("no_shift").delta == 0.0
+    # not given: delta 1, seed 0, epsilon 0.1
+    assert preset("adv_shift") == preset("adv_shift", 1.0, 0, 0.1)
+
+
+def test_needs_classifier_walks_composites():
+    adv = preset("adv_shift", 0.5)
+    assert needs_classifier(adv)
+    assert not any(needs_classifier(preset(n)) for n in PRESET_NAMES if n != "adv_shift")
+    nested = ShiftSpec(kind="composite", parts=(
+        preset("ko_shift"), ShiftSpec(kind="composite", parts=(preset("small_gn_shift"), adv))))
+    assert needs_classifier(nested)
+    with pytest.raises(MissingContext):
+        apply_shift(nested, _dataset())
+
+
+def test_readme_names_exactly_the_preset_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"Shift presets:(.*?)\.\s", readme, re.S).group(1)
+    names = []
+    for item in re.findall(r"`([^`]+)`", listed):
+        braces = re.fullmatch(r"\{([^}]*)\}(.*)", item)
+        names += ([f"{level}{braces.group(2)}" for level in braces.group(1).split(",")]
+                  if braces else [item])
+    assert sorted(names) == sorted(PRESET_NAMES)
+    assert len(names) == len(set(names))
 
 
 def test_spec_serialization_round_trip():
