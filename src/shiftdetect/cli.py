@@ -174,29 +174,48 @@ def cmd_shift(args) -> int:
 # ---------------------------------------------------------------------------
 # bench
 
+# each dataset kind's keys besides "kind": (required, optional)
+_DATASET_KEYS = {"synthetic": ((), ("seed", "n_pool")),
+                 "idx": (("images", "labels"), ()),
+                 "csv": (("path",), ())}
+
+
 def _dataset_from_config(doc: dict, cfg: ExperimentConfig) -> TensorDataset:
+    """The dataset a bench config names; its keys are checked before any
+    corpus is built or file is read."""
     ds_cfg = doc.get("dataset")
     if not isinstance(ds_cfg, dict):
         raise ConfigInvalid("config needs a 'dataset' object")
     kind = ds_cfg.get("kind", "synthetic")
-    if kind == "synthetic":
-        # checked here, before the corpus is built
-        need = cfg.n_train + cfg.n_val + cfg.n_test
-        seed, n_pool = ds_cfg.get("seed", cfg.seed), ds_cfg.get("n_pool", need)
-        if not harness._is_int(seed) or seed < 0:
-            raise ConfigInvalid(f"dataset.seed must be an integer >= 0, got {seed!r}")
-        if not harness._is_int(n_pool) or n_pool < need:
-            raise ConfigInvalid(f"dataset.n_pool must be an integer >= n_train + n_val + "
-                                f"n_test = {need}, got {n_pool!r}")
-        return digits.make_digits(n_pool, seed=seed)
+    if not isinstance(kind, str) or kind not in _DATASET_KEYS:
+        raise ConfigInvalid(f"unknown dataset kind {kind!r}; known: {', '.join(_DATASET_KEYS)}")
+    required, optional = _DATASET_KEYS[kind]
+    for key in ds_cfg:
+        if key not in ("kind", *required, *optional):
+            raise ConfigInvalid(f"dataset kind {kind!r} takes no key {key!r}; it takes "
+                                f"{', '.join(('kind', *required, *optional))}")
+    for key in required:
+        if key not in ds_cfg:
+            raise ConfigInvalid(f"dataset kind {kind!r} needs the key {key!r}")
+        if not isinstance(ds_cfg[key], str):
+            raise ConfigInvalid(f"dataset.{key} must be a path string, got {ds_cfg[key]!r}")
     if kind == "idx":
         return _read_dataset(ds_cfg["images"], ds_cfg["labels"])
     if kind == "csv":
         return _read_dataset(ds_cfg["path"])
-    raise ConfigInvalid(f"unknown dataset kind {kind!r}")
+    need = cfg.n_train + cfg.n_val + cfg.n_test
+    seed, n_pool = ds_cfg.get("seed", cfg.seed), ds_cfg.get("n_pool", need)
+    if not harness._is_int(seed) or seed < 0:
+        raise ConfigInvalid(f"dataset.seed must be an integer >= 0, got {seed!r}")
+    if not harness._is_int(n_pool) or n_pool < need:
+        raise ConfigInvalid(f"dataset.n_pool must be an integer >= n_train + n_val + "
+                            f"n_test = {need}, got {n_pool!r}")
+    return digits.make_digits(n_pool, seed=seed)
 
 
-_ACCURACY_TABLES = (("accuracy_by_method.csv", ("method", "mode", "sample_size")),
+# accuracy_by_method keeps shifts apart: no_shift rows are test size, the
+# others power
+_ACCURACY_TABLES = (("accuracy_by_method.csv", ("shift", "method", "mode", "sample_size")),
                    ("accuracy_by_shift.csv", ("shift", "sample_size")),
                    ("accuracy_by_intensity.csv", ("intensity", "sample_size")),
                    ("accuracy_by_delta.csv", ("delta", "sample_size")))

@@ -20,7 +20,13 @@ import numpy as np
 from . import nets, shifts
 from .data import DataSplit, TensorDataset, _is_int, flatten, split_indices
 from .dimred import METHOD_TABLE, DrKind, Representation, build_srp, fit_pca, reduce
-from .errors import ConfigInvalid, EmptyResult, NotFound, ShiftDetectError
+from .errors import (
+    ConfigInvalid,
+    DimensionMismatch,
+    EmptyResult,
+    NotFound,
+    ShiftDetectError,
+)
 from .nets import SoftmaxClassifier, TrainConfig
 from .stattest import (
     TestMode,
@@ -273,49 +279,75 @@ class DomainCheck:
 
 def run_domain_classifier_test(source: np.ndarray, target: np.ndarray,
                                train_cfg: TrainConfig, alpha: float = 0.05,
-                               seed: int = 0, hidden_dims=(32,)) -> DomainCheck:
+                               seed: int = 0, hidden_dims=(32,),
+                               rows: tuple | None = None) -> DomainCheck:
     """Half-split domain-classifier protocol with an exact binomial test.
 
     Both sides are shuffled by the seed and split 50/50; the first halves
     train a source-vs-target classifier, the second halves are scored, and
     held-out accuracy is compared against chance with a two-sided binomial
     test over all held-out samples.
+
+    rows, when given, is a (source positions, target positions) pair, and
+    the test runs on source[rows[0]] and target[rows[1]] without gathering
+    them: the training halves are gathered straight into one stacked
+    matrix, and the held-out rows only after that matrix is freed.
+    heldout_target_indices are positions within the target rows tested.
     """
     source = np.atleast_2d(np.asarray(source, dtype=np.float64))
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
-    half_src, half_tgt = source.shape[0] // 2, target.shape[0] // 2
+    if source.shape[1] != target.shape[1]:
+        raise DimensionMismatch(f"sides disagree in dim: {source.shape[1]} vs "
+                                f"{target.shape[1]}")
+    src_rows, tgt_rows = rows or (None, None)
+    src_rows, tgt_rows = _positions(source, src_rows), _positions(target, tgt_rows)
+    half_src, half_tgt = src_rows.size // 2, tgt_rows.size // 2
     if half_src < 2 or half_tgt < 2:
         # the exact text is the skip reason a grid cell records
         raise ConfigInvalid("fewer than 2 samples per half")
     rng = np.random.default_rng(seed)
-    src_order = rng.permutation(source.shape[0])
-    tgt_order = rng.permutation(target.shape[0])
+    src_order = src_rows[rng.permutation(src_rows.size)]
+    tgt_perm = rng.permutation(tgt_rows.size)
+    tgt_order = tgt_rows[tgt_perm]
 
-    clf = nets.train_domain_classifier(
-        source[src_order[:half_src]], target[tgt_order[:half_tgt]],
-        train_cfg, hidden_dims=hidden_dims)
+    # take with out= and mode="clip" writes in place; mode="raise" would
+    # buffer a copy. _positions has checked every position.
+    x = np.empty((half_src + half_tgt, source.shape[1]))
+    np.take(source, src_order[:half_src], axis=0, out=x[:half_src], mode="clip")
+    np.take(target, tgt_order[:half_tgt], axis=0, out=x[half_src:], mode="clip")
+    clf = nets.train_domain_classifier(x, half_src, train_cfg, hidden_dims=hidden_dims)
+    del x
 
-    held_src = source[src_order[half_src:]]
-    held_tgt_idx = tgt_order[half_tgt:]
-    held_tgt = target[held_tgt_idx]
-    preds_src = nets.hard_predictions(clf, held_src)
-    preds_tgt = nets.hard_predictions(clf, held_tgt)
-    correct = int(np.sum(preds_src == 0) + np.sum(preds_tgt == 1))
-    n_heldout = held_src.shape[0] + held_tgt.shape[0]
+    correct = int(np.sum(nets.hard_predictions(clf, source[src_order[half_src:]]) == 0))
+    held_tgt = target[tgt_order[half_tgt:]]
+    correct += int(np.sum(nets.hard_predictions(clf, held_tgt) == 1))
+    n_heldout = (src_rows.size - half_src) + held_tgt.shape[0]
     p = binomial_two_sided(correct, n_heldout)
     acc = correct / n_heldout
     outcome = TestOutcome(statistic=acc, p_value=p, alpha=alpha,
                           reject=p < alpha, test_tag=TestTag.BINOMIAL)
     return DomainCheck(clf=clf, outcome=outcome, accuracy=acc, n_heldout=n_heldout,
-                       heldout_target=held_tgt, heldout_target_indices=held_tgt_idx)
+                       heldout_target=held_tgt, heldout_target_indices=tgt_perm[half_tgt:])
+
+
+def _positions(x: np.ndarray, rows) -> np.ndarray:
+    """rows as positions into x's rows, checked; every row of x when None."""
+    if rows is None:
+        return np.arange(x.shape[0])
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise ValueError(f"rows must be a 1-D integer array, got {rows.dtype} {rows.shape}")
+    if rows.size and not (0 <= rows.min() and rows.max() < x.shape[0]):
+        raise IndexError(f"rows must lie in [0, {x.shape[0]})")
+    return rows
 
 
 def domain_check(cfg: ExperimentConfig, source: np.ndarray, target: np.ndarray, seed: int,
-                 train_seed: int | None = None) -> DomainCheck:
+                 train_seed: int | None = None, rows: tuple | None = None) -> DomainCheck:
     """run_domain_classifier_test under cfg; train_seed (seed when None) seeds training."""
     return run_domain_classifier_test(
         source, target, cfg.domain_train_config(seed if train_seed is None else train_seed),
-        alpha=cfg.alpha, seed=seed, hidden_dims=(cfg.domain_hidden_dim,))
+        alpha=cfg.alpha, seed=seed, hidden_dims=(cfg.domain_hidden_dim,), rows=rows)
 
 
 @dataclass
@@ -353,14 +385,22 @@ def top_exemplars(domain_clf: SoftmaxClassifier, target_heldout: np.ndarray,
 # The experiment grid
 
 def check(cfg: ExperimentConfig, method: MethodSpec, source_rep: Representation,
-          target_rep: Representation, seed: int, train_seed: int | None = None) -> TestOutcome:
+          target_rep: Representation, seed: int, train_seed: int | None = None,
+          rows: tuple | None = None) -> TestOutcome:
     """The method's test of two representations that reduce gave for its kind.
 
-    classif runs domain_check on their rows; every other method goes
-    through dispatch_test with seed, and train_seed goes unread.
+    rows, when given, is a (source positions, target positions) pair, and
+    only those rows of each representation are tested. classif runs
+    domain_check, which gathers its training and held-out rows from the
+    representations by position; every other method gathers the rows and
+    goes through dispatch_test with seed, and train_seed goes unread.
     """
     if method.kind == DrKind.CLASSIF:
-        return domain_check(cfg, source_rep.values, target_rep.values, seed, train_seed).outcome
+        return domain_check(cfg, source_rep.values, target_rep.values, seed, train_seed,
+                            rows).outcome
+    if rows is not None:
+        source_rep, target_rep = (Representation(rep.values[r], rep.arity)
+                                  for rep, r in zip((source_rep, target_rep), rows))
     return dispatch_test(source_rep, target_rep, method.kind, method.mode, alpha=cfg.alpha,
                          seed=seed, n_perms=cfg.n_perms)
 
@@ -375,11 +415,11 @@ def run_experiment(dataset: TensorDataset, cfg: ExperimentConfig,
     one per-(run, shift) shuffled order of each side. The split is held as
     row indices into dataset: the training rows exist only while the
     reducers are fitted, and each run gathers its own validation and test
-    rows. Every cell goes through check, on the first s rows of each side's
-    order. Cells run in a pool of `threads` (>= 1) threads, one (run, shift)
-    block ahead: block k+1 is queued before block k's results are collected,
-    so the pool does not wait at block boundaries while the next shift is
-    applied. Records come back in grid order regardless of threads.
+    rows. Every cell goes through check, passing the first s positions of
+    each side's order as rows, not a gathered copy of them. Cells run in a
+    pool of `threads` (>= 1) threads, one (run, shift) block ahead: block
+    k+1 is queued before block k's results are collected, so the pool does
+    not wait at block boundaries while the next shift is applied. Records come back in grid order regardless of threads.
     """
     if threads < 1:
         raise ConfigInvalid(f"threads must be >= 1, got {threads}")
@@ -456,16 +496,20 @@ def _grid_blocks(cfg: ExperimentConfig, fitted: FittedReducers, dataset: TensorD
 
 
 def _method_test(cfg, method, source, target, run, shift_idx, midx):
-    """check on the first s rows of each (representation, order) side, as a
-    function of s. Its seeds derive from the cell's grid coordinates;
+    """check on the first s positions of each (representation, order) side,
+    as a function of s. Its seeds derive from the cell's grid coordinates;
     classif's carry no method index.
     """
+    (source_rep, src_order), (target_rep, tgt_order) = source, target
+
     def test(s):
-        reps = [Representation(rep.values[order[:s]], rep.arity) for rep, order in (source, target)]
+        rows = (src_order[:s], tgt_order[:s])
         if method.kind == DrKind.CLASSIF:
-            return check(cfg, method, *reps, _derive_seed(cfg.seed, 52, run, shift_idx, s),
-                         _derive_seed(cfg.seed, 51, run, shift_idx, s))
-        return check(cfg, method, *reps, _derive_seed(cfg.seed, 61, run, shift_idx, midx, s))
+            return check(cfg, method, source_rep, target_rep,
+                         _derive_seed(cfg.seed, 52, run, shift_idx, s),
+                         _derive_seed(cfg.seed, 51, run, shift_idx, s), rows=rows)
+        return check(cfg, method, source_rep, target_rep,
+                     _derive_seed(cfg.seed, 61, run, shift_idx, midx, s), rows=rows)
     return test
 
 

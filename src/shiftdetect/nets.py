@@ -386,28 +386,22 @@ def train_label_classifier(train, val, num_classes: int, cfg: TrainConfig,
     return SoftmaxClassifier(net=net, num_classes=num_classes, best_epoch=best_epoch)
 
 
-def train_domain_classifier(source_half: np.ndarray, target_half: np.ndarray,
-                            cfg: TrainConfig, hidden_dims=(32,)) -> SoftmaxClassifier:
+def train_domain_classifier(x: np.ndarray, n_source: int, cfg: TrainConfig,
+                            hidden_dims=(32,)) -> SoftmaxClassifier:
     """Binary classifier distinguishing source (class 0) from target (class 1).
 
-    Trains only on the supplied halves; there is no separate validation
-    pool at this point of the protocol, so best-epoch selection uses the
-    training halves themselves. Evaluation on held-out halves is the
-    caller's job.
+    x stacks the training rows: its first n_source rows are the source
+    half, the rest the target half. A float64 x is trained on as given,
+    never copied. There is no separate validation pool at this point of the
+    protocol, so best-epoch selection uses the training rows themselves.
+    Evaluation on held-out halves is the caller's job.
     """
-    source_half = np.atleast_2d(np.asarray(source_half, dtype=np.float64))
-    target_half = np.atleast_2d(np.asarray(target_half, dtype=np.float64))
-    if source_half.shape[0] == 0 or target_half.shape[0] == 0:
-        raise ValueError("both halves must be non-empty")
-    if source_half.shape[1] != target_half.shape[1]:
-        raise DimensionMismatch(
-            f"halves disagree in dim: {source_half.shape[1]} vs {target_half.shape[1]}"
-        )
-    x = np.vstack([source_half, target_half])
-    y = np.concatenate([
-        np.zeros(source_half.shape[0], dtype=np.int64),
-        np.ones(target_half.shape[0], dtype=np.int64),
-    ])
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if not 0 < n_source < x.shape[0]:
+        raise ValueError(f"both halves must be non-empty: {n_source} source rows "
+                         f"of {x.shape[0]}")
+    y = np.zeros(x.shape[0], dtype=np.int64)
+    y[n_source:] = 1
     return train_label_classifier((x, y), (x, y), 2, cfg, hidden_dims=hidden_dims)
 
 

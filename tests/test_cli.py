@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -425,6 +426,48 @@ def test_bench_bad_synthetic_dataset_exit_65_before_corpus(tmp_path, monkeypatch
     code = main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
     assert code == 65
     assert f"error: dataset.{key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dataset, message", [
+    ({"kind": "synthetic", "extra": 1}, "dataset kind 'synthetic' takes no key 'extra'"),
+    ({"seed": 5, "path": "x.csv"}, "dataset kind 'synthetic' takes no key 'path'"),
+    ({"kind": "idx"}, "dataset kind 'idx' needs the key 'images'"),
+    ({"kind": "idx", "images": "i.idx"}, "dataset kind 'idx' needs the key 'labels'"),
+    ({"kind": "idx", "images": "i", "labels": "l", "seed": 1}, "takes no key 'seed'"),
+    ({"kind": "csv"}, "dataset kind 'csv' needs the key 'path'"),
+    ({"kind": "csv", "path": "x.csv", "n_pool": 600}, "takes no key 'n_pool'"),
+    ({"kind": "csv", "path": 7}, "dataset.path must be a path string, got 7"),
+    ({"kind": ["csv"]}, "unknown dataset kind ['csv']"),
+    ({"kind": "npz"}, "unknown dataset kind 'npz'"),
+])
+def test_bench_dataset_keys_exit_65_before_reading(tmp_path, monkeypatch, capsys,
+                                                   dataset, message):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data built or read before the dataset object was checked")
+
+    for target in ("shiftdetect.digits.make_digits", "shiftdetect.cli.load_csv",
+                   "shiftdetect.cli.load_idx"):
+        monkeypatch.setattr(target, no_data)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(BENCH_CONFIG, dataset=dataset)))
+    code = main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 65
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_bench_accuracy_by_method_keeps_size_and_power_apart(tmp_path, capsys):
+    # no_shift rows are the test's size, large_gn_shift rows its power
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(BENCH_CONFIG, methods=["nored"], sample_sizes=[10])))
+    code = main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "acc")])
+    capsys.readouterr()
+    assert code == 0
+    with open(tmp_path / "acc" / "accuracy_by_method.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["shift"], r["method"], r["mode"], r["sample_size"], r["n"]) for r in rows] == [
+        ("large_gn_shift@d1", "nored", "univariate", "10", "2"),
+        ("no_shift@d0", "nored", "univariate", "10", "2")]
 
 
 @pytest.mark.parametrize("kind", ["bbsdh", "classif"])

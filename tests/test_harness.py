@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -16,8 +17,8 @@ import pytest
 import shiftdetect
 from shiftdetect import digits, harness, nets, shifts
 from shiftdetect.data import TensorDataset
-from shiftdetect.dimred import DrKind
-from shiftdetect.errors import ConfigInvalid, EmptyResult, NotFound
+from shiftdetect.dimred import DrKind, Representation
+from shiftdetect.errors import ConfigInvalid, DimensionMismatch, EmptyResult, NotFound
 from shiftdetect.harness import (
     ExperimentConfig,
     MethodSpec,
@@ -32,7 +33,7 @@ from shiftdetect.harness import (
     write_records_csv,
 )
 from shiftdetect.nets import TrainConfig
-from shiftdetect.stattest import TestMode
+from shiftdetect.stattest import TestMode, binomial_two_sided
 
 
 def _small_config(**overrides):
@@ -434,8 +435,108 @@ def test_domain_check_requires_enough_samples():
                                    TrainConfig(max_epochs=1))
 
 
+def _domain_check_by_copies(cfg, source, target, rows, seed, train_seed):
+    """The domain check as it gathered rows before: the s rows of each side,
+    the two training halves from those, np.vstack of the halves, then the
+    held-out rows. (accuracy, p-value, held-out target rows, their indices)."""
+    source, target = source[rows[0]], target[rows[1]]
+    half_src, half_tgt = source.shape[0] // 2, target.shape[0] // 2
+    if half_src < 2 or half_tgt < 2:
+        raise ConfigInvalid("fewer than 2 samples per half")
+    rng = np.random.default_rng(seed)
+    src_order = rng.permutation(source.shape[0])
+    tgt_order = rng.permutation(target.shape[0])
+    x = np.vstack([source[src_order[:half_src]], target[tgt_order[:half_tgt]]])
+    y = np.concatenate([np.zeros(half_src, dtype=np.int64), np.ones(half_tgt, dtype=np.int64)])
+    clf = nets.train_label_classifier((x, y), (x, y), 2, cfg.domain_train_config(train_seed),
+                                      hidden_dims=(cfg.domain_hidden_dim,))
+    held_src = source[src_order[half_src:]]
+    held_tgt_idx = tgt_order[half_tgt:]
+    held_tgt = target[held_tgt_idx]
+    correct = int(np.sum(nets.hard_predictions(clf, held_src) == 0)
+                  + np.sum(nets.hard_predictions(clf, held_tgt) == 1))
+    n_heldout = held_src.shape[0] + held_tgt.shape[0]
+    p_value = binomial_two_sided(correct, n_heldout)
+    return correct / n_heldout, p_value, held_tgt, held_tgt_idx
+
+
+@pytest.mark.parametrize("n_src, n_tgt", [(4, 4), (5, 5), (4, 7), (40, 40), (41, 41),
+                                          (41, 40)])
+def test_domain_check_by_position_matches_the_copying_path(n_src, n_tgt):
+    rng = np.random.default_rng(n_src * 100 + n_tgt)
+    source = rng.random((60, 20))
+    target = rng.random((50, 20)) + 0.1
+    # a row subset in shuffled order, as a grid cell passes order[:s]
+    rows = (rng.permutation(60)[:n_src], rng.permutation(50)[:n_tgt])
+    cfg = _small_config(domain_epochs=3, domain_batch_size=8)
+    acc, p, held, held_idx = _domain_check_by_copies(cfg, source, target, rows, 11, 12)
+
+    got = harness.domain_check(cfg, source, target, 11, 12, rows=rows)
+    assert (got.accuracy, got.outcome.p_value) == (acc, p)
+    assert got.heldout_target.tobytes() == held.tobytes()
+    assert np.array_equal(got.heldout_target_indices, held_idx)
+    assert got.n_heldout == (n_src - n_src // 2) + (n_tgt - n_tgt // 2)
+    outcome = harness.check(cfg, MethodSpec(DrKind.CLASSIF), Representation(source),
+                            Representation(target), 11, 12, rows=rows)
+    assert outcome == got.outcome
+    # without rows, every row is tested, as when the rows were gathered first
+    whole = harness.domain_check(cfg, source[rows[0]], target[rows[1]], 11, 12)
+    assert (whole.accuracy, whole.heldout_target.tobytes()) == (acc, held.tobytes())
+    assert np.array_equal(whole.heldout_target_indices, held_idx)
+
+
+@pytest.mark.parametrize("n_src, n_tgt", [(3, 10), (10, 3), (2, 2)])
+def test_domain_check_by_position_refuses_fewer_than_2_per_half(n_src, n_tgt):
+    rng = np.random.default_rng(3)
+    source, target = rng.random((20, 4)), rng.random((20, 4))
+    rows = (rng.permutation(20)[:n_src], rng.permutation(20)[:n_tgt])
+    cfg = _small_config(domain_epochs=1)
+    with pytest.raises(ConfigInvalid) as old:
+        _domain_check_by_copies(cfg, source, target, rows, 1, 2)
+    with pytest.raises(ConfigInvalid) as new:
+        harness.domain_check(cfg, source, target, 1, 2, rows=rows)
+    assert str(new.value) == str(old.value) == "fewer than 2 samples per half"
+
+
+@pytest.mark.parametrize("rows", [(np.array([0, 1, 2, 20]), np.arange(4)),
+                                  (np.arange(4), np.array([-1, 0, 1, 2])),
+                                  (np.arange(4.0), np.arange(4))])
+def test_domain_check_refuses_rows_outside_the_sides(rows):
+    source, target = np.zeros((20, 4)), np.ones((20, 4))
+    with pytest.raises((IndexError, ValueError), match="rows must"):
+        harness.domain_check(_small_config(domain_epochs=1), source, target, 1, rows=rows)
+
+
+def test_domain_check_refuses_sides_of_different_width():
+    with pytest.raises(DimensionMismatch, match="sides disagree in dim: 3 vs 4"):
+        run_domain_classifier_test(np.zeros((10, 3)), np.ones((10, 4)),
+                                   TrainConfig(max_epochs=1))
+
+
+@pytest.mark.parametrize("route", ["grid_cell", "whole_sides"])
+def test_domain_check_holds_one_training_matrix(route):
+    # one (200 + 200, 784) training matrix, freed before the held-out rows
+    # are gathered, which are of the same size: nothing else of row size
+    rng = np.random.default_rng(8)
+    source, target = rng.random((800, 784)), rng.random((800, 784)) + 0.05
+    cfg = _small_config(domain_epochs=2)
+    matrix_bytes = (200 + 200) * 784 * 8
+    if route == "grid_cell":
+        rows = (rng.permutation(800)[:400], rng.permutation(800)[:400])
+    else:
+        source, target, rows = source[:400], target[:400], None
+    reps = Representation(source), Representation(target)
+    tracemalloc.start()
+    try:
+        harness.check(cfg, MethodSpec(DrKind.CLASSIF), *reps, 1, 2, rows=rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * matrix_bytes
+
+
 def test_top_exemplars_gate():
-    clf = nets.train_domain_classifier(np.zeros((4, 3)), np.ones((4, 3)),
+    clf = nets.train_domain_classifier(np.vstack([np.zeros((4, 3)), np.ones((4, 3))]), 4,
                                        TrainConfig(max_epochs=2, batch_size=4))
     report = top_exemplars(clf, np.random.default_rng(0).random((10, 3)), 3,
                            binomial_p=0.9, alpha=0.05)
@@ -444,7 +545,7 @@ def test_top_exemplars_gate():
 
 
 def test_top_exemplars_refuses_k_below_one():
-    clf = nets.train_domain_classifier(np.zeros((4, 3)), np.ones((4, 3)),
+    clf = nets.train_domain_classifier(np.vstack([np.zeros((4, 3)), np.ones((4, 3))]), 4,
                                        TrainConfig(max_epochs=2, batch_size=4))
     rows = np.random.default_rng(0).random((10, 3))
     for k in (0, -3):

@@ -244,7 +244,8 @@ def test_label_swap_mirrors_scores():
 def test_domain_scores_in_unit_interval_and_rank_by_logit():
     rng = np.random.default_rng(12)
     a, b = rng.random((30, 5)), rng.random((30, 5)) + 0.5
-    clf = train_domain_classifier(a, b, TrainConfig(max_epochs=6, batch_size=8, seed=15))
+    clf = train_domain_classifier(np.vstack([a, b]), a.shape[0],
+                                  TrainConfig(max_epochs=6, batch_size=8, seed=15))
     x = rng.random((50, 5))
     scores = domain_scores(clf, x)
     assert np.all((scores >= 0.0) & (scores <= 1.0))
@@ -263,9 +264,9 @@ def test_label_classifier_refuses_out_of_range_labels():
 
 
 def test_domain_classifier_needs_nonempty_halves():
-    with pytest.raises(ValueError):
-        train_domain_classifier(np.zeros((0, 3)), np.ones((4, 3)),
-                                TrainConfig(max_epochs=1))
+    for n_source in (0, 4, -1, 5):  # of 4 stacked rows
+        with pytest.raises(ValueError, match="both halves must be non-empty"):
+            train_domain_classifier(np.ones((4, 3)), n_source, TrainConfig(max_epochs=1))
 
 
 def test_training_determinism():
@@ -351,7 +352,8 @@ def _golden_label_classifier(rng):
 
 
 def _golden_domain_classifier(rng):
-    clf = train_domain_classifier(rng.random((45, 16)), rng.random((45, 16)) + 0.2,
+    source, target = rng.random((45, 16)), rng.random((45, 16)) + 0.2
+    clf = train_domain_classifier(np.vstack([source, target]), 45,
                                   TrainConfig(max_epochs=6, batch_size=16, seed=5),
                                   hidden_dims=(8,))
     assert clf.best_epoch == 6
@@ -388,7 +390,7 @@ def test_concurrent_domain_classifiers_match_serial():
     # each training run owns its step buffers: two threads training four
     # classifiers give the same bits as training them one after another
     rng = np.random.default_rng(17)
-    jobs = [(rng.random((40, 12)), rng.random((40, 12)) + 0.1 * k,
+    jobs = [(np.vstack([rng.random((40, 12)), rng.random((40, 12)) + 0.1 * k]), 40,
              TrainConfig(max_epochs=5, batch_size=16, seed=30 + k)) for k in range(4)]
     serial = [train_domain_classifier(*job, hidden_dims=(16,)) for job in jobs]
     with ThreadPoolExecutor(max_workers=2) as pool:
