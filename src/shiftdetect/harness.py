@@ -14,6 +14,7 @@ import csv
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -170,8 +171,6 @@ def parse_shift_spec(entry: dict) -> shifts.ShiftSpec:
 
 
 def _shift_from_entry(entry) -> NamedShift:
-    if isinstance(entry, NamedShift):
-        return entry
     spec = parse_shift_spec(entry)
     label, preset_name, intensity = (entry.get(k) for k in ("name", "preset", "intensity"))
     if preset_name is not None:
@@ -415,11 +414,13 @@ def run_experiment(dataset: TensorDataset, cfg: ExperimentConfig,
     one per-(run, shift) shuffled order of each side. The split is held as
     row indices into dataset: the training rows exist only while the
     reducers are fitted, and each run gathers its own validation and test
-    rows. Every cell goes through check, passing the first s positions of
-    each side's order as rows, not a gathered copy of them. Cells run in a
-    pool of `threads` (>= 1) threads, one (run, shift) block ahead: block
-    k+1 is queued before block k's results are collected, so the pool does
-    not wait at block boundaries while the next shift is applied. Records come back in grid order regardless of threads.
+    rows. Every cell is _cell bound to its grid coordinates: it passes the
+    first s positions of each side's order to check as rows, not a gathered
+    copy of them. Cells run in a pool of `threads` (>= 1) threads, one
+    (run, shift) block ahead: block k+1 is queued before block k's results
+    are collected, so the pool does not wait at block boundaries while the
+    next shift is applied. Records come back in grid order regardless of
+    threads.
     """
     if threads < 1:
         raise ConfigInvalid(f"threads must be >= 1, got {threads}")
@@ -458,7 +459,10 @@ def _grid_blocks(cfg: ExperimentConfig, fitted: FittedReducers, dataset: TensorD
     vt_idx holds the dataset rows of the validation/test pool. Each kind
     reduces a run's source rows once, and each block's target once; a
     block's shift is applied and its target reduced only when the block is
-    asked for, and it holds nothing else but what its cells read.
+    asked for, and it holds nothing else but what its cells read. A cell is
+    _cell bound to its representations, orders, labels and seeds. The seeds
+    derive from the cell's grid coordinates: classif's test and training
+    seeds carry no method index, every other method's test seed does.
     """
     kinds = dict.fromkeys(m.kind for m in cfg.methods)
     for run in range(cfg.runs):
@@ -479,62 +483,66 @@ def _grid_blocks(cfg: ExperimentConfig, fitted: FittedReducers, dataset: TensorD
                 np.random.SeedSequence([cfg.seed, 42, run, shift_idx])
             ).permutation(target_flat.shape[0])
             target_reps = {k: reduce(k, fitted.handle_for(k), target_flat) for k in kinds}
-            n_src, n_tgt = source_flat.shape[0], target_flat.shape[0]
 
             block = []
             for midx, method in enumerate(cfg.methods):
-                test = _method_test(cfg, method, (source_reps[method.kind], src_order),
-                                    (target_reps[method.kind], tgt_order), run, shift_idx, midx)
+                source = (source_reps[method.kind], src_order)
+                target = (target_reps[method.kind], tgt_order)
                 for s in cfg.sample_sizes:
-                    key = (shift_idx, midx, s, run)
-                    base = dict(shift=named.name, intensity=named.intensity,
-                                delta=named.spec.delta, method=method.kind.value,
-                                mode=method.mode.value, sample_size=s, run=run)
-                    block.append((key, _make_cell(base, s, n_src, n_tgt, test)))
-            del target_flat, target_reps, test  # the cells hold what they read
+                    if method.kind == DrKind.CLASSIF:
+                        seeds = (_derive_seed(cfg.seed, 52, run, shift_idx, s),
+                                 _derive_seed(cfg.seed, 51, run, shift_idx, s))
+                    else:
+                        seeds = (_derive_seed(cfg.seed, 61, run, shift_idx, midx, s),)
+                    labels = dict(shift=named.name, intensity=named.intensity,
+                                  delta=named.spec.delta, method=method.kind.value,
+                                  mode=method.mode.value, sample_size=s, run=run)
+                    block.append(((shift_idx, midx, s, run),
+                                  partial(_cell, cfg, method, source, target, seeds, labels)))
+            del target_flat, target_reps  # the cells hold what they read
             yield block
 
 
-def _method_test(cfg, method, source, target, run, shift_idx, midx):
-    """check on the first s positions of each (representation, order) side,
-    as a function of s. Its seeds derive from the cell's grid coordinates;
-    classif's carry no method index.
+def _cell(cfg: ExperimentConfig, method: MethodSpec, source: tuple, target: tuple,
+          seeds: tuple, labels: dict) -> Record:
+    """One grid cell: check on the first s = labels["sample_size"] positions of
+    each (representation, order) side, with seeds as its seed arguments.
+
+    The cell is skipped when a side has fewer than s rows, and when check
+    raises a ShiftDetectError (too few rows per half for the domain
+    classifier, the multivariate sample cap, ...), with the error's text as
+    the reason.
     """
     (source_rep, src_order), (target_rep, tgt_order) = source, target
-
-    def test(s):
-        rows = (src_order[:s], tgt_order[:s])
-        if method.kind == DrKind.CLASSIF:
-            return check(cfg, method, source_rep, target_rep,
-                         _derive_seed(cfg.seed, 52, run, shift_idx, s),
-                         _derive_seed(cfg.seed, 51, run, shift_idx, s), rows=rows)
-        return check(cfg, method, source_rep, target_rep,
-                     _derive_seed(cfg.seed, 61, run, shift_idx, midx, s), rows=rows)
-    return test
-
-
-def _make_cell(base, s, n_src, n_tgt, test):
-    """One grid cell: test(s) unless a side has fewer than s rows.
-
-    A ShiftDetectError from the test (too few rows per half for the domain
-    classifier, the multivariate sample cap, ...) makes the cell skipped,
-    with the error's text as the reason.
-    """
-    def cell() -> Record:
-        if s > n_src or s > n_tgt:
-            return Record(**base, status="skipped",
-                          reason=f"insufficient samples (source {n_src}, target {n_tgt})")
-        try:
-            outcome = test(s)
-        except ShiftDetectError as exc:
-            return Record(**base, status="skipped", reason=str(exc))
-        return Record(**base, status="ok", outcome=outcome)
-
-    return cell
+    s = labels["sample_size"]
+    if s > src_order.size or s > tgt_order.size:
+        return Record(**labels, status="skipped", reason=f"insufficient samples "
+                      f"(source {src_order.size}, target {tgt_order.size})")
+    try:
+        outcome = check(cfg, method, source_rep, target_rep, *seeds,
+                        rows=(src_order[:s], tgt_order[:s]))
+    except ShiftDetectError as exc:
+        return Record(**labels, status="skipped", reason=str(exc))
+    return Record(**labels, status="ok", outcome=outcome)
 
 
 # ---------------------------------------------------------------------------
 # Aggregation
+
+def _ok_groups(records, fields: tuple) -> list:
+    """The ok records grouped by the values of the named Record fields, as
+    (key, records) pairs sorted by key: numbers sort numerically, everything
+    else as text."""
+    groups: dict = {}
+    for rec in records:
+        if rec.status == "ok":
+            groups.setdefault(tuple(getattr(rec, f) for f in fields), []).append(rec)
+
+    def mixed_key(item):
+        return tuple((0, v, "") if isinstance(v, (int, float)) else (1, 0, str(v))
+                     for v in item[0])
+    return sorted(groups.items(), key=mixed_key)
+
 
 def detection_accuracy(result: ExperimentResult, group_by: tuple) -> list:
     """Rejection rate within each group of non-skipped records.
@@ -542,43 +550,27 @@ def detection_accuracy(result: ExperimentResult, group_by: tuple) -> list:
     group_by names Record fields, e.g. ("method", "sample_size"). Returns
     sorted rows of {field: value, ..., "accuracy": rate, "n": count}.
     """
-    usable = [r for r in result.records if r.status == "ok"]
-    if not usable:
+    groups = _ok_groups(result.records, group_by)
+    if not groups:
         raise EmptyResult("no usable records")
-    groups: dict = {}
-    for rec in usable:
-        key = tuple(getattr(rec, f) for f in group_by)
-        hits, total = groups.get(key, (0, 0))
-        groups[key] = (hits + int(rec.outcome.reject), total + 1)
-    def mixed_key(key):
-        # numbers sort numerically, everything else as text
-        return tuple((0, v, "") if isinstance(v, (int, float)) else (1, 0, str(v))
-                     for v in key)
+    return [{**dict(zip(group_by, key)),
+             "accuracy": sum(int(r.outcome.reject) for r in recs) / len(recs),
+             "n": len(recs)}
+            for key, recs in groups]
 
-    rows = []
-    for key in sorted(groups, key=mixed_key):
-        hits, total = groups[key]
-        row = dict(zip(group_by, key))
-        row["accuracy"] = hits / total
-        row["n"] = total
-        rows.append(row)
-    return rows
+
+_CURVE_KEY = ("shift", "method", "mode", "sample_size")
 
 
 def _pvalue_curves(records) -> list:
     """Mean and min/max p-value per (shift, method, mode, sample_size) of the
-    ok records, one row per group in sorted order, built in one pass."""
-    groups: dict = {}
-    for rec in records:
-        if rec.status == "ok":
-            key = (rec.shift, rec.method, rec.mode, rec.sample_size)
-            groups.setdefault(key, []).append(rec.outcome.p_value)
-    return [
-        {"shift": shift, "method": method, "mode": mode, "sample_size": s,
-         "mean_p": float(np.mean(ps)), "min_p": float(np.min(ps)),
-         "max_p": float(np.max(ps)), "n": len(ps)}
-        for (shift, method, mode, s), ps in sorted(groups.items())
-    ]
+    ok records, one row per group in sorted order."""
+    rows = []
+    for key, recs in _ok_groups(records, _CURVE_KEY):
+        ps = [r.outcome.p_value for r in recs]
+        rows.append({**dict(zip(_CURVE_KEY, key)), "mean_p": float(np.mean(ps)),
+                     "min_p": float(np.min(ps)), "max_p": float(np.max(ps)), "n": len(ps)})
+    return rows
 
 
 def pvalue_evolution(result: ExperimentResult, shift: str, method: str) -> list:
@@ -621,22 +613,31 @@ RECORD_COLUMNS = ("shift", "intensity", "delta", "method", "mode", "sample_size"
                   "reason")
 
 
-def write_records_csv(result: ExperimentResult, path) -> None:
-    """One row per grid cell; floats keep full round-trip precision."""
+def _write_csv(path, header, rows: list) -> None:
+    """Write header and rows; every results table goes through here. rows is
+    a list built before the file is opened, so a row builder that raises
+    leaves no file behind."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
-        for r in result.records:
-            if r.outcome is None:
-                tag, stat, p, reject = "", "", "", ""
-            else:
-                tag = r.outcome.test_tag.value
-                stat = repr(r.outcome.statistic)
-                p = repr(r.outcome.p_value)
-                reject = "true" if r.outcome.reject else "false"
-            writer.writerow([r.shift, r.intensity, repr(float(r.delta)), r.method,
-                             r.mode, r.sample_size, r.run, r.status, tag, stat, p,
-                             reject, r.reason])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _record_row(r: Record) -> list:
+    if r.outcome is None:
+        tag, stat, p, reject = "", "", "", ""
+    else:
+        tag = r.outcome.test_tag.value
+        stat = repr(r.outcome.statistic)
+        p = repr(r.outcome.p_value)
+        reject = "true" if r.outcome.reject else "false"
+    return [r.shift, r.intensity, repr(float(r.delta)), r.method, r.mode, r.sample_size,
+            r.run, r.status, tag, stat, p, reject, r.reason]
+
+
+def write_records_csv(result: ExperimentResult, path) -> None:
+    """One row per grid cell; floats keep full round-trip precision."""
+    _write_csv(path, RECORD_COLUMNS, [_record_row(r) for r in result.records])
 
 
 def read_records_csv(path, alpha: float = 0.05) -> ExperimentResult:
@@ -659,20 +660,13 @@ def read_records_csv(path, alpha: float = 0.05) -> ExperimentResult:
 
 
 def write_accuracy_csv(result: ExperimentResult, group_by: tuple, path) -> None:
-    rows = detection_accuracy(result, group_by)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow([*group_by, "accuracy", "n"])
-        for row in rows:
-            writer.writerow([*(row[g] for g in group_by), repr(row["accuracy"]), row["n"]])
+    rows = [[*(row[g] for g in group_by), repr(row["accuracy"]), row["n"]]
+            for row in detection_accuracy(result, group_by)]
+    _write_csv(path, [*group_by, "accuracy", "n"], rows)
 
 
 def write_pvalue_curves_csv(result: ExperimentResult, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["shift", "method", "mode", "sample_size", "mean_p", "min_p",
-                         "max_p", "n"])
-        for row in _pvalue_curves(result.records):
-            writer.writerow([row["shift"], row["method"], row["mode"], row["sample_size"],
-                             repr(row["mean_p"]), repr(row["min_p"]), repr(row["max_p"]),
-                             row["n"]])
+    stats = ("mean_p", "min_p", "max_p")
+    rows = [[*(row[k] for k in _CURVE_KEY), *(repr(row[k]) for k in stats), row["n"]]
+            for row in _pvalue_curves(result.records)]
+    _write_csv(path, [*_CURVE_KEY, *stats, "n"], rows)

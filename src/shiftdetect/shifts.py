@@ -235,10 +235,15 @@ def apply_image_shift(ds: TensorDataset, rot_max_deg: float, trans_max_frac: flo
     Per affected image i, a generator seeded by (seed, i) draws the
     rotation angle U[-rot_max, +rot_max], per-axis translations
     U[-t, +t] * width, and a zoom-in factor U[1, 1 + zoom_max], so the
-    result does not depend on processing order.
+    result does not depend on processing order. Images 1 pixel high or
+    wide (a CSV row is read as one) have no plane to move in and raise
+    ValueError.
     """
     if not all(map(_is_param, (rot_max_deg, trans_max_frac, zoom_max_frac))):
         raise ValueError("image shift parameters must be finite numbers >= 0")
+    if min(ds.image_shape[:2]) < 2:
+        raise ValueError(f"image shifts need images at least 2 pixels high and wide, "
+                         f"got image shape {ds.image_shape}")
     if delta == 0.0 or ds.n == 0:
         return ds
     master = np.random.default_rng(seed)

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from shiftdetect import harness, nets
+from shiftdetect import digits, harness, nets
 from shiftdetect.cli import main
-from shiftdetect.data import TensorDataset, flatten, load_csv, write_csv
+from shiftdetect.data import TensorDataset, flatten, load_csv, load_idx, write_csv, write_idx
 from shiftdetect.dimred import METHOD_TABLE, DrKind, fit_pca, save_model
 from shiftdetect.stattest import TestMode
 
@@ -252,6 +252,24 @@ def test_shift_adversarial_with_a_saved_classifier(tmp_path, sample_files, capsy
         assert f"got a {type(model).__name__}" in capsys.readouterr().err
 
 
+def test_shift_refuses_image_shifts_on_csv_rows(tmp_path, sample_files, capsys):
+    # each CSV row is a 1 x 8 image: an image shift would blank it, not move it
+    src, _, _ = sample_files
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"preset": "medium_img_shift", "delta": 1}))
+    assert main(["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec)]) == 65
+    assert "got image shape (1, 8, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(
+        BENCH_CONFIG, dataset={"kind": "csv", "path": str(src)}, methods=["nored"],
+        shifts=[{"preset": "small_img_shift"}], n_train=80, n_val=40, n_test=40, runs=1)))
+    assert main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 65
+    assert "got image shape (1, 8, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "records.csv").exists()
+
+
 def test_shift_to_idx_refuses_labels_above_a_byte(tmp_path):
     src = tmp_path / "wide_labels.csv"
     write_csv(TensorDataset(np.zeros((3, 1, 4, 1)), [300, 1, 0], 301), src)
@@ -480,6 +498,73 @@ def test_bench_refuses_multivariate_for_a_univariate_method(tmp_path, monkeypatc
     assert code == 65
     assert f"method entry ['{kind}', 'multivariate']" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("key", ["methods", "shifts"])
+def test_bench_empty_methods_or_shifts_exit_65_before_corpus(tmp_path, monkeypatch, capsys,
+                                                              key):
+    _refuse_work(monkeypatch)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(BENCH_CONFIG, **{key: []})))
+    code = main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 65
+    assert f"at least one {key[:-1]} is required" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_bench_custom_shift_entries(tmp_path, monkeypatch, capsys):
+    noise = {"kind": "gaussian_noise", "sigma": 100, "delta": 0.5}
+    doc = dict(BENCH_CONFIG, methods=["nored"], sample_sizes=[10], runs=1,
+               shifts=[dict(noise, name="noise"),
+                       dict(noise, name="loud", intensity="large", sigma=200)])
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "ok")]) == 0
+    records = harness.read_records_csv(tmp_path / "ok" / "records.csv").records
+    assert [(r.shift, r.intensity, r.delta, r.status) for r in records] == [
+        ("noise", "custom", 0.5, "ok"), ("loud", "large", 0.5, "ok")]
+
+    # a custom entry has no preset to name it after
+    _refuse_work(monkeypatch)
+    cfg_path.write_text(json.dumps(dict(doc, shifts=[noise])))
+    capsys.readouterr()
+    assert main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 65
+    assert "custom shift entries need a 'name'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+# no_shift and gaussian noise read pixels as a flat row, so a corpus gives the
+# same records whatever image shape its file format reads it as
+FILE_BENCH_CONFIG = dict(BENCH_CONFIG, methods=["nored", "pca"], sample_sizes=[10, 40],
+                         runs=1, n_train=100, n_val=40, n_test=40,
+                         shifts=[{"preset": "no_shift"},
+                                 {"preset": "medium_gn_shift", "delta": 0.5}])
+
+
+def _bench_records(tmp_path, name, dataset) -> bytes:
+    cfg_path = tmp_path / f"{name}.json"
+    cfg_path.write_text(json.dumps(dict(FILE_BENCH_CONFIG, dataset=dataset)))
+    assert main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 0
+    return (tmp_path / name / "records.csv").read_bytes()
+
+
+def test_bench_reads_csv_and_idx_datasets(tmp_path):
+    corpus = digits.make_digits(180, seed=5)
+    write_csv(corpus, tmp_path / "corpus.csv")
+    synthetic = _bench_records(tmp_path, "synthetic", {"kind": "synthetic", "seed": 5})
+    assert _bench_records(tmp_path, "csv", {"kind": "csv",
+                                            "path": str(tmp_path / "corpus.csv")}) == synthetic
+
+    # an IDX pair holds pixels on the byte grid: bench it against the CSV of
+    # the corpus load_idx reads back
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    write_idx(corpus, images, labels)
+    write_csv(load_idx(images, labels), tmp_path / "bytes.csv")
+    idx = _bench_records(tmp_path, "idx", {"kind": "idx", "images": str(images),
+                                           "labels": str(labels)})
+    assert idx == _bench_records(tmp_path, "bytes", {"kind": "csv",
+                                                     "path": str(tmp_path / "bytes.csv")})
+    assert idx != synthetic
 
 
 def test_bench_missing_config_exit_66(tmp_path):

@@ -206,6 +206,15 @@ GOLDEN_CONFIG = {
     "ae_epochs": 2, "clf_epochs": 2, "domain_epochs": 2, "n_perms": 50, "seed": 3,
 }
 GOLDEN_RECORDS_SHA256 = "31d2acb4cd339501206bea5576af9273288cd78e8fb97bc5fc21b42187207f0a"
+# the tables bench writes from those records: their row order and number
+# formats are pinned apart from the records
+GOLDEN_TABLES_SHA256 = {
+    "accuracy_by_method.csv": "bf37bb585c48e4d9adb147d48359080d2ed5e9f60f17b99586d596b4ca1b47ee",
+    "accuracy_by_shift.csv": "307055568cea563b313219bda722f9bf47f9ca2785301398fa904e9324321312",
+    "accuracy_by_intensity.csv": "20363df565c438e8ca628fb2bc5acac60ed50ec40f0322e73c37711d54bb467d",
+    "accuracy_by_delta.csv": "4cd0be0b32abf92f32527074df3a98befc0a1d36af276cc71e22b39d6e51ff46",
+    "pvalue_curves.csv": "e7a6e1ce14bed5445b7f9ceadfcbfbd9014c55211c1029b550288d8e0a0da212",
+}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -227,6 +236,8 @@ def test_golden_records_all_kinds(tmp_path, threads):
                        "insufficient samples (source 60, target 60)"}
     assert hashlib.sha256((out / "records.csv").read_bytes()).hexdigest() == \
         GOLDEN_RECORDS_SHA256
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in GOLDEN_TABLES_SHA256} == GOLDEN_TABLES_SHA256
 
 
 def test_multivariate_cells_capped_not_errored():
@@ -286,7 +297,7 @@ def test_detection_accuracy_bounds(small_result):
         assert 0.0 <= row["accuracy"] <= 1.0
 
 
-def test_detection_accuracy_trivial_cases():
+def test_detection_accuracy_trivial_cases(tmp_path):
     rec = harness.Record(shift="s", intensity="none", delta=0.0, method="nored",
                          mode="univariate", sample_size=10, run=0, status="ok")
     from shiftdetect.stattest import TestOutcome, TestTag
@@ -298,6 +309,12 @@ def test_detection_accuracy_trivial_cases():
     assert detection_accuracy(none_hit, ("shift",))[0]["accuracy"] == 0.0
     with pytest.raises(EmptyResult):
         detection_accuracy(harness.ExperimentResult(records=[]), ("shift",))
+    # the table is refused before its file is created
+    skipped = harness.Record(**{**rec.__dict__, "status": "skipped"})
+    with pytest.raises(EmptyResult):
+        harness.write_accuracy_csv(harness.ExperimentResult(records=[skipped]), ("shift",),
+                                   tmp_path / "acc.csv")
+    assert not (tmp_path / "acc.csv").exists()
 
 
 def test_detection_accuracy_sorts_sizes_numerically(small_result):

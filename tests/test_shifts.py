@@ -177,6 +177,18 @@ def test_image_shift_zero_params_identity():
     assert np.max(np.abs(out.images - ds.images)) < 1e-6
 
 
+@pytest.mark.parametrize("h, w", [(1, 8), (8, 1), (1, 1)])
+def test_image_shift_refuses_images_one_pixel_high_or_wide(h, w):
+    # a CSV row is read as a (1, D, 1) image; moving it in a plane it does
+    # not have would zero most of its pixels
+    ds = _dataset(n=5, h=h, w=w)
+    for delta in (0.0, 1.0):
+        with pytest.raises(ValueError, match=re.escape(f"got image shape {(h, w, 1)}")):
+            apply_image_shift(ds, 40.0, 0.2, 0.2, delta, seed=0)
+    with pytest.raises(ValueError, match="at least 2 pixels high and wide"):
+        apply_shift(preset("small_img_shift", 1.0), ds)
+
+
 def test_image_shift_perturbs_and_stays_in_range():
     ds = _dataset(n=30, h=12, w=12)
     out = apply_image_shift(ds, 40.0, 0.2, 0.2, 1.0, seed=8)
