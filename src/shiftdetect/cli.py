@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, digits, harness, nets, shifts
 from .data import TensorDataset, flatten, load_csv, load_idx, write_csv, write_idx
 from .dimred import DrKind, load_model, reduce
-from .errors import ConfigInvalid, ShiftDetectError
+from .errors import ConfigInvalid, Rule, ShiftDetectError, check_object
 from .harness import ExperimentConfig, MethodSpec, NamedShift
 from .stattest import TestMode
 
@@ -174,43 +174,34 @@ def cmd_shift(args) -> int:
 # ---------------------------------------------------------------------------
 # bench
 
-# each dataset kind's keys besides "kind": (required, optional)
-_DATASET_KEYS = {"synthetic": ((), ("seed", "n_pool")),
-                 "idx": (("images", "labels"), ()),
-                 "csv": (("path",), ())}
+_PATH = Rule("path string")
+# each dataset kind's keys besides "kind" and their rules; a file kind needs
+# all of its keys, and n_pool must also cover n_train + n_val + n_test
+_DATASET_KEYS = {"synthetic": {"seed": Rule("integer", 0), "n_pool": Rule("integer", 1)},
+                 "idx": {"images": _PATH, "labels": _PATH},
+                 "csv": {"path": _PATH}}
 
 
 def _dataset_from_config(doc: dict, cfg: ExperimentConfig) -> TensorDataset:
     """The dataset a bench config names; its keys are checked before any
     corpus is built or file is read."""
     ds_cfg = doc.get("dataset")
-    if not isinstance(ds_cfg, dict):
+    if ds_cfg is None:
         raise ConfigInvalid("config needs a 'dataset' object")
     kind = ds_cfg.get("kind", "synthetic")
     if not isinstance(kind, str) or kind not in _DATASET_KEYS:
         raise ConfigInvalid(f"unknown dataset kind {kind!r}; known: {', '.join(_DATASET_KEYS)}")
-    required, optional = _DATASET_KEYS[kind]
-    for key in ds_cfg:
-        if key not in ("kind", *required, *optional):
-            raise ConfigInvalid(f"dataset kind {kind!r} takes no key {key!r}; it takes "
-                                f"{', '.join(('kind', *required, *optional))}")
-    for key in required:
-        if key not in ds_cfg:
-            raise ConfigInvalid(f"dataset kind {kind!r} needs the key {key!r}")
-        if not isinstance(ds_cfg[key], str):
-            raise ConfigInvalid(f"dataset.{key} must be a path string, got {ds_cfg[key]!r}")
+    keys = _DATASET_KEYS[kind]
+    check_object(ds_cfg, {"kind": Rule("string"), **keys}, "dataset", f"dataset kind {kind!r}",
+                 required=() if kind == "synthetic" else keys)
     if kind == "idx":
         return _read_dataset(ds_cfg["images"], ds_cfg["labels"])
     if kind == "csv":
         return _read_dataset(ds_cfg["path"])
     need = cfg.n_train + cfg.n_val + cfg.n_test
-    seed, n_pool = ds_cfg.get("seed", cfg.seed), ds_cfg.get("n_pool", need)
-    if not harness._is_int(seed) or seed < 0:
-        raise ConfigInvalid(f"dataset.seed must be an integer >= 0, got {seed!r}")
-    if not harness._is_int(n_pool) or n_pool < need:
-        raise ConfigInvalid(f"dataset.n_pool must be an integer >= n_train + n_val + "
-                            f"n_test = {need}, got {n_pool!r}")
-    return digits.make_digits(n_pool, seed=seed)
+    n_pool = ds_cfg.get("n_pool", need)
+    Rule("integer", need).check(n_pool, "dataset.n_pool")
+    return digits.make_digits(n_pool, seed=ds_cfg.get("seed", cfg.seed))
 
 
 # accuracy_by_method keeps shifts apart: no_shift rows are test size, the

@@ -8,7 +8,6 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import csv
-import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,11 +18,6 @@ from .errors import BadMagic, DimensionMismatch, InsufficientData, TruncatedFile
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-
-
-def _is_int(value) -> bool:
-    # a JSON true is a numbers.Integral, but no count, seed or class id
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,10 @@ geometry (28x28x1, 10 classes) without bundling or downloading anything.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from .data import DataSplit, TensorDataset
+from .errors import is_int
 from .shifts import BATCH_IMAGES, affine_transform_images
 
 # Segment endpoints in a unit box (x0, y0, x1, y1), y growing downward.
@@ -91,8 +90,7 @@ def make_digits(n: int, seed: int = 0, size: int = IMAGE_SIZE,
     """
     offsets = np.zeros(10)
     for label, degrees in (rotation_offsets or {}).items():
-        if (not isinstance(label, numbers.Integral) or isinstance(label, bool)
-                or not 0 <= label < 10):
+        if not is_int(label) or not 0 <= label < 10:
             raise ValueError(f"rotation_offsets keys must be class ids 0-9, got {label!r}")
         offsets[label] = degrees
     if not noise_sigma >= 0:

@@ -13,20 +13,25 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
 from . import nets, shifts
-from .data import DataSplit, TensorDataset, _is_int, flatten, split_indices
+from .data import DataSplit, TensorDataset, flatten, split_indices
 from .dimred import METHOD_TABLE, DrKind, Representation, build_srp, fit_pca, reduce
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
     EmptyResult,
     NotFound,
+    Rule,
     ShiftDetectError,
+    check_fields,
+    check_object,
+    key,
+    rules_of,
 )
 from .nets import SoftmaxClassifier, TrainConfig
 from .stattest import (
@@ -42,10 +47,11 @@ from .stattest import (
 
 @dataclass(frozen=True)
 class MethodSpec:
-    kind: DrKind
-    mode: TestMode = TestMode.UNIVARIATE
+    kind: DrKind = key(Rule("string", choices=tuple(DrKind)))
+    mode: TestMode = key(Rule("string", choices=tuple(TestMode)), TestMode.UNIVARIATE)
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "kind", DrKind(self.kind))
         object.__setattr__(self, "mode", TestMode(self.mode))
         if self.mode == TestMode.MULTIVARIATE and not METHOD_TABLE[self.kind].multivariate:
@@ -60,71 +66,56 @@ class NamedShift:
     intensity: str = "custom"
 
 
+_COUNT, _POSITIVE, _TRAIN = Rule("integer", 0), Rule("integer", 1), rules_of(TrainConfig)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    methods: tuple
-    shifts: tuple
-    n_train: int
-    n_val: int
-    n_test: int
-    sample_sizes: tuple = (10, 20, 50, 100, 200, 500, 1000, 10000)
-    runs: int = 5
-    alpha: float = 0.05
-    seed: int = 0
-    latent_dim: int = 32
-    hidden_dim: int = 256
-    domain_hidden_dim: int = 32
-    ae_epochs: int = 15
-    clf_epochs: int = 15
-    domain_epochs: int = 10
-    batch_size: int = 128
-    domain_batch_size: int = 32  # domain pools are tiny; keep enough updates per epoch
-    lr0: float = 0.1
-    ae_lr0: float = 2.0  # per-element MSE gradients are ~1/D the CE scale
-    momentum: float = 0.9
-    patience: int = 5
-    n_perms: int = 1000
+    """One benchmark grid and its training settings. Each field is a config
+    key with its rule and default, read by __post_init__ and from_dict alike;
+    README's table of config keys lists them."""
+
+    methods: tuple = key(Rule("non-empty list"))
+    shifts: tuple = key(Rule("non-empty list"))
+    n_train: int = key(_POSITIVE)
+    n_val: int = key(_COUNT)
+    n_test: int = key(_COUNT)
+    sample_sizes: tuple = key(Rule("non-empty list of integers", 1),
+                              (10, 20, 50, 100, 200, 500, 1000, 10000))
+    runs: int = key(_POSITIVE, 5)
+    alpha: float = key(Rule("finite number", 0, 1, "()"), 0.05)
+    seed: int = key(_COUNT, 0)
+    latent_dim: int = key(_POSITIVE, 32)
+    hidden_dim: int = key(_POSITIVE, 256)
+    domain_hidden_dim: int = key(_POSITIVE, 32)
+    ae_epochs: int = key(_TRAIN["max_epochs"], 15)
+    clf_epochs: int = key(_TRAIN["max_epochs"], 15)
+    domain_epochs: int = key(_TRAIN["max_epochs"], 10)
+    batch_size: int = key(_TRAIN["batch_size"], 128)
+    # domain pools are tiny; keep enough updates per epoch
+    domain_batch_size: int = key(_TRAIN["batch_size"], 32)
+    lr0: float = key(_TRAIN["lr0"], 0.1)
+    ae_lr0: float = key(_TRAIN["lr0"], 2.0)  # per-element MSE gradients are ~1/D the CE scale
+    momentum: float = key(_TRAIN["momentum"], 0.9)
+    patience: int = key(_TRAIN["patience"], 5)
+    n_perms: int = key(_POSITIVE, 1000)
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigInvalid(f"alpha must be in (0, 1), got {self.alpha}")
-        if not self.methods:
-            raise ConfigInvalid("at least one method is required")
-        if not self.shifts:
-            raise ConfigInvalid("at least one shift is required")
-        sizes = self.sample_sizes
-        if (not isinstance(sizes, (list, tuple)) or not sizes
-                or not all(_is_int(s) and s >= 1 for s in sizes)):
-            raise ConfigInvalid(f"sample_sizes must be a non-empty list of integers >= 1, "
-                                f"got {sizes!r}")
-        object.__setattr__(self, "sample_sizes", tuple(sizes))
-        for key, low in (("n_train", 1), ("n_val", 0), ("n_test", 0),
-                         ("ae_epochs", 0), ("clf_epochs", 0), ("domain_epochs", 0),
-                         ("batch_size", 1), ("domain_batch_size", 1), ("patience", 1),
-                         ("latent_dim", 1), ("hidden_dim", 1), ("domain_hidden_dim", 1),
-                         ("runs", 1), ("n_perms", 1), ("seed", 0)):
-            value = getattr(self, key)
-            if not _is_int(value) or value < low:
-                raise ConfigInvalid(f"{key} must be an integer >= {low}, got {value!r}")
-        for key in ("lr0", "ae_lr0"):
-            if not getattr(self, key) > 0:
-                raise ConfigInvalid(f"{key} must be > 0, got {getattr(self, key)}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigInvalid(f"momentum must be in [0, 1), got {self.momentum}")
+        check_fields(self)
+        object.__setattr__(self, "sample_sizes", tuple(self.sample_sizes))
 
     @staticmethod
-    def from_dict(raw: dict) -> "ExperimentConfig":
-        raw = dict(raw)
-        raw.pop("dataset", None)
-        try:
-            methods = tuple(_method_from_entry(m) for m in raw.pop("methods"))
-            named = tuple(_shift_from_entry(s) for s in raw.pop("shifts"))
-        except KeyError as exc:
-            raise ConfigInvalid(f"missing config key: {exc}") from exc
-        try:
-            return ExperimentConfig(methods=methods, shifts=named, **raw)
-        except TypeError as exc:
-            raise ConfigInvalid(str(exc)) from exc
+    def from_dict(doc) -> "ExperimentConfig":
+        """The config a JSON document holds: an object with every required
+        key and no unknown one. "dataset" is left to the bench command.
+        ConfigInvalid names the first bad key's path."""
+        check_object(doc, _DOC_RULES, "", "config",
+                     required=[f.name for f in fields(ExperimentConfig) if f.default is MISSING])
+        methods = tuple(_method_from_entry(m, f"methods[{i}]")
+                        for i, m in enumerate(doc["methods"]))
+        named = tuple(_shift_from_entry(s, f"shifts[{i}]") for i, s in enumerate(doc["shifts"]))
+        rest = {k: v for k, v in doc.items() if k not in ("methods", "shifts", "dataset")}
+        return ExperimentConfig(methods=methods, shifts=named, **rest)
 
     def train_config(self, epochs: int, seed: int, lr0: float | None = None) -> TrainConfig:
         return TrainConfig(batch_size=self.batch_size, lr0=self.lr0 if lr0 is None else lr0,
@@ -138,46 +129,53 @@ class ExperimentConfig:
                            patience=self.patience, seed=seed)
 
 
-def _method_from_entry(entry) -> MethodSpec:
+_DOC_RULES = {**rules_of(ExperimentConfig), "dataset": Rule("object")}
+_LABELS = {"name": Rule("string"), "intensity": Rule("string")}  # a shift entry's labels
+_PRESET_RULES = {"preset": Rule("string"),
+                 **{k: rules_of(shifts.ShiftSpec)[k] for k in ("delta", "seed", "epsilon")}}
+
+
+def _method_from_entry(entry, path: str) -> MethodSpec:
+    """A method entry: a kind string, a [kind, mode] pair or a {"kind", "mode"} object."""
     if isinstance(entry, str):
-        return MethodSpec(kind=DrKind(entry))
-    if isinstance(entry, (list, tuple)):
-        kind, mode = entry
-        return MethodSpec(kind=DrKind(kind), mode=TestMode(mode))
-    return MethodSpec(kind=DrKind(entry["kind"]),
-                      mode=TestMode(entry.get("mode", "univariate")))
+        entry = {"kind": entry}
+    elif isinstance(entry, (list, tuple)) and len(entry) == 2:
+        entry = dict(zip(("kind", "mode"), entry))
+    elif not isinstance(entry, dict):
+        raise ConfigInvalid(f"{path} must be a kind string, a [kind, mode] pair or an "
+                            f"object, got {entry!r}")
+    check_object(entry, rules_of(MethodSpec), path, required=("kind",))
+    return MethodSpec(**entry)
 
 
-def parse_shift_spec(entry: dict) -> shifts.ShiftSpec:
+def parse_shift_spec(entry, path: str = "spec") -> shifts.ShiftSpec:
     """ShiftSpec of a preset entry ({"preset": name, ...}) or a custom spec.
 
-    The labels "name" and "intensity" are skipped. A custom spec carries
-    only the keys ShiftSpec.to_dict writes for its kind, and a preset entry
-    only the keys shifts.preset reads for its name. An unknown or unread
-    key, a null or a bad value raises ConfigInvalid.
+    The labels name and intensity must be strings and are skipped. A custom
+    spec is read by ShiftSpec.from_dict; a preset entry carries only the
+    keys of _PRESET_RULES, and shifts.preset refuses a value its preset
+    does not take. ConfigInvalid names path and the bad key.
     """
-    if not isinstance(entry, dict):
-        raise ConfigInvalid(f"a shift entry must be a JSON object, got {entry!r}")
-    fields = {k: v for k, v in entry.items() if k not in ("name", "intensity")}
-    preset_name = fields.pop("preset", None)
+    Rule("object").check(entry, path)
+    check_object({k: v for k, v in entry.items() if k in _LABELS}, _LABELS, path)
+    spec = {k: v for k, v in entry.items() if k not in _LABELS}
+    if "preset" not in spec:
+        return shifts.ShiftSpec.from_dict(spec, path)
+    check_object(spec, _PRESET_RULES, path)
     try:
-        if None in fields.values():
-            raise ValueError("a shift key may not be null")
-        if preset_name is None:
-            return shifts.ShiftSpec.from_dict(fields)
-        return shifts.preset(preset_name, **fields)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad shift entry {entry!r}: {exc}") from exc
+        return shifts.preset(spec.pop("preset"), **spec)
+    except ValueError as exc:
+        raise ConfigInvalid(f"{path}: {exc}") from exc
 
 
-def _shift_from_entry(entry) -> NamedShift:
-    spec = parse_shift_spec(entry)
+def _shift_from_entry(entry, path: str) -> NamedShift:
+    spec = parse_shift_spec(entry, path)
     label, preset_name, intensity = (entry.get(k) for k in ("name", "preset", "intensity"))
     if preset_name is not None:
         return NamedShift(name=label or f"{preset_name}@d{spec.delta:g}", spec=spec,
                           intensity=intensity or shifts.intensity_of(preset_name))
     if label is None:
-        raise ConfigInvalid("custom shift entries need a 'name'")
+        raise ConfigInvalid(f"{path}: custom shift entries need a 'name'")
     return NamedShift(name=label, spec=spec, intensity=intensity or "custom")
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDims, DimensionMismatch, Diverged
+from .errors import BadDims, DimensionMismatch, Diverged, Rule, check_fields, key
 
 _ACTIVATIONS = ("relu", "tanh", "identity")
 
@@ -47,24 +47,18 @@ class NetParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    batch_size: int = 128
-    lr0: float = 0.1
-    momentum: float = 0.9
-    max_epochs: int = 30
-    patience: int = 10
+    """SGD settings; a field that breaks its rule raises ConfigInvalid, a
+    ValueError. ExperimentConfig's training keys read the same rules."""
+
+    batch_size: int = key(Rule("integer", 1), 128)
+    lr0: float = key(Rule("finite number", 0, ends="(]"), 0.1)
+    momentum: float = key(Rule("finite number", 0, 1, "[)"), 0.9)
+    max_epochs: int = key(Rule("integer", 0), 30)
+    patience: int = key(Rule("integer", 1), 10)
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr0 <= 0:
-            raise ValueError(f"lr0 must be > 0, got {self.lr0}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.max_epochs < 0:
-            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        check_fields(self)
 
 
 @dataclass

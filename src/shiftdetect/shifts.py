@@ -9,14 +9,14 @@ yields bitwise-identical output.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import nets
-from .data import TensorDataset, _is_int, flatten
-from .errors import ClassAbsent, DimensionMismatch, MissingContext
+from .data import TensorDataset, flatten
+from .errors import (ClassAbsent, DimensionMismatch, MissingContext, Rule, check_fields,
+                     check_object, key, rules_of)
 
 KIND_GAUSSIAN_NOISE = "gaussian_noise"
 KIND_IMAGE = "image"
@@ -35,6 +35,7 @@ _KIND_FIELDS = {
     KIND_COMPOSITE: ("parts",),
 }
 _KINDS = tuple(_KIND_FIELDS)
+_PARAM = Rule("finite number", 0)
 
 
 @dataclass(frozen=True)
@@ -46,34 +47,23 @@ class ShiftSpec:
     noise, on the 0-255 byte scale), rot_max_deg / trans_max_frac /
     zoom_max_frac (image), class_id (knockout), epsilon (adversarial),
     parts (composite; applied in order, each with its own delta and seed).
-    A float parameter the kind reads must be finite and >= 0, seed an
-    integer >= 0 and class_id an integer; anything else raises ValueError.
+    A field that breaks its rule, read or not, raises ConfigInvalid (a
+    ValueError) naming the field.
     """
 
-    kind: str
-    delta: float = 1.0
-    seed: int = 0
-    sigma: float = 0.0
-    rot_max_deg: float = 0.0
-    trans_max_frac: float = 0.0
-    zoom_max_frac: float = 0.0
-    class_id: int = 0
-    epsilon: float = 0.0
-    parts: tuple = field(default_factory=tuple)
+    kind: str = key(Rule("string", choices=_KINDS))
+    delta: float = key(Rule("finite number", 0, 1), 1.0)
+    seed: int = key(Rule("integer", 0), 0)
+    sigma: float = key(_PARAM, 0.0)
+    rot_max_deg: float = key(_PARAM, 0.0)
+    trans_max_frac: float = key(_PARAM, 0.0)
+    zoom_max_frac: float = key(_PARAM, 0.0)
+    class_id: int = key(Rule("integer"), 0)
+    epsilon: float = key(_PARAM, 0.0)
+    parts: tuple = key(Rule("list"), ())
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown shift kind {self.kind!r}")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError(f"delta must be in [0, 1], got {self.delta}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        for name in _KIND_FIELDS[self.kind]:
-            value = getattr(self, name)
-            if name == "class_id" and not _is_int(value):
-                raise ValueError(f"class_id must be an integer, got {value!r}")
-            if name not in ("class_id", "parts") and not _is_param(value):
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        check_fields(self)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "delta": self.delta, "seed": self.seed}
@@ -83,23 +73,19 @@ class ShiftSpec:
         return out
 
     @staticmethod
-    def from_dict(raw: dict) -> "ShiftSpec":
-        """Inverse of to_dict; a key that to_dict does not write for the kind
-        raises ValueError."""
-        raw = dict(raw)
+    def from_dict(raw, path: str = "spec") -> "ShiftSpec":
+        """Inverse of to_dict. raw must be an object holding kind and only the
+        keys to_dict writes for that kind, each keeping its rule, and each
+        part likewise; ConfigInvalid names the key's path from path on."""
+        rules = rules_of(ShiftSpec)
+        Rule("object").check(raw, path)
         kind = raw.get("kind")
-        if kind in _KINDS:
-            unread = set(raw) - {"kind", "delta", "seed", *_KIND_FIELDS[kind]}
-            if unread:
-                raise ValueError(f"{kind} shifts do not read {', '.join(sorted(unread))}")
-        parts = tuple(ShiftSpec.from_dict(p) for p in raw.pop("parts", ()))
-        return ShiftSpec(parts=parts, **raw)
-
-
-def _is_param(value) -> bool:
-    """A finite real >= 0, as every float parameter of a shift must be."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and value >= 0)
+        rules["kind"].check(kind, f"{path}.kind")
+        keys = ("kind", "delta", "seed", *_KIND_FIELDS[kind])
+        check_object(raw, {k: rules[k] for k in keys}, path, f"{path} ({kind} shift)")
+        parts = tuple(ShiftSpec.from_dict(p, f"{path}.parts[{i}]")
+                      for i, p in enumerate(raw.get("parts", ())))
+        return ShiftSpec(**{**raw, "parts": parts})
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +104,7 @@ def apply_gaussian_noise(ds: TensorDataset, sigma: float, delta: float,
     adding to the normalized pixels, then the result is clipped to [0, 1].
     Labels are untouched.
     """
-    if not _is_param(sigma):
-        raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
+    _PARAM.check(sigma, "sigma")
     if sigma == 0.0 or delta == 0.0 or ds.n == 0:
         return ds
     rng = np.random.default_rng(seed)
@@ -239,8 +224,9 @@ def apply_image_shift(ds: TensorDataset, rot_max_deg: float, trans_max_frac: flo
     wide (a CSV row is read as one) have no plane to move in and raise
     ValueError.
     """
-    if not all(map(_is_param, (rot_max_deg, trans_max_frac, zoom_max_frac))):
-        raise ValueError("image shift parameters must be finite numbers >= 0")
+    for name, value in (("rot_max_deg", rot_max_deg), ("trans_max_frac", trans_max_frac),
+                        ("zoom_max_frac", zoom_max_frac)):
+        _PARAM.check(value, name)
     if min(ds.image_shape[:2]) < 2:
         raise ValueError(f"image shifts need images at least 2 pixels high and wide, "
                          f"got image shape {ds.image_shape}")
@@ -295,8 +281,7 @@ def apply_adversarial(ds: TensorDataset, clf: nets.SoftmaxClassifier,
     x' = clip_[0,1](x + epsilon * sign(d CE(clf(x), y) / dx)); the true
     labels drive the loss and are left unchanged in the output.
     """
-    if not _is_param(epsilon):
-        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
+    _PARAM.check(epsilon, "epsilon")
     if clf.net.in_dim != ds.dim:
         raise DimensionMismatch(
             f"classifier expects dim {clf.net.in_dim}, dataset has {ds.dim}"

@@ -177,7 +177,8 @@ def power_result(desk_pool):
         ae_epochs=12, clf_epochs=12, domain_epochs=8, n_perms=300,
         seed=20240808,
     )
-    return harness.run_experiment(desk_pool, cfg)
+    # two pool threads: records do not depend on threads (criterion 9)
+    return harness.run_experiment(desk_pool, cfg, threads=2)
 
 
 def test_criterion_4a_large_noise_detected_at_small_sample(power_result, report):

@@ -213,6 +213,9 @@ def test_shift_bad_spec_exit_65(tmp_path, sample_files, capsys):
                        ("seed", {"kind": "gaussian_noise", "sigma": 5, "seed": True}),
                        ("class_id", {"kind": "knockout", "class_id": 1.5}),
                        ("class_id", {"kind": "knockout", "class_id": True}),
+                       ("delta", {"kind": "gaussian_noise", "sigma": 5, "delta": True}),
+                       ("delta", {"preset": "ko_shift", "delta": "0.5"}),
+                       ("parts", {"kind": "composite", "parts": 3}),
                        ("sigma", {"kind": "composite", "parts": [
                            {"kind": "gaussian_noise", "sigma": float("inf")}]})):
         spec.write_text(json.dumps(doc))
@@ -220,8 +223,12 @@ def test_shift_bad_spec_exit_65(tmp_path, sample_files, capsys):
         assert main(["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec)]) == 65
         assert f"{field} must be" in capsys.readouterr().err
     for doc, named in (({"preset": "huge_gn_shift"}, "unknown preset 'huge_gn_shift'"),
-                       ({"preset": "ko_shift", "seed": None}, "may not be null"),
-                       ({"preset": "adv_shift", "epsilon": None}, "may not be null")):
+                       ({"preset": "ko_shift", "seed": None},
+                        "spec.seed must be an integer >= 0, got None"),
+                       ({"preset": "adv_shift", "epsilon": None},
+                        "spec.epsilon must be a finite number >= 0, got None"),
+                       ({"kind": "composite", "parts": [3]},
+                        "spec.parts[0] must be an object, got 3")):
         spec.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec)]) == 65
@@ -508,7 +515,7 @@ def test_bench_empty_methods_or_shifts_exit_65_before_corpus(tmp_path, monkeypat
     cfg_path.write_text(json.dumps(dict(BENCH_CONFIG, **{key: []})))
     code = main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
     assert code == 65
-    assert f"at least one {key[:-1]} is required" in capsys.readouterr().err
+    assert f"error: {key} must be a non-empty list, got []" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -611,7 +618,7 @@ def test_exemplars_bad_alpha_exit_65_and_reducer_flags_gone(tmp_path, sample_fil
     src, _, far = sample_files
     argv = ["exemplars", str(src), str(far), "--out", str(tmp_path / "ex6")]
     assert main(argv + ["--alpha", "1.5"]) == 65
-    assert "alpha must be in (0, 1)" in capsys.readouterr().err
+    assert "alpha must be a finite number in (0, 1), got 1.5" in capsys.readouterr().err
     for flag in ("--latent-dim", "--ae-lr0"):  # only the domain classifier trains here
         assert main(argv + [flag, "4"]) == 64
 

@@ -38,6 +38,12 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(patience=0)
     TrainConfig(momentum=0.0, max_epochs=0, patience=1)  # boundary values are fine
+    # a fractional count, a bool or a non-finite or text rate is refused by name
+    for field, value in (("batch_size", 2.5), ("batch_size", True), ("patience", 1.5),
+                         ("max_epochs", 1.5), ("lr0", float("inf")), ("lr0", float("nan")),
+                         ("lr0", "x"), ("momentum", None)):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainConfig(**{field: value})
 
 
 def test_init_deterministic():

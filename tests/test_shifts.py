@@ -342,6 +342,15 @@ def test_apply_refuses_a_parameter_that_is_not_finite_and_nonnegative(bad):
             ShiftSpec(kind=kind, **{field: bad})
 
 
+@pytest.mark.parametrize("delta", [True, False, "0.5", math.nan, -0.1, 1.5])
+def test_spec_refuses_a_delta_that_is_not_a_fraction(delta):
+    # a JSON true is not the fraction 1
+    with pytest.raises(ValueError, match="delta must be a finite number in"):
+        ShiftSpec(kind="gaussian_noise", sigma=1.0, delta=delta)
+    with pytest.raises(ValueError, match="delta must be a finite number in"):
+        preset("ko_shift", delta=delta)
+
+
 def test_apply_shift_adversarial_requires_classifier():
     ds = _dataset()
     with pytest.raises(MissingContext):
