@@ -103,7 +103,7 @@ def _outcome_payload(outcome) -> dict:
 
 def _one_shot_config(args, source: TensorDataset, method: MethodSpec,
                      **reducer_settings) -> ExperimentConfig:
-    """The training flags of detect/exemplars as a config for fitting on the source.
+    """The training flags of detect/exemplars as a config for fitting on source.
 
     Seeds derive from --seed as in bench. detect passes the settings that
     only its reducers read (latent_dim, ae_lr0) as reducer_settings.
@@ -122,22 +122,24 @@ def cmd_detect(args) -> int:
     kind, mode = method.kind, method.mode
     source = _load_dataset(args.source)
     target = _load_dataset(args.target)
-    # the latent size is clamped to min(latent_dim, n - 1, D), so PCA stays
-    # defined on small samples
-    k = min(args.latent_dim, max(1, min(source.n - 1, math.prod(source.image_shape))))
-    cfg = _one_shot_config(args, source, method, latent_dim=k, ae_lr0=args.ae_lr0)
-    handle = harness.fit_reducers(source, cfg).handle_for(kind)
+    fit_rows, reference_rows = harness.fit_and_reference_rows(kind, source.n, args.seed)
+    fit = source.subset(fit_rows)
+    # the latent size is clamped to min(latent_dim, n - 1, D) of the fit rows,
+    # so PCA stays defined on small samples
+    k = min(args.latent_dim, max(1, min(fit.n - 1, math.prod(source.image_shape))))
+    cfg = _one_shot_config(args, fit, method, latent_dim=k, ae_lr0=args.ae_lr0)
+    handle = harness.fit_reducers(fit, cfg).handle_for(kind)
     fit_info = {}
     if isinstance(handle, nets.SoftmaxClassifier):
         fit_info["classifier_best_epoch"] = handle.best_epoch
         if handle.best_epoch == 0:
             _log("warning: the label classifier never beat its initial net on the "
                  "held-out rows; its outputs are constant, so BBSD cannot see a shift")
-    outcome = harness.check(cfg, method, reduce(kind, handle, flatten(source)),
+    outcome = harness.check(cfg, method, reduce(kind, handle, flatten(source)[reference_rows]),
                             reduce(kind, handle, flatten(target)), seed=cfg.seed)
     payload = _outcome_payload(outcome)
-    payload.update(method=kind.value, mode=mode.value,
-                   n_source=source.n, n_target=target.n, **fit_info)
+    payload.update(method=kind.value, mode=mode.value, n_source=source.n, n_target=target.n,
+                   n_fit=fit.n, n_reference=reference_rows.size, **fit_info)
     _emit(payload)
     return EXIT_SHIFT_DETECTED if outcome.reject else 0
 
@@ -339,9 +341,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser(
         "detect", help="two-sample test between a source and a target file",
-        description="One-shot detection: the chosen reducer is fitted on the "
-                    "source sample itself, then both sides are reduced and "
-                    "tested. BBSD methods need labeled source data.")
+        description="One-shot detection: pca, tae, bbsds and bbsdh fit their "
+                    "model on a seeded half of the source and test the other "
+                    "half; the other methods test the whole source. Both "
+                    "sides are reduced and tested. BBSD methods need labeled "
+                    "source data.")
     p.add_argument("source", help="CSV path or 'images,labels' IDX pair")
     p.add_argument("target", help="CSV path or 'images,labels' IDX pair")
     p.add_argument("--method", default="nored", choices=[k.value for k in DrKind])

@@ -103,6 +103,14 @@ class ExperimentConfig:
     def __post_init__(self):
         check_fields(self)
         object.__setattr__(self, "sample_sizes", tuple(self.sample_sizes))
+        # a repeated entry would count its cells twice, or merge two shifts' rows
+        for name, entries in (("sample_sizes", self.sample_sizes),
+                              ("methods", [(m.kind.value, m.mode.value) for m in self.methods]),
+                              ("shifts", [s.name for s in self.shifts])):
+            for i, entry in enumerate(entries):
+                if entry in entries[:i]:
+                    raise ConfigInvalid(f"{name}[{i}] repeats {name}[{entries.index(entry)}]: "
+                                        f"{entry!r}")
 
     @staticmethod
     def from_dict(doc) -> "ExperimentConfig":
@@ -259,6 +267,23 @@ def fit_reducers(train: TensorDataset, cfg: ExperimentConfig) -> FittedReducers:
             cfg.train_config(cfg.clf_epochs, _derive_seed(cfg.seed, 15)),
             hidden_dims=(cfg.hidden_dim,))
     return FittedReducers(models)
+
+
+# the kinds whose model is fitted on training rows: tested on rows it saw,
+# such a model's outputs can differ from unseen rows' under no shift
+FITTED_ON_ROWS = (DrKind.PCA, DrKind.TAE, DrKind.BBSDS, DrKind.BBSDH)
+
+
+def fit_and_reference_rows(kind: DrKind, n: int, seed: int) -> tuple:
+    """(rows to fit on, rows to test) of an n-row source checked by kind.
+
+    A kind of FITTED_ON_ROWS gets disjoint halves of a split seeded by seed,
+    n // 2 rows to fit on; any other kind fits on and tests every row.
+    """
+    if kind not in FITTED_ON_ROWS:
+        return np.arange(n), np.arange(n)
+    fit, reference, _ = split_indices(n, n // 2, n - n // 2, 0, seed=_derive_seed(seed, 71))
+    return fit, reference
 
 
 # ---------------------------------------------------------------------------
@@ -638,23 +663,47 @@ def write_records_csv(result: ExperimentResult, path) -> None:
     _write_csv(path, RECORD_COLUMNS, [_record_row(r) for r in result.records])
 
 
+_STATUS, _REJECT, _P_VALUE = (Rule("string", choices=("ok", "skipped")),
+                              Rule("string", choices=("true", "false")),
+                              Rule("finite number", 0, 1))
+
+
 def read_records_csv(path, alpha: float = 0.05) -> ExperimentResult:
+    """The records write_records_csv wrote to path. A header other than
+    RECORD_COLUMNS, a row of another length or status, or a field that does
+    not parse (on ok rows, reject true/false and p_value a number in
+    [0, 1]) raises ValueError naming the line."""
     records = []
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            outcome = None
-            if row["status"] == "ok":
-                outcome = TestOutcome(statistic=float(row["statistic"]),
-                                      p_value=float(row["p_value"]), alpha=alpha,
-                                      reject=row["reject"] == "true",
-                                      test_tag=TestTag(row["test_tag"]))
-            records.append(Record(
-                shift=row["shift"], intensity=row["intensity"],
-                delta=float(row["delta"]), method=row["method"], mode=row["mode"],
-                sample_size=int(row["sample_size"]), run=int(row["run"]),
-                status=row["status"], outcome=outcome, reason=row["reason"]))
+        reader = csv.reader(f)
+        try:
+            header = next(reader, None)
+            if header != list(RECORD_COLUMNS):
+                raise ValueError(f"the header must be {','.join(RECORD_COLUMNS)}, got {header}")
+            for values in reader:
+                records.append(_record_from_row(values, alpha))
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path} line {max(reader.line_num, 1)}: {exc}") from exc
     return ExperimentResult(records=records)
+
+
+def _record_from_row(values: list, alpha: float) -> Record:
+    if len(values) != len(RECORD_COLUMNS):
+        raise ValueError(f"{len(values)} fields, expected {len(RECORD_COLUMNS)}")
+    row = dict(zip(RECORD_COLUMNS, values))
+    _STATUS.check(row["status"], "status")
+    outcome = None
+    if row["status"] == "ok":
+        _REJECT.check(row["reject"], "reject")
+        p_value = float(row["p_value"])
+        _P_VALUE.check(p_value, "p_value")
+        outcome = TestOutcome(statistic=float(row["statistic"]), p_value=p_value, alpha=alpha,
+                              reject=row["reject"] == "true",
+                              test_tag=TestTag(row["test_tag"]))
+    return Record(shift=row["shift"], intensity=row["intensity"], delta=float(row["delta"]),
+                  method=row["method"], mode=row["mode"],
+                  sample_size=int(row["sample_size"]), run=int(row["run"]),
+                  status=row["status"], outcome=outcome, reason=row["reason"])
 
 
 def write_accuracy_csv(result: ExperimentResult, group_by: tuple, path) -> None:

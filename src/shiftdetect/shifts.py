@@ -8,6 +8,7 @@ yields bitwise-identical output.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -18,23 +19,23 @@ from .data import TensorDataset, flatten
 from .errors import (ClassAbsent, DimensionMismatch, MissingContext, Rule, check_fields,
                      check_object, key, rules_of)
 
-KIND_GAUSSIAN_NOISE = "gaussian_noise"
-KIND_IMAGE = "image"
-KIND_KNOCKOUT = "knockout"
-KIND_ONLY_ZERO = "only_zero"
-KIND_ADVERSARIAL = "adversarial"
-KIND_COMPOSITE = "composite"
-
-# the parameter fields each kind reads, besides delta and seed
-_KIND_FIELDS = {
-    KIND_GAUSSIAN_NOISE: ("sigma",),
-    KIND_IMAGE: ("rot_max_deg", "trans_max_frac", "zoom_max_frac"),
-    KIND_KNOCKOUT: ("class_id",),
-    KIND_ONLY_ZERO: (),
-    KIND_ADVERSARIAL: ("epsilon",),
-    KIND_COMPOSITE: ("parts",),
+# kind -> (the fields it reads besides delta and seed, its applier
+# (ds, spec, classifier) -> ds); a composite applies its parts in order
+_KINDS = {
+    "gaussian_noise": (("sigma",), lambda ds, s, clf: apply_gaussian_noise(
+        ds, s.sigma, s.delta, s.seed)),
+    "image": (("rot_max_deg", "trans_max_frac", "zoom_max_frac"), lambda ds, s, clf:
+              apply_image_shift(ds, s.rot_max_deg, s.trans_max_frac, s.zoom_max_frac,
+                                s.delta, s.seed)),
+    "knockout": (("class_id",), lambda ds, s, clf: apply_knockout(
+        ds, s.class_id, s.delta, s.seed)),
+    "only_zero": ((), lambda ds, s, clf: apply_only_zero(ds)),
+    "adversarial": (("epsilon",), lambda ds, s, clf: apply_adversarial(
+        ds, clf, s.epsilon, s.delta, s.seed)),
+    # each part through the module-level apply_shift, so patching it sees parts too
+    "composite": (("parts",), lambda ds, s, clf: functools.reduce(
+        lambda out, part: apply_shift(part, out, clf), s.parts, ds)),
 }
-_KINDS = tuple(_KIND_FIELDS)
 _PARAM = Rule("finite number", 0)
 
 
@@ -43,15 +44,13 @@ class ShiftSpec:
     """Declarative description of a perturbation.
 
     delta is the fraction of samples affected; seed drives every random
-    choice. Parameter fields are read according to kind: sigma (gaussian
-    noise, on the 0-255 byte scale), rot_max_deg / trans_max_frac /
-    zoom_max_frac (image), class_id (knockout), epsilon (adversarial),
-    parts (composite; applied in order, each with its own delta and seed).
-    A field that breaks its rule, read or not, raises ConfigInvalid (a
-    ValueError) naming the field.
+    choice. The other fields are read as the kind's _KINDS row says: sigma
+    is on the 0-255 byte scale, and parts are applied in order, each with
+    its own delta and seed. A field that breaks its rule, read or not,
+    raises ConfigInvalid (a ValueError) naming the field.
     """
 
-    kind: str = key(Rule("string", choices=_KINDS))
+    kind: str = key(Rule("string", choices=tuple(_KINDS)))
     delta: float = key(Rule("finite number", 0, 1), 1.0)
     seed: int = key(Rule("integer", 0), 0)
     sigma: float = key(_PARAM, 0.0)
@@ -67,8 +66,8 @@ class ShiftSpec:
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "delta": self.delta, "seed": self.seed}
-        out.update((name, getattr(self, name)) for name in _KIND_FIELDS[self.kind])
-        if self.kind == KIND_COMPOSITE:
+        out.update((name, getattr(self, name)) for name in _KINDS[self.kind][0])
+        if "parts" in out:
             out["parts"] = [p.to_dict() for p in self.parts]
         return out
 
@@ -81,7 +80,7 @@ class ShiftSpec:
         Rule("object").check(raw, path)
         kind = raw.get("kind")
         rules["kind"].check(kind, f"{path}.kind")
-        keys = ("kind", "delta", "seed", *_KIND_FIELDS[kind])
+        keys = ("kind", "delta", "seed", *_KINDS[kind][0])
         check_object(raw, {k: rules[k] for k in keys}, path, f"{path} ({kind} shift)")
         parts = tuple(ShiftSpec.from_dict(p, f"{path}.parts[{i}]")
                       for i, p in enumerate(raw.get("parts", ())))
@@ -300,7 +299,7 @@ def apply_adversarial(ds: TensorDataset, clf: nets.SoftmaxClassifier,
 
 def needs_classifier(spec: ShiftSpec) -> bool:
     """Whether spec or any of its parts is adversarial, so needs the label classifier."""
-    return spec.kind == KIND_ADVERSARIAL or any(map(needs_classifier, spec.parts))
+    return spec.kind == "adversarial" or any(map(needs_classifier, spec.parts))
 
 
 def apply_shift(spec: ShiftSpec, ds: TensorDataset,
@@ -311,20 +310,7 @@ def apply_shift(spec: ShiftSpec, ds: TensorDataset,
     """
     if classifier is None and needs_classifier(spec):
         raise MissingContext("adversarial shift needs a classifier")
-    if spec.kind == KIND_GAUSSIAN_NOISE:
-        return apply_gaussian_noise(ds, spec.sigma, spec.delta, spec.seed)
-    if spec.kind == KIND_IMAGE:
-        return apply_image_shift(ds, spec.rot_max_deg, spec.trans_max_frac,
-                                 spec.zoom_max_frac, spec.delta, spec.seed)
-    if spec.kind == KIND_KNOCKOUT:
-        return apply_knockout(ds, spec.class_id, spec.delta, spec.seed)
-    if spec.kind == KIND_ONLY_ZERO:
-        return apply_only_zero(ds)
-    if spec.kind == KIND_ADVERSARIAL:
-        return apply_adversarial(ds, classifier, spec.epsilon, spec.delta, spec.seed)
-    for part in spec.parts:
-        ds = apply_shift(part, ds, classifier)
-    return ds
+    return _KINDS[spec.kind][1](ds, spec, classifier)
 
 
 # ---------------------------------------------------------------------------
@@ -335,31 +321,31 @@ def _fixed(kind: str, **params):
     return lambda delta, seed, epsilon: ShiftSpec(kind=kind, delta=delta, seed=seed, **params)
 
 
-_knockout = _fixed(KIND_KNOCKOUT, class_id=0)
-_medium_image = _fixed(KIND_IMAGE, rot_max_deg=40.0, trans_max_frac=0.2, zoom_max_frac=0.2)
+_knockout = _fixed("knockout", class_id=0)
+_medium_image = _fixed("image", rot_max_deg=40.0, trans_max_frac=0.2, zoom_max_frac=0.2)
 
 # name -> (intensity, build); build(delta, seed, epsilon) gives the preset's spec.
 # The two composites fix their first part and give delta to the second.
 _PRESETS = {
     "no_shift": ("none", lambda delta, seed, epsilon: ShiftSpec(
-        kind=KIND_COMPOSITE, delta=0.0, seed=seed)),
-    "small_gn_shift": ("small", _fixed(KIND_GAUSSIAN_NOISE, sigma=1.0)),
-    "medium_gn_shift": ("medium", _fixed(KIND_GAUSSIAN_NOISE, sigma=10.0)),
-    "large_gn_shift": ("large", _fixed(KIND_GAUSSIAN_NOISE, sigma=100.0)),
-    "small_img_shift": ("small", _fixed(KIND_IMAGE, rot_max_deg=10.0, trans_max_frac=0.05,
+        kind="composite", delta=0.0, seed=seed)),
+    "small_gn_shift": ("small", _fixed("gaussian_noise", sigma=1.0)),
+    "medium_gn_shift": ("medium", _fixed("gaussian_noise", sigma=10.0)),
+    "large_gn_shift": ("large", _fixed("gaussian_noise", sigma=100.0)),
+    "small_img_shift": ("small", _fixed("image", rot_max_deg=10.0, trans_max_frac=0.05,
                                         zoom_max_frac=0.1)),
     "medium_img_shift": ("medium", _medium_image),
-    "large_img_shift": ("large", _fixed(KIND_IMAGE, rot_max_deg=90.0, trans_max_frac=0.4,
+    "large_img_shift": ("large", _fixed("image", rot_max_deg=90.0, trans_max_frac=0.4,
                                         zoom_max_frac=0.4)),
     "adv_shift": ("medium", lambda delta, seed, epsilon: ShiftSpec(
-        kind=KIND_ADVERSARIAL, epsilon=epsilon, delta=delta, seed=seed)),
+        kind="adversarial", epsilon=epsilon, delta=delta, seed=seed)),
     "ko_shift": ("small", _knockout),
     "medium_img_shift+ko_shift": ("large", lambda delta, seed, epsilon: ShiftSpec(
-        kind=KIND_COMPOSITE, delta=delta, seed=seed,
+        kind="composite", delta=delta, seed=seed,
         parts=(_medium_image(0.5, seed, epsilon), _knockout(delta, seed + 1, epsilon)))),
     "only_zero_shift+medium_img_shift": ("large", lambda delta, seed, epsilon: ShiftSpec(
-        kind=KIND_COMPOSITE, delta=delta, seed=seed,
-        parts=(ShiftSpec(kind=KIND_ONLY_ZERO, seed=seed), _medium_image(delta, seed + 1, epsilon)))),
+        kind="composite", delta=delta, seed=seed,
+        parts=(ShiftSpec(kind="only_zero", seed=seed), _medium_image(delta, seed + 1, epsilon)))),
 }
 PRESET_NAMES = tuple(_PRESETS)
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from shiftdetect import digits, harness, nets
+from shiftdetect import cli, digits, harness, nets
 from shiftdetect.cli import main
 from shiftdetect.data import TensorDataset, flatten, load_csv, load_idx, write_csv, write_idx
 from shiftdetect.dimred import METHOD_TABLE, DrKind, fit_pca, save_model
@@ -67,7 +67,7 @@ def test_detect_bbsd_without_labels_exit_65(tmp_path, capsys):
 
 
 _DETECT_KEYS = {"statistic", "p_value", "alpha", "reject", "test_tag", "method", "mode",
-                "n_source", "n_target"}
+                "n_source", "n_target", "n_fit", "n_reference"}
 
 
 def test_detect_bbsd_reports_untrained_classifier(sample_files, capsys):
@@ -85,7 +85,7 @@ def test_detect_bbsd_reports_untrained_classifier(sample_files, capsys):
 
 def test_detect_bbsd_trained_classifier_no_warning(sample_files, capsys):
     src, _, far = sample_files
-    code = main(["detect", str(src), str(far), "--method", "bbsdh", "--seed", "2"])
+    code = main(["detect", str(src), str(far), "--method", "bbsdh", "--seed", "15"])
     captured = capsys.readouterr()
     out = json.loads(captured.out)
     assert code == 3
@@ -96,10 +96,10 @@ def test_detect_bbsd_trained_classifier_no_warning(sample_files, capsys):
 
 
 def test_detect_bbsdh_one_shared_class_exit_zero(sample_files, capsys):
-    # at seed 9 the classifier trains (best epoch > 0) yet puts every source
+    # at seed 26 the classifier trains (best epoch > 0) yet puts every source
     # and target row in one class: one shared class is no evidence of shift
     src, _, far = sample_files
-    code = main(["detect", str(src), str(far), "--method", "bbsdh", "--seed", "9"])
+    code = main(["detect", str(src), str(far), "--method", "bbsdh", "--seed", "26"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["test_tag"] == "chi2"
@@ -129,6 +129,33 @@ def test_detect_every_method_routes_to_its_test(sample_files, capsys, kind):
     assert code in (0, 3)
     assert out["test_tag"] == _ROUTE_TAG.get(kind, "ks_bonferroni")
     assert (out["method"], out["mode"]) == (kind.value, "univariate")
+
+
+@pytest.mark.parametrize("kind", ["pca", "tae", "bbsds", "bbsdh"])
+def test_detect_tests_source_rows_its_model_was_not_fitted_on(sample_files, monkeypatch,
+                                                              capsys, kind):
+    # a model tested on the rows it was fitted on sees a shift under the null
+    src, _, far = sample_files
+    fitted, tested = [], []
+    fit_reducers, reduce = harness.fit_reducers, cli.reduce
+
+    def record_fit(train, cfg):
+        fitted.append(flatten(train))
+        return fit_reducers(train, cfg)
+
+    def record_reduce(k, handle, x):
+        tested.append(x)
+        return reduce(k, handle, x)
+
+    monkeypatch.setattr("shiftdetect.harness.fit_reducers", record_fit)
+    monkeypatch.setattr("shiftdetect.cli.reduce", record_reduce)
+    assert main(["detect", str(src), str(far), "--method", kind, "--epochs", "2",
+                 "--latent-dim", "4", "--hidden-dim", "8"]) in (0, 3)
+    out = json.loads(capsys.readouterr().out)
+    rows = {tuple(r) for r in flatten(load_csv(src))}
+    fit_rows, source_rows = ({tuple(r) for r in x} for x in (fitted[0], tested[0]))
+    assert len(rows) == 160 and not fit_rows & source_rows and fit_rows | source_rows == rows
+    assert (out["n_fit"], out["n_reference"], out["n_source"]) == (80, 80, 160)
 
 
 def _refuse_work(monkeypatch):
@@ -662,7 +689,7 @@ def test_exemplars_k_below_one_exit_64(tmp_path, sample_files, monkeypatch, caps
 # in DrKind x TestMode order, each on the same and then the far target; and
 # of the three files exemplars writes for the far target. Both commands'
 # outputs are pinned bit for bit.
-DETECT_GOLDEN_SHA256 = "6f5e6d3e2d361f4e97ff4278308b63064d1ebab9b736f39aa47447428b404990"
+DETECT_GOLDEN_SHA256 = "fb3308ba063c35ddddebac3a6e56857e62471fa2b2eb9c20ef717402fbc4d30f"
 EXEMPLARS_GOLDEN_SHA256 = {
     "report.json": "a020f3fac6fb382161841b75987e8600226d8331bb9d46d8a50272fb634b8102",
     "top_different_samples.csv":
@@ -708,6 +735,31 @@ def test_report_reemits_tables(tmp_path, capsys):
                  "accuracy_by_intensity.csv", "accuracy_by_delta.csv",
                  "pvalue_curves.csv"):
         assert (rep_dir / name).read_bytes() == (outdir / name).read_bytes()
+
+
+_HEADER = ",".join(harness.RECORD_COLUMNS)
+_OK_ROW = "noise,custom,0.5,nored,univariate,5,0,ok,ks_bonferroni,0.5,0.2,false,"
+
+
+# unchecked, the first exits 65 naming no line and the others exit 0: a
+# maybe or a nan read as no reject, a short row read with its tail missing
+@pytest.mark.parametrize("text, message", [
+    (_HEADER.replace(",status", "") + "\n" + _OK_ROW.replace(",ok", "") + "\n",
+     f"line 1: the header must be {_HEADER}, got ['shift',"),
+    (_HEADER + "\n" + _OK_ROW.replace("false", "maybe") + "\n",
+     "line 2: reject must be one of true, false, got 'maybe'"),
+    (_HEADER + "\n" + _OK_ROW.replace("0.2", "nan") + "\n",
+     "line 2: p_value must be a finite number in [0, 1], got nan"),
+    (_HEADER + "\n" + _OK_ROW + "\n" + _OK_ROW.rsplit(",", 2)[0] + "\n",
+     "line 3: 11 fields, expected 13"),
+], ids=["no-status-column", "reject-maybe", "p-value-nan", "short-row"])
+def test_report_refuses_records_bench_could_not_have_written(tmp_path, capsys, text, message):
+    records = tmp_path / "records.csv"
+    records.write_text(text)
+    code = main(["report", "--records", str(records), "--out", str(tmp_path / "r")])
+    assert code == 65
+    assert capsys.readouterr().err.startswith(f"error: {records} {message}")
+    assert not (tmp_path / "r").exists()
 
 
 def test_report_missing_records_exit_66(tmp_path):

@@ -2,6 +2,7 @@
 shift specs by key path, and fuzz gates over mutated documents."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -34,6 +35,16 @@ def test_readme_table_names_exactly_the_rule_tables_keys():
     assert sorted(listed) == sorted(keys)
     assert len(listed) == len(set(listed))
     assert list(harness._DOC_RULES) == listed[:len(harness._DOC_RULES)]
+
+
+def test_readme_table_names_the_kinds_that_read_each_shift_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bounds = dict(re.findall(r"^\| `shifts\[\]\.([^`]+)` \| ([^|]*) \|", readme, re.M))
+    kinds = {name: re.findall(r"`([^`]+)`", text) for name, text in bounds.items()}
+    assert kinds.pop("kind") == list(shifts._KINDS)
+    for name, listed in kinds.items():
+        assert {k for k in listed if k in shifts._KINDS} == {
+            kind for kind, (reads, _) in shifts._KINDS.items() if name in reads}, name
 
 
 def _bench(doc, tmp_path):
@@ -93,6 +104,12 @@ def _entry(key, index, value):
     (dict(TINY, lr0=math.inf), "lr0 must be a finite number > 0, got inf"),
     (dict(TINY, ae_lr0=math.nan), "ae_lr0 must be a finite number > 0, got nan"),
     (dict(TINY, dataset=3), "dataset must be an object, got 3"),
+    # a repeated entry counts its cells twice, or merges two shifts' rows
+    (dict(TINY, sample_sizes=[5, 5]), "sample_sizes[1] repeats sample_sizes[0]: 5"),
+    (dict(TINY, methods=["nored", ["nored", "univariate"]]),
+     "methods[1] repeats methods[0]: ('nored', 'univariate')"),
+    (_entry("shifts", 0, dict(TINY["shifts"][1], sigma=1)),
+     "shifts[1] repeats shifts[0]: 'noise'"),
 ])
 def test_bench_refuses_a_bad_config_by_key_path_before_the_corpus(tmp_path, monkeypatch,
                                                                   doc, message):
@@ -106,6 +123,14 @@ def test_bench_refuses_a_bad_config_by_key_path_before_the_corpus(tmp_path, monk
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_bench_whose_training_diverges_exits_65(tmp_path):
+    # numpy warns of the overflow first; from a shell its lines precede the error's
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, err = _bench(dict(TINY, methods=["tae"], ae_lr0=1e12), tmp_path)
+    assert code == 65
+    assert err.splitlines()[-1] == "error: non-finite validation score at epoch 2"
 
 
 @pytest.mark.parametrize("command", ["detect", "exemplars"])
@@ -219,6 +244,60 @@ def test_fuzz_shift_specs_exit_cleanly_and_name_the_key(spec_input, case):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["shift", str(spec_input), str(Path(tmp) / "o.csv"), "--spec", str(spec)])
     _check_gate(code, err.getvalue(), touched or "spec", applied.called)
+
+
+@pytest.fixture(scope="module")
+def records_rows(tmp_path_factory):
+    """The rows of a records.csv bench wrote: a header, two ok and two skipped rows."""
+    tmp = tmp_path_factory.mktemp("records")
+    code, _ = _bench(dict(TINY, sample_sizes=[5, 50]), tmp)
+    assert code == 0
+    with open(tmp / "out" / "records.csv", newline="") as f:
+        return list(csv.reader(f))
+
+
+@st.composite
+def mutated_records(draw, rows: list) -> str:
+    """The text of rows with one field replaced, removed or added, one row
+    cut short or dropped, or one piece of text put in at any place."""
+    rows = [list(row) for row in rows]
+    line = draw(st.integers(0, len(rows) - 1))
+    column = draw(st.integers(0, len(rows[line]) - 1))
+    value = draw(st.sampled_from(["", "x", "nan", "inf", "-1", "1.5", "0", "true", "maybe",
+                                  "ok", "skipped", "chi2", "5.5", '"', "\n", "a,b"]))
+    how = draw(st.sampled_from(["replace", "replace", "remove", "add", "cut", "drop", "text"]))
+    if how == "replace":
+        rows[line][column] = value
+    elif how == "remove":
+        del rows[line][column]
+    elif how == "add":
+        rows[line].insert(column, value)
+    elif how == "cut":
+        del rows[line][column:]
+    elif how == "drop":
+        del rows[line]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    text = out.getvalue()
+    if how == "text":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + value + text[at:]
+    return text
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_fuzz_records_files_exit_cleanly(records_rows, data):
+    text = data.draw(mutated_records(records_rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["report", "--records", str(path), "--out", str(Path(tmp) / "r")])
+    assert code in (0, 65), err.getvalue()
+    if code == 65:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 def test_library_config_gets_the_same_rules():

@@ -219,8 +219,9 @@ GOLDEN_TABLES_SHA256 = {
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_golden_records_all_kinds(tmp_path, threads):
-    # fit_pca's eigensolver moves its last bits with the BLAS thread count, so
-    # the grid runs in a child process held at one BLAS thread
+    # the BLAS thread count moves the last bits of the pca, srp and uae
+    # multivariate MMD statistics (srp fits nothing, so not only fit_pca's
+    # eigensolver), so the grid runs in a child process held at one BLAS thread
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     package_root = str(Path(shiftdetect.__file__).resolve().parents[1])

@@ -6,7 +6,7 @@ import pytest
 
 from shiftdetect import nets
 from shiftdetect.dimred import load_model, save_model
-from shiftdetect.errors import BadDims, DimensionMismatch
+from shiftdetect.errors import BadDims, DimensionMismatch, Diverged
 from shiftdetect.nets import (
     Autoencoder,
     SoftmaxClassifier,
@@ -148,6 +148,14 @@ def test_training_loss_decreases_convex_toy():
         final, _, _, _ = loss_and_gradients(net, x, x, "mse")
         assert final <= losses[0]
         assert losses[-1] <= losses[1]
+
+
+def test_train_autoencoder_raises_diverged_at_a_huge_lr():
+    x = np.random.default_rng(5).random((100, 8))
+    cfg = TrainConfig(lr0=1e6, batch_size=10, max_epochs=5, seed=1)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(Diverged, match="^non-finite loss at epoch 1$"):
+        train_autoencoder(x, x[:10], (8, 8, 2), cfg)
 
 
 def test_encode_shapes_and_purity():
