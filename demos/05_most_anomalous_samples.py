@@ -33,16 +33,15 @@ print(f"held-out accuracy: {check.accuracy:.3f} on {check.n_heldout} samples")
 print(f"binomial p-value:  {check.outcome.p_value:.2e} "
       f"(reject chance: {check.outcome.reject})\n")
 
-report = harness.top_exemplars(check.clf, check.heldout_target, k=3,
-                               binomial_p=check.outcome.p_value, alpha=0.05)
-if not report.gate_passed:
+top_different, top_similar = harness.top_exemplars(check, k=3)
+if not check.outcome.reject:
     print("gate not passed; no exemplars to show")
 else:
     print("top DIFFERENT target samples (most confidently 'target'):")
-    for idx, score in report.top_different:
+    for idx, score in top_different:
         print(f"--- score {score:.3f} ---")
         print(ascii_digit(check.heldout_target[idx]))
     print("\ntop SIMILAR target samples (most source-like):")
-    for idx, score in report.top_similar:
+    for idx, score in top_similar:
         print(f"--- score {score:.3f} ---")
         print(ascii_digit(check.heldout_target[idx]))

@@ -30,7 +30,6 @@ from .dimred import (
 )
 from .harness import (
     DomainCheck,
-    ExemplarReport,
     ExperimentConfig,
     ExperimentResult,
     MethodSpec,

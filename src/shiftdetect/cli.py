@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, digits, harness, nets, shifts
 from .data import TensorDataset, flatten, load_csv, load_idx, write_csv, write_idx
 from .dimred import DrKind, load_model, reduce
-from .errors import ConfigInvalid, Rule, ShiftDetectError, check_object
+from .errors import ConfigInvalid, EmptySample, Rule, ShiftDetectError, check_object, rules_of
 from .harness import ExperimentConfig, MethodSpec, NamedShift
 from .stattest import TestMode
 
@@ -101,13 +101,37 @@ def _outcome_payload(outcome) -> dict:
 # ---------------------------------------------------------------------------
 # detect
 
+def _load_sample(arg: str) -> TensorDataset:
+    """The dataset _load_dataset reads from arg, refused (naming arg) unless
+    it has a row and a pixel column to test."""
+    ds = _load_dataset(arg)
+    if ds.n == 0 or ds.dim == 0:
+        raise EmptySample(f"{arg} holds {ds.n} rows of {ds.dim} pixels; a sample needs "
+                          f"at least one of each")
+    return ds
+
+
+# the flags whose bad value the config would report under another key name
+# (ae_epochs for --epochs) or after detect's clamp (--latent-dim), each with
+# the key whose rule it keeps; --alpha, --lr0, --patience and --seed are
+# spelled as their keys
+_FLAG_KEYS = {"epochs": "ae_epochs", "batch_size": "batch_size", "hidden_dim": "hidden_dim",
+              "latent_dim": "latent_dim", "ae_lr0": "ae_lr0"}
+
+
 def _one_shot_config(args, source: TensorDataset, method: MethodSpec,
                      **reducer_settings) -> ExperimentConfig:
     """The training flags of detect/exemplars as a config for fitting on source.
 
     Seeds derive from --seed as in bench. detect passes the settings that
-    only its reducers read (latent_dim, ae_lr0) as reducer_settings.
+    only its reducers read (latent_dim, ae_lr0) as reducer_settings. Each
+    flag of _FLAG_KEYS the command has must keep its key's rule, and is
+    named as the flag when it does not.
     """
+    rules = rules_of(ExperimentConfig)
+    for dest, name in _FLAG_KEYS.items():
+        if hasattr(args, dest):
+            rules[name].check(getattr(args, dest), "--" + dest.replace("_", "-"))
     return ExperimentConfig(
         methods=(method,), shifts=(NamedShift("no_shift", shifts.preset("no_shift")),),
         n_train=source.n, n_val=0, n_test=0, alpha=args.alpha, seed=args.seed,
@@ -120,8 +144,8 @@ def _one_shot_config(args, source: TensorDataset, method: MethodSpec,
 def cmd_detect(args) -> int:
     method = MethodSpec(DrKind(args.method), TestMode(args.mode))  # refuses a bad pair
     kind, mode = method.kind, method.mode
-    source = _load_dataset(args.source)
-    target = _load_dataset(args.target)
+    source = _load_sample(args.source)
+    target = _load_sample(args.target)
     fit_rows, reference_rows = harness.fit_and_reference_rows(kind, source.n, args.seed)
     fit = source.subset(fit_rows)
     # the latent size is clamped to min(latent_dim, n - 1, D) of the fit rows,
@@ -229,12 +253,11 @@ def cmd_bench(args) -> int:
     doc = _read_json(args.config, "config")
     cfg = ExperimentConfig.from_dict(doc)
     dataset = _dataset_from_config(doc, cfg)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     _log(f"running grid: {len(cfg.shifts)} shifts x {len(cfg.methods)} methods x "
          f"{len(cfg.sample_sizes)} sizes x {cfg.runs} runs")
     result = harness.run_experiment(dataset, cfg, threads=args.threads)
+    outdir = Path(args.out)  # made only once the grid has run, so a failed one leaves none
+    outdir.mkdir(parents=True, exist_ok=True)
     harness.write_records_csv(result, outdir / "records.csv")
     skipped = Counter(r.reason for r in result.records if r.status == "skipped")
     usable = len(result.records) > skipped.total()
@@ -270,8 +293,8 @@ def cmd_exemplars(args) -> int:
     if args.k < 1:
         print(f"error: k must be >= 1, got {args.k}", file=sys.stderr)
         return EXIT_USAGE
-    source = _load_dataset(args.source)
-    target = _load_dataset(args.target)
+    source = _load_sample(args.source)
+    target = _load_sample(args.target)
     n_heldout_target = target.n - target.n // 2  # the domain check's held-out half
     if args.k > n_heldout_target:
         print(f"error: k={args.k} exceeds held-out target size {n_heldout_target}",
@@ -279,35 +302,26 @@ def cmd_exemplars(args) -> int:
         return EXIT_USAGE
     check = harness.domain_check(_one_shot_config(args, source, MethodSpec(DrKind.CLASSIF)),
                                  flatten(source), flatten(target), seed=args.seed)
-    report = harness.top_exemplars(check.clf, check.heldout_target, args.k,
-                                   check.outcome.p_value, alpha=args.alpha)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-
     doc = {
-        "gate_passed": report.gate_passed,
-        "binomial_p": report.binomial_p,
+        "gate_passed": check.outcome.reject,
+        "binomial_p": check.outcome.p_value,
         "heldout_accuracy": check.accuracy,
         "n_heldout": check.n_heldout,
         "k": args.k,
-        "top_different": [
-            {"heldout_index": i, "target_row": int(check.heldout_target_indices[i]),
-             "score": s} for i, s in report.top_different],
-        "top_similar": [
-            {"heldout_index": i, "target_row": int(check.heldout_target_indices[i]),
-             "score": s} for i, s in report.top_similar],
     }
-    with open(outdir / "report.json", "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-
-    for name, entries in (("top_different", report.top_different),
-                          ("top_similar", report.top_similar)):
+    for name, entries in zip(("top_different", "top_similar"),
+                             harness.top_exemplars(check, args.k)):
+        doc[name] = [{"heldout_index": i, "target_row": int(check.heldout_target_indices[i]),
+                      "score": s} for i, s in entries]
         with open(outdir / f"{name}_samples.csv", "w", newline="") as f:
             for i, score in entries:
                 row = [repr(float(v)) for v in check.heldout_target[i]]
                 f.write(",".join(row + [repr(score)]) + "\n")
-
-    _emit({"gate_passed": report.gate_passed, "binomial_p": report.binomial_p,
+    with open(outdir / "report.json", "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+    _emit({"gate_passed": doc["gate_passed"], "binomial_p": doc["binomial_p"],
            "outdir": str(outdir)})
     return 0
 

@@ -196,4 +196,4 @@ def random_split(pool: TensorDataset, n_train: int, n_val: int, n_test: int,
 
 def flatten(ds: TensorDataset) -> np.ndarray:
     """Row i is image i in raster order (rows, cols, channels); shape (N, H*W*C)."""
-    return ds.images.reshape(ds.n, -1)
+    return ds.images.reshape(ds.n, ds.dim)

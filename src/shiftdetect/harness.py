@@ -372,35 +372,19 @@ def domain_check(cfg: ExperimentConfig, source: np.ndarray, target: np.ndarray, 
         alpha=cfg.alpha, seed=seed, hidden_dims=(cfg.domain_hidden_dim,), rows=rows)
 
 
-@dataclass
-class ExemplarReport:
-    gate_passed: bool
-    binomial_p: float
-    top_different: list  # (index, score), scores descending
-    top_similar: list    # (index, score), scores ascending
-
-
-def top_exemplars(domain_clf: SoftmaxClassifier, target_heldout: np.ndarray,
-                  k: int, binomial_p: float, alpha: float = 0.05) -> ExemplarReport:
-    """Most/least target-typical held-out samples by domain-classifier score.
-
-    Only reported when the binomial test rejects; otherwise the report is
-    empty with the gate recorded. k must be at least 1.
+def top_exemplars(check: DomainCheck, k: int) -> tuple:
+    """(top_different, top_similar): the k held-out target rows of check that
+    its classifier scores most and least target-like, as (index, score)
+    pairs with scores descending and ascending. Both are empty unless
+    check.outcome rejects. k must be at least 1.
     """
     if k < 1:
         raise ConfigInvalid(f"k must be >= 1, got {k}")
-    if binomial_p >= alpha:
-        return ExemplarReport(gate_passed=False, binomial_p=binomial_p,
-                              top_different=[], top_similar=[])
-    scores = nets.domain_scores(domain_clf, target_heldout)
-    desc = np.argsort(-scores, kind="stable")[:k]
-    asc = np.argsort(scores, kind="stable")[:k]
-    return ExemplarReport(
-        gate_passed=True,
-        binomial_p=binomial_p,
-        top_different=[(int(i), float(scores[i])) for i in desc],
-        top_similar=[(int(i), float(scores[i])) for i in asc],
-    )
+    if not check.outcome.reject:
+        return [], []
+    scores = nets.domain_scores(check.clf, check.heldout_target)
+    return tuple([(int(i), float(scores[i])) for i in np.argsort(signed, kind="stable")[:k]]
+                 for signed in (-scores, scores))
 
 
 # ---------------------------------------------------------------------------

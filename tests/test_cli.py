@@ -314,6 +314,45 @@ def test_shift_to_idx_refuses_labels_above_a_byte(tmp_path):
     assert not (tmp_path / "labels.idx").exists()
 
 
+@pytest.mark.parametrize("as_idx", [False, True], ids=["csv", "idx"])
+def test_shift_an_empty_file_writes_an_empty_file(tmp_path, capsys, as_idx):
+    empty = TensorDataset(np.zeros((0, 4, 4, 1)), np.zeros(0, dtype=int), 2)
+    if as_idx:
+        write_idx(empty, tmp_path / "in.idx", tmp_path / "in_labels.idx")
+        source = f"{tmp_path / 'in.idx'},{tmp_path / 'in_labels.idx'}"
+        out = f"{tmp_path / 'out.idx'},{tmp_path / 'out_labels.idx'}"
+    else:
+        (tmp_path / "in.csv").write_text("")
+        source, out = str(tmp_path / "in.csv"), str(tmp_path / "out.csv")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"preset": "medium_gn_shift"}))
+    assert main(["shift", source, out, "--spec", str(spec)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["n_input"] == summary["n_output"] == 0
+    written = load_idx(*out.split(",")) if as_idx else load_csv(out)
+    assert written.n == 0
+
+
+@pytest.mark.parametrize("content", ["", "0\n1\n0\n1\n"], ids=["no-rows", "no-pixels"])
+@pytest.mark.parametrize("command, side", [("detect", "source"), ("detect", "target"),
+                                           ("exemplars", "source"), ("exemplars", "target")])
+def test_detect_and_exemplars_refuse_a_file_with_nothing_to_test(tmp_path, sample_files,
+                                                                 monkeypatch, capsys, command,
+                                                                 side, content):
+    _refuse_work(monkeypatch)
+    src, _, far = sample_files
+    bad = tmp_path / "bad.csv"
+    bad.write_text(content)
+    argv = [command, *((bad, far) if side == "source" else (src, bad))]
+    if command == "exemplars":
+        argv += ["--out", tmp_path / "ex"]
+    assert main([str(a) for a in argv]) == 65
+    rows = content.count("\n")
+    assert capsys.readouterr().err == (f"error: {bad} holds {rows} rows of 0 pixels; "
+                                       f"a sample needs at least one of each\n")
+    assert not (tmp_path / "ex").exists()
+
+
 def test_idx_pair_io(tmp_path, capsys):
     from shiftdetect.data import write_idx
     rng = np.random.default_rng(1)

@@ -131,14 +131,23 @@ def test_bench_whose_training_diverges_exits_65(tmp_path):
         code, err = _bench(dict(TINY, methods=["tae"], ae_lr0=1e12), tmp_path)
     assert code == 65
     assert err.splitlines()[-1] == "error: non-finite validation score at epoch 2"
+    assert not (tmp_path / "out").exists()  # --out is made only once the grid has run
 
 
-@pytest.mark.parametrize("command", ["detect", "exemplars"])
-@pytest.mark.parametrize("flag, value, message", [
-    ("--lr0", "inf", "lr0 must be a finite number > 0, got inf"),
-    ("--lr0", "nan", "lr0 must be a finite number > 0, got nan"),
-    ("--alpha", "nan", "alpha must be a finite number in (0, 1), got nan"),
-])
+# --epochs, --batch-size and --hidden-dim feed config keys of other names
+# (ae_epochs, which exemplars never trains), and detect clamps --latent-dim
+# before the config sees it, so the message names the flag
+@pytest.mark.parametrize("flag, value, message, command", [
+    (*case, command) for case in (
+        ("--lr0", "inf", "lr0 must be a finite number > 0, got inf"),
+        ("--lr0", "nan", "lr0 must be a finite number > 0, got nan"),
+        ("--alpha", "nan", "alpha must be a finite number in (0, 1), got nan"),
+        ("--epochs", "-1", "--epochs must be an integer >= 0, got -1"),
+        ("--batch-size", "0", "--batch-size must be an integer >= 1, got 0"),
+        ("--hidden-dim", "0", "--hidden-dim must be an integer >= 1, got 0"),
+        ("--latent-dim", "0", "--latent-dim must be an integer >= 1, got 0"))
+    for command in ("detect", "exemplars")
+    if command == "detect" or case[0] != "--latent-dim"])  # exemplars has no --latent-dim
 def test_one_shot_commands_refuse_a_bad_setting_before_fitting(tmp_path, monkeypatch, capsys,
                                                                command, flag, value, message):
     def no_work(*args, **kwargs):

@@ -33,7 +33,7 @@ from shiftdetect.harness import (
     write_records_csv,
 )
 from shiftdetect.nets import TrainConfig
-from shiftdetect.stattest import TestMode, binomial_two_sided
+from shiftdetect.stattest import TestMode, TestOutcome, TestTag, binomial_two_sided
 
 
 def _small_config(**overrides):
@@ -553,23 +553,31 @@ def test_domain_check_holds_one_training_matrix(route):
     assert peak <= 2 * matrix_bytes
 
 
-def test_top_exemplars_gate():
+def _fixed_check(reject: bool):
+    """A DomainCheck of a small trained classifier over 10 held-out rows,
+    whose outcome rejects or not as asked."""
     clf = nets.train_domain_classifier(np.vstack([np.zeros((4, 3)), np.ones((4, 3))]), 4,
                                        TrainConfig(max_epochs=2, batch_size=4))
-    report = top_exemplars(clf, np.random.default_rng(0).random((10, 3)), 3,
-                           binomial_p=0.9, alpha=0.05)
-    assert not report.gate_passed
-    assert report.top_different == [] and report.top_similar == []
+    p = 0.01 if reject else 0.9
+    outcome = TestOutcome(statistic=0.5, p_value=p, alpha=0.05, reject=reject,
+                          test_tag=TestTag.BINOMIAL)
+    return harness.DomainCheck(clf=clf, outcome=outcome, accuracy=0.5, n_heldout=20,
+                               heldout_target=np.random.default_rng(0).random((10, 3)),
+                               heldout_target_indices=np.arange(10))
+
+
+def test_top_exemplars_gate():
+    check = _fixed_check(reject=False)
+    top_different, top_similar = top_exemplars(check, 3)
+    assert not check.outcome.reject
+    assert top_different == [] and top_similar == []
 
 
 def test_top_exemplars_refuses_k_below_one():
-    clf = nets.train_domain_classifier(np.vstack([np.zeros((4, 3)), np.ones((4, 3))]), 4,
-                                       TrainConfig(max_epochs=2, batch_size=4))
-    rows = np.random.default_rng(0).random((10, 3))
     for k in (0, -3):
-        for p in (0.01, 0.9):  # refused whether or not the gate passes
+        for reject in (True, False):  # refused whether or not the gate passes
             with pytest.raises(ConfigInvalid):
-                top_exemplars(clf, rows, k, binomial_p=p, alpha=0.05)
+                top_exemplars(_fixed_check(reject), k)
 
 
 def test_top_exemplars_ranking():
@@ -581,12 +589,11 @@ def test_top_exemplars_ranking():
                                        TrainConfig(max_epochs=10, batch_size=8, seed=2),
                                        alpha=0.05, seed=3)
     scores = nets.domain_scores(check.clf, check.heldout_target)
-    report = top_exemplars(check.clf, check.heldout_target, 1,
-                           check.outcome.p_value, alpha=0.05)
-    assert report.gate_passed
-    assert report.top_different[0][0] == int(np.argmax(scores))
-    assert report.top_similar[0][0] == int(np.argmin(scores))
-    assert report.top_different[0][1] >= report.top_similar[0][1]
+    top_different, top_similar = top_exemplars(check, 1)
+    assert check.outcome.reject
+    assert top_different[0][0] == int(np.argmax(scores))
+    assert top_similar[0][0] == int(np.argmin(scores))
+    assert top_different[0][1] >= top_similar[0][1]
 
 
 def test_top_exemplars_planted_recovery():
@@ -603,10 +610,9 @@ def test_top_exemplars_planted_recovery():
     planted_heldout = {i for i, orig in enumerate(check.heldout_target_indices)
                        if orig >= 360}
     k = check.heldout_target.shape[0] // 10
-    report = top_exemplars(check.clf, check.heldout_target, k,
-                           check.outcome.p_value, alpha=0.05)
-    assert report.gate_passed
-    similar = {i for i, _ in report.top_similar}
+    _, top_similar = top_exemplars(check, k)
+    assert check.outcome.reject
+    similar = {i for i, _ in top_similar}
     recovered = len(similar & planted_heldout)
     assert recovered >= 0.7 * min(k, len(planted_heldout))
 
