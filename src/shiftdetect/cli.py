@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, digits, harness, nets, shifts
 from .data import TensorDataset, flatten, load_csv, load_idx, write_csv, write_idx
 from .dimred import DrKind, load_model, reduce
-from .errors import ConfigInvalid, EmptySample, Rule, ShiftDetectError, check_object, rules_of
+from .errors import Rule, ShiftDetectError, check_object, rules_of
 from .harness import ExperimentConfig, MethodSpec, NamedShift
 from .stattest import TestMode
 
@@ -71,13 +71,13 @@ def _load_dataset(arg: str) -> TensorDataset:
 
 
 def _read_json(path, what: str):
-    """The JSON document at path; what names it in the ConfigInvalid message."""
+    """The JSON document at path; what names it in the error message."""
     _require_files(path)
     with open(path) as f:
         try:
             return json.load(f)
         except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"{what} is not valid JSON: {exc}") from exc
+            raise ShiftDetectError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _write_dataset(ds: TensorDataset, arg: str) -> None:
@@ -106,8 +106,8 @@ def _load_sample(arg: str) -> TensorDataset:
     it has a row and a pixel column to test."""
     ds = _load_dataset(arg)
     if ds.n == 0 or ds.dim == 0:
-        raise EmptySample(f"{arg} holds {ds.n} rows of {ds.dim} pixels; a sample needs "
-                          f"at least one of each")
+        raise ShiftDetectError(f"{arg} holds {ds.n} rows of {ds.dim} pixels; a sample needs "
+                               f"at least one of each")
     return ds
 
 
@@ -146,6 +146,7 @@ def cmd_detect(args) -> int:
     kind, mode = method.kind, method.mode
     source = _load_sample(args.source)
     target = _load_sample(args.target)
+    rules_of(ExperimentConfig)["seed"].check(args.seed, "seed")  # before a split is drawn from it
     fit_rows, reference_rows = harness.fit_and_reference_rows(kind, source.n, args.seed)
     fit = source.subset(fit_rows)
     # the latent size is clamped to min(latent_dim, n - 1, D) of the fit rows,
@@ -179,8 +180,8 @@ def cmd_shift(args) -> int:
         _require_files(args.model)
         classifier = load_model(args.model)
         if not isinstance(classifier, nets.SoftmaxClassifier):
-            raise ConfigInvalid(f"--model must be a saved label classifier, "
-                                f"got a {type(classifier).__name__}")
+            raise ShiftDetectError(f"--model must be a saved label classifier, "
+                                   f"got a {type(classifier).__name__}")
     shifted = shifts.apply_shift(spec, ds, classifier=classifier)
     _write_dataset(shifted, args.output)
     n_changed = ""
@@ -213,10 +214,10 @@ def _dataset_from_config(doc: dict, cfg: ExperimentConfig) -> TensorDataset:
     corpus is built or file is read."""
     ds_cfg = doc.get("dataset")
     if ds_cfg is None:
-        raise ConfigInvalid("config needs a 'dataset' object")
+        raise ShiftDetectError("config needs a 'dataset' object")
     kind = ds_cfg.get("kind", "synthetic")
     if not isinstance(kind, str) or kind not in _DATASET_KEYS:
-        raise ConfigInvalid(f"unknown dataset kind {kind!r}; known: {', '.join(_DATASET_KEYS)}")
+        raise ShiftDetectError(f"unknown dataset kind {kind!r}; known: {', '.join(_DATASET_KEYS)}")
     keys = _DATASET_KEYS[kind]
     check_object(ds_cfg, {"kind": Rule("string"), **keys}, "dataset", f"dataset kind {kind!r}",
                  required=() if kind == "synthetic" else keys)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, DimensionMismatch, InsufficientData, TruncatedFile
+from .errors import ShiftDetectError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -32,9 +32,9 @@ class TensorDataset:
         images = np.ascontiguousarray(np.asarray(self.images, dtype=np.float64))
         labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
         if images.ndim != 4:
-            raise DimensionMismatch(f"images must be (N, H, W, C), got shape {images.shape}")
+            raise ShiftDetectError(f"images must be (N, H, W, C), got shape {images.shape}")
         if labels.ndim != 1 or labels.shape[0] != images.shape[0]:
-            raise DimensionMismatch(
+            raise ShiftDetectError(
                 f"labels length {labels.shape} does not match image count {images.shape[0]}"
             )
         if images.size and not (images.min() >= 0.0 and images.max() <= 1.0):
@@ -84,7 +84,7 @@ class DataSplit:
 def _read_exact(f, count: int, path) -> bytes:
     buf = f.read(count)
     if len(buf) != count:
-        raise TruncatedFile(f"{path}: expected {count} more bytes, got {len(buf)}")
+        raise ShiftDetectError(f"{path}: expected {count} more bytes, got {len(buf)}")
     return buf
 
 
@@ -99,7 +99,8 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Tensor
     with open(images_path, "rb") as f:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, images_path))
         if magic != IDX_IMAGES_MAGIC:
-            raise BadMagic(f"{images_path}: magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
+            raise ShiftDetectError(
+                f"{images_path}: magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
         raw = _read_exact(f, count * rows * cols, images_path)
     pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
     images = pixels.reshape(count, rows, cols, 1)
@@ -107,10 +108,11 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Tensor
     with open(labels_path, "rb") as f:
         magic, label_count = struct.unpack(">II", _read_exact(f, 8, labels_path))
         if magic != IDX_LABELS_MAGIC:
-            raise BadMagic(f"{labels_path}: magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
+            raise ShiftDetectError(
+                f"{labels_path}: magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
         labels = np.frombuffer(_read_exact(f, label_count, labels_path), dtype=np.uint8)
     if label_count != count:
-        raise DimensionMismatch(f"{label_count} labels for {count} images")
+        raise ShiftDetectError(f"{label_count} labels for {count} images")
 
     labels = labels.astype(np.int64)
     if num_classes is None:
@@ -126,7 +128,7 @@ def write_idx(ds: TensorDataset, images_path, labels_path) -> None:
     """
     h, w, c = ds.image_shape
     if c != 1:
-        raise DimensionMismatch(f"IDX stores single-channel images, got {c} channels")
+        raise ShiftDetectError(f"IDX stores single-channel images, got {c} channels")
     if ds.labels.size and ds.labels.max() > 255:
         raise ValueError(f"IDX stores labels as bytes in [0, 255], got {ds.labels.max()}")
     pixels = np.rint(ds.images * 255.0).astype(np.uint8)
@@ -175,7 +177,7 @@ def split_indices(n: int, n_train: int, n_val: int, n_test: int,
     """Row indices of the train/val/test parts random_split takes from n rows."""
     total = n_train + n_val + n_test
     if total > n:
-        raise InsufficientData(f"requested {total} samples from a pool of {n}")
+        raise ShiftDetectError(f"requested {total} samples from a pool of {n}")
     perm = np.random.default_rng(seed).permutation(n)
     return perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:total]
 

@@ -31,6 +31,7 @@ _DIGIT_SEGMENTS = {
 }
 
 IMAGE_SIZE = 28
+NOISE_SIGMA = 0.03  # std of the additive pixel noise, on the [0, 1] pixel scale
 
 
 # Bounds of the six per-image style draws, in draw order: stroke radius,
@@ -68,39 +69,35 @@ def _render_batch(table: np.ndarray, labels: np.ndarray, radius: np.ndarray,
     return np.clip(coverage * brightness[:, None, None], 0.0, 1.0)
 
 
-def make_digits(n: int, seed: int = 0, size: int = IMAGE_SIZE,
-                rotation_offsets: dict[int, float] | None = None,
-                noise_sigma: float = 0.03) -> TensorDataset:
+def make_digits(n: int, seed: int = 0,
+                rotation_offsets: dict[int, float] | None = None) -> TensorDataset:
     """Generate n labeled digit images with randomized style and pose.
 
     rotation_offsets adds a systematic per-class rotation bias on top of
     the random jitter, which is how a deliberately non-iid subpopulation
     can be produced (all other style draws stay identically distributed).
-    Its keys must be class ids 0-9, and noise_sigma must be >= 0; anything
-    else raises ValueError.
+    Its keys must be class ids 0-9; anything else raises ValueError.
 
     Draw order: the n labels, then per image its six style uniforms (stroke
     radius, brightness, rotation, x and y translation, zoom) followed by its
-    size * size standard normals. Style is low + span * U and the noise
-    sigma * Z + 0.0, the formulas of Generator.uniform and Generator.normal,
-    so the bits equal those of per-image uniform and normal calls. Images
-    are rendered and transformed in batches (affine_transform_images, whose
-    out-of-image corners read 0.0 times the nearest edge pixel); the output
-    does not depend on the batch size.
+    IMAGE_SIZE * IMAGE_SIZE standard normals. Style is low + span * U and
+    the noise NOISE_SIGMA * Z + 0.0, the formulas of Generator.uniform and
+    Generator.normal, so the bits equal those of per-image uniform and normal
+    calls. Images are rendered and transformed in batches
+    (affine_transform_images, whose out-of-image corners read 0.0 times the
+    nearest edge pixel); the output does not depend on the batch size.
     """
     offsets = np.zeros(10)
     for label, degrees in (rotation_offsets or {}).items():
         if not is_int(label) or not 0 <= label < 10:
             raise ValueError(f"rotation_offsets keys must be class ids 0-9, got {label!r}")
         offsets[label] = degrees
-    if not noise_sigma >= 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 10, size=n)
-    images = np.empty((n, size, size, 1))
-    table = _segment_distances(size)
+    images = np.empty((n, IMAGE_SIZE, IMAGE_SIZE, 1))
+    table = _segment_distances(IMAGE_SIZE)
     uniforms = np.empty((BATCH_IMAGES, 6))
-    normals = np.empty((BATCH_IMAGES, size, size, 1))
+    normals = np.empty((BATCH_IMAGES, IMAGE_SIZE, IMAGE_SIZE, 1))
     for start in range(0, n, BATCH_IMAGES):
         stop = min(start + BATCH_IMAGES, n)
         count = stop - start
@@ -109,7 +106,7 @@ def make_digits(n: int, seed: int = 0, size: int = IMAGE_SIZE,
             rng.standard_normal(out=normals[j])
         style = _STYLE_LOW + _STYLE_SPAN * uniforms[:count]
         style[:, 2] += offsets[labels[start:stop]]
-        noise = noise_sigma * normals[:count]
+        noise = NOISE_SIGMA * normals[:count]
         noise += 0.0  # as loc + scale * Z in Generator.normal: -0.0 becomes 0.0
         base = _render_batch(table, labels[start:stop], style[:, 0], style[:, 1])
         jittered = affine_transform_images(base[..., None], style[:, 2],

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from . import nets
-from .errors import BadK, DimensionMismatch, NotFitted
+from .errors import Rule, ShiftDetectError
 
 class DrKind(str, Enum):
     NORED = "nored"
@@ -79,7 +79,7 @@ def fit_pca(x: np.ndarray, k: int) -> PcaModel:
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
     if k < 1 or k > min(n - 1, d):
-        raise BadK(f"k must be in [1, min(n-1, d)] = [1, {min(n - 1, d)}], got {k}")
+        raise ShiftDetectError(f"k must be in [1, min(n-1, d)] = [1, {min(n - 1, d)}], got {k}")
     mean = x.mean(axis=0)
     centered = x - mean
     _, vectors = scipy.linalg.eigh(centered.T @ centered, subset_by_index=[d - k, d - 1])
@@ -96,7 +96,7 @@ def fit_pca(x: np.ndarray, k: int) -> PcaModel:
 def pca_project(model: PcaModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != model.mean.shape[0]:
-        raise DimensionMismatch(
+        raise ShiftDetectError(
             f"x has {x.shape[1]} columns, model was fitted on {model.mean.shape[0]}"
         )
     return (x - model.mean) @ model.components.T
@@ -121,7 +121,7 @@ def build_srp(d: int, k: int, seed: int) -> SrpMatrix:
     expectation.
     """
     if d < 1 or k < 1:
-        raise BadK(f"d and k must be >= 1, got d={d}, k={k}")
+        raise ShiftDetectError(f"d and k must be >= 1, got d={d}, k={k}")
     v = math.sqrt(d)
     u = np.random.default_rng(seed).random((d, k))
     scale = math.sqrt(v / k)
@@ -134,7 +134,7 @@ def build_srp(d: int, k: int, seed: int) -> SrpMatrix:
 def srp_project(model: SrpMatrix, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != model.matrix.shape[0]:
-        raise DimensionMismatch(
+        raise ShiftDetectError(
             f"x has {x.shape[1]} columns, projection expects {model.matrix.shape[0]}"
         )
     return x @ model.matrix
@@ -183,12 +183,12 @@ def reduce(kind: DrKind, fitted, x: np.ndarray) -> Representation:
 
     fitted is the model METHOD_TABLE names for the kind (ignored for NORED
     and CLASSIF, which return the float64 rows of x uncopied); a missing or
-    mistyped one raises NotFitted.
+    mistyped one raises ShiftDetectError.
     """
     kind = DrKind(kind)
     row = METHOD_TABLE[kind]
     if not isinstance(fitted, row.model_type):
-        raise NotFitted(f"expected a fitted {row.model_type.__name__} for {kind.value}")
+        raise ShiftDetectError(f"expected a fitted {row.model_type.__name__} for {kind.value}")
     return row.transform(fitted, np.asarray(x, dtype=np.float64))
 
 
@@ -205,9 +205,12 @@ def _net_arrays(prefix: str, net: nets.NetParams) -> dict:
 
 def _net_from(prefix: str, archive) -> nets.NetParams:
     n_layers = int(archive[f"{prefix}n_layers"])
+    activations = [str(a) for a in archive[f"{prefix}activations"]]
+    for i, name in enumerate(activations):  # a net would run an unknown one as identity
+        Rule("string", choices=nets._ACTIVATIONS).check(name, f"{prefix}activations[{i}]")
     return nets.NetParams(weights=[archive[f"{prefix}w{i}"] for i in range(n_layers)],
                           biases=[archive[f"{prefix}b{i}"] for i in range(n_layers)],
-                          activations=[str(a) for a in archive[f"{prefix}activations"]])
+                          activations=activations)
 
 
 # kind tag -> (model type, its arrays, the model back from an open archive)

@@ -21,18 +21,7 @@ import numpy as np
 from . import nets, shifts
 from .data import DataSplit, TensorDataset, flatten, split_indices
 from .dimred import METHOD_TABLE, DrKind, Representation, build_srp, fit_pca, reduce
-from .errors import (
-    ConfigInvalid,
-    DimensionMismatch,
-    EmptyResult,
-    NotFound,
-    Rule,
-    ShiftDetectError,
-    check_fields,
-    check_object,
-    key,
-    rules_of,
-)
+from .errors import Rule, ShiftDetectError, check_fields, check_object, key, rules_of
 from .nets import SoftmaxClassifier, TrainConfig
 from .stattest import (
     TestMode,
@@ -55,8 +44,8 @@ class MethodSpec:
         object.__setattr__(self, "kind", DrKind(self.kind))
         object.__setattr__(self, "mode", TestMode(self.mode))
         if self.mode == TestMode.MULTIVARIATE and not METHOD_TABLE[self.kind].multivariate:
-            raise ConfigInvalid(f"method entry [{self.kind.value!r}, 'multivariate']: "
-                                f"{self.kind.value} has no multivariate test")
+            raise ShiftDetectError(f"method entry [{self.kind.value!r}, 'multivariate']: "
+                                   f"{self.kind.value} has no multivariate test")
 
 
 @dataclass(frozen=True)
@@ -109,14 +98,14 @@ class ExperimentConfig:
                               ("shifts", [s.name for s in self.shifts])):
             for i, entry in enumerate(entries):
                 if entry in entries[:i]:
-                    raise ConfigInvalid(f"{name}[{i}] repeats {name}[{entries.index(entry)}]: "
-                                        f"{entry!r}")
+                    raise ShiftDetectError(f"{name}[{i}] repeats {name}[{entries.index(entry)}]: "
+                                           f"{entry!r}")
 
     @staticmethod
     def from_dict(doc) -> "ExperimentConfig":
         """The config a JSON document holds: an object with every required
         key and no unknown one. "dataset" is left to the bench command.
-        ConfigInvalid names the first bad key's path."""
+        The error names the first bad key's path."""
         check_object(doc, _DOC_RULES, "", "config",
                      required=[f.name for f in fields(ExperimentConfig) if f.default is MISSING])
         methods = tuple(_method_from_entry(m, f"methods[{i}]")
@@ -150,8 +139,8 @@ def _method_from_entry(entry, path: str) -> MethodSpec:
     elif isinstance(entry, (list, tuple)) and len(entry) == 2:
         entry = dict(zip(("kind", "mode"), entry))
     elif not isinstance(entry, dict):
-        raise ConfigInvalid(f"{path} must be a kind string, a [kind, mode] pair or an "
-                            f"object, got {entry!r}")
+        raise ShiftDetectError(f"{path} must be a kind string, a [kind, mode] pair or an "
+                               f"object, got {entry!r}")
     check_object(entry, rules_of(MethodSpec), path, required=("kind",))
     return MethodSpec(**entry)
 
@@ -162,7 +151,7 @@ def parse_shift_spec(entry, path: str = "spec") -> shifts.ShiftSpec:
     The labels name and intensity must be strings and are skipped. A custom
     spec is read by ShiftSpec.from_dict; a preset entry carries only the
     keys of _PRESET_RULES, and shifts.preset refuses a value its preset
-    does not take. ConfigInvalid names path and the bad key.
+    does not take. The error names path and the bad key.
     """
     Rule("object").check(entry, path)
     check_object({k: v for k, v in entry.items() if k in _LABELS}, _LABELS, path)
@@ -173,7 +162,7 @@ def parse_shift_spec(entry, path: str = "spec") -> shifts.ShiftSpec:
     try:
         return shifts.preset(spec.pop("preset"), **spec)
     except ValueError as exc:
-        raise ConfigInvalid(f"{path}: {exc}") from exc
+        raise ShiftDetectError(f"{path}: {exc}") from exc
 
 
 def _shift_from_entry(entry, path: str) -> NamedShift:
@@ -183,7 +172,7 @@ def _shift_from_entry(entry, path: str) -> NamedShift:
         return NamedShift(name=label or f"{preset_name}@d{spec.delta:g}", spec=spec,
                           intensity=intensity or shifts.intensity_of(preset_name))
     if label is None:
-        raise ConfigInvalid(f"{path}: custom shift entries need a 'name'")
+        raise ShiftDetectError(f"{path}: custom shift entries need a 'name'")
     return NamedShift(name=label, spec=spec, intensity=intensity or "custom")
 
 
@@ -261,7 +250,7 @@ def fit_reducers(train: TensorDataset, cfg: ExperimentConfig) -> FittedReducers:
             cfg.train_config(cfg.ae_epochs, _derive_seed(cfg.seed, 14), lr0=cfg.ae_lr0))
     if "label_clf" in needed:
         if train.num_classes < 2:
-            raise ConfigInvalid("the label classifier needs training data with >= 2 classes")
+            raise ShiftDetectError("the label classifier needs training data with >= 2 classes")
         models["label_clf"] = nets.train_label_classifier(
             (x_fit, y_fit), (x_stop, y_stop), train.num_classes,
             cfg.train_config(cfg.clf_epochs, _derive_seed(cfg.seed, 15)),
@@ -319,14 +308,13 @@ def run_domain_classifier_test(source: np.ndarray, target: np.ndarray,
     source = np.atleast_2d(np.asarray(source, dtype=np.float64))
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
     if source.shape[1] != target.shape[1]:
-        raise DimensionMismatch(f"sides disagree in dim: {source.shape[1]} vs "
-                                f"{target.shape[1]}")
+        raise ShiftDetectError(f"sides disagree in dim: {source.shape[1]} vs {target.shape[1]}")
     src_rows, tgt_rows = rows or (None, None)
     src_rows, tgt_rows = _positions(source, src_rows), _positions(target, tgt_rows)
     half_src, half_tgt = src_rows.size // 2, tgt_rows.size // 2
     if half_src < 2 or half_tgt < 2:
         # the exact text is the skip reason a grid cell records
-        raise ConfigInvalid("fewer than 2 samples per half")
+        raise ShiftDetectError("fewer than 2 samples per half")
     rng = np.random.default_rng(seed)
     src_order = src_rows[rng.permutation(src_rows.size)]
     tgt_perm = rng.permutation(tgt_rows.size)
@@ -379,7 +367,7 @@ def top_exemplars(check: DomainCheck, k: int) -> tuple:
     check.outcome rejects. k must be at least 1.
     """
     if k < 1:
-        raise ConfigInvalid(f"k must be >= 1, got {k}")
+        raise ShiftDetectError(f"k must be >= 1, got {k}")
     if not check.outcome.reject:
         return [], []
     scores = nets.domain_scores(check.clf, check.heldout_target)
@@ -430,7 +418,7 @@ def run_experiment(dataset: TensorDataset, cfg: ExperimentConfig,
     threads.
     """
     if threads < 1:
-        raise ConfigInvalid(f"threads must be >= 1, got {threads}")
+        raise ShiftDetectError(f"threads must be >= 1, got {threads}")
     started = time.time()
     train_idx, val_idx, test_idx = split_indices(dataset.n, cfg.n_train, cfg.n_val,
                                                  cfg.n_test, seed=cfg.seed)
@@ -559,7 +547,7 @@ def detection_accuracy(result: ExperimentResult, group_by: tuple) -> list:
     """
     groups = _ok_groups(result.records, group_by)
     if not groups:
-        raise EmptyResult("no usable records")
+        raise ShiftDetectError("no usable records")
     return [{**dict(zip(group_by, key)),
              "accuracy": sum(int(r.outcome.reject) for r in recs) / len(recs),
              "n": len(recs)}
@@ -584,7 +572,7 @@ def pvalue_evolution(result: ExperimentResult, shift: str, method: str) -> list:
     """The p-value curve rows of one (shift, method) pair, by mode and sample size."""
     rows = _pvalue_curves(r for r in result.records if r.shift == shift and r.method == method)
     if not rows:
-        raise NotFound(f"no records for shift={shift!r}, method={method!r}")
+        raise ShiftDetectError(f"no records for shift={shift!r}, method={method!r}")
     return rows
 
 

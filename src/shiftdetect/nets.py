@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDims, DimensionMismatch, Diverged, Rule, check_fields, key
+from .errors import Rule, ShiftDetectError, check_fields, key
 
 _ACTIVATIONS = ("relu", "tanh", "identity")
 
@@ -47,8 +47,8 @@ class NetParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """SGD settings; a field that breaks its rule raises ConfigInvalid, a
-    ValueError. ExperimentConfig's training keys read the same rules."""
+    """SGD settings; a field that breaks its rule raises ShiftDetectError.
+    ExperimentConfig's training keys read the same rules."""
 
     batch_size: int = key(Rule("integer", 1), 128)
     lr0: float = key(Rule("finite number", 0, ends="(]"), 0.1)
@@ -88,7 +88,7 @@ def init_network(layer_dims, activation: str = "relu", seed: int = 0,
     """
     dims = [int(d) for d in layer_dims]
     if len(dims) < 2 or any(d < 1 for d in dims):
-        raise BadDims(f"need >= 2 positive layer dims, got {layer_dims}")
+        raise ShiftDetectError(f"need >= 2 positive layer dims, got {layer_dims}")
     if activation not in _ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     rng = np.random.default_rng(seed)
@@ -128,7 +128,7 @@ def forward(net: NetParams, x: np.ndarray) -> np.ndarray:
     """Output of the net for a batch of rows."""
     a = np.asarray(x, dtype=np.float64)
     if a.shape[1] != net.in_dim:
-        raise DimensionMismatch(f"input has {a.shape[1]} columns, net expects {net.in_dim}")
+        raise ShiftDetectError(f"input has {a.shape[1]} columns, net expects {net.in_dim}")
     for w, b, tag in zip(net.weights, net.biases, net.activations):
         a = _dense(a, w, b, tag)
     return a
@@ -283,14 +283,14 @@ def _sgd(net: NetParams, x: np.ndarray, target, loss: str, score_fn, cfg: TrainC
                 net, batch, batch if autoencode else target[idx], loss,
                 input_grad=False, buffers=buffers)
             if not math.isfinite(value):
-                raise Diverged(f"non-finite loss at epoch {epoch}")
+                raise ShiftDetectError(f"non-finite loss at epoch {epoch}")
             velocity *= cfg.momentum
             grads *= lr
             velocity -= grads
             params += velocity
         score = score_fn(net)
         if not np.isfinite(score):
-            raise Diverged(f"non-finite validation score at epoch {epoch}")
+            raise ShiftDetectError(f"non-finite validation score at epoch {epoch}")
         if score < best_score:
             best, best_score, best_epoch = net.copy(), score, epoch
             stale = 0
@@ -304,9 +304,9 @@ def _sgd(net: NetParams, x: np.ndarray, target, loss: str, score_fn, cfg: TrainC
 def _autoencoder_layers(arch) -> tuple[list, list]:
     dims = [int(d) for d in arch]
     if len(dims) < 2:
-        raise BadDims(f"autoencoder arch needs >= 2 dims, got {arch}")
+        raise ShiftDetectError(f"autoencoder arch needs >= 2 dims, got {arch}")
     if dims[-1] >= dims[0]:
-        raise BadDims(f"bottleneck {dims[-1]} must be smaller than input dim {dims[0]}")
+        raise ShiftDetectError(f"bottleneck {dims[-1]} must be smaller than input dim {dims[0]}")
     return dims, dims[::-1]
 
 

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import nets
 from .data import TensorDataset, flatten
-from .errors import (ClassAbsent, DimensionMismatch, MissingContext, Rule, check_fields,
-                     check_object, key, rules_of)
+from .errors import Rule, ShiftDetectError, check_fields, check_object, key, rules_of
 
 # kind -> (the fields it reads besides delta and seed, its applier
 # (ds, spec, classifier) -> ds); a composite applies its parts in order
@@ -47,7 +46,7 @@ class ShiftSpec:
     choice. The other fields are read as the kind's _KINDS row says: sigma
     is on the 0-255 byte scale, and parts are applied in order, each with
     its own delta and seed. A field that breaks its rule, read or not,
-    raises ConfigInvalid (a ValueError) naming the field.
+    raises ShiftDetectError naming the field.
     """
 
     kind: str = key(Rule("string", choices=tuple(_KINDS)))
@@ -75,7 +74,7 @@ class ShiftSpec:
     def from_dict(raw, path: str = "spec") -> "ShiftSpec":
         """Inverse of to_dict. raw must be an object holding kind and only the
         keys to_dict writes for that kind, each keeping its rule, and each
-        part likewise; ConfigInvalid names the key's path from path on."""
+        part likewise; the error names the key's path from path on."""
         rules = rules_of(ShiftSpec)
         Rule("object").check(raw, path)
         kind = raw.get("kind")
@@ -256,7 +255,7 @@ def apply_knockout(ds: TensorDataset, class_id: int, delta: float,
     """
     members = ds.class_indices(class_id)
     if members.size == 0:
-        raise ClassAbsent(f"no samples of class {class_id}")
+        raise ShiftDetectError(f"no samples of class {class_id}")
     rng = np.random.default_rng(seed)
     count = int(math.floor(delta * members.size))
     removed = members[rng.permutation(members.size)[:count]]
@@ -269,7 +268,7 @@ def apply_only_zero(ds: TensorDataset) -> TensorDataset:
     """Restrict the dataset to class-0 samples."""
     members = ds.class_indices(0)
     if members.size == 0:
-        raise ClassAbsent("no samples of class 0")
+        raise ShiftDetectError("no samples of class 0")
     return ds.subset(members)
 
 
@@ -282,9 +281,7 @@ def apply_adversarial(ds: TensorDataset, clf: nets.SoftmaxClassifier,
     """
     _PARAM.check(epsilon, "epsilon")
     if clf.net.in_dim != ds.dim:
-        raise DimensionMismatch(
-            f"classifier expects dim {clf.net.in_dim}, dataset has {ds.dim}"
-        )
+        raise ShiftDetectError(f"classifier expects dim {clf.net.in_dim}, dataset has {ds.dim}")
     if epsilon == 0.0 or delta == 0.0 or ds.n == 0:
         return ds
     rng = np.random.default_rng(seed)
@@ -306,10 +303,10 @@ def apply_shift(spec: ShiftSpec, ds: TensorDataset,
                 classifier: nets.SoftmaxClassifier | None = None) -> TensorDataset:
     """Dispatch a ShiftSpec; composites apply their parts in listed order.
 
-    A spec that needs_classifier raises MissingContext without a classifier.
+    A spec that needs_classifier raises ShiftDetectError without a classifier.
     """
     if classifier is None and needs_classifier(spec):
-        raise MissingContext("adversarial shift needs a classifier")
+        raise ShiftDetectError("adversarial shift needs a classifier")
     return _KINDS[spec.kind][1](ds, spec, classifier)
 
 

@@ -19,17 +19,7 @@ import numpy as np
 from scipy.special import bdtr, chdtrc, kolmogorov
 
 from .dimred import DrKind, Representation
-from .errors import (
-    BadCounts,
-    DegenerateTable,
-    DimensionMismatch,
-    EmptyInput,
-    EmptySample,
-    IncompatibleMode,
-    NonFiniteInput,
-    SampleCapExceeded,
-    TooFewSamples,
-)
+from .errors import ShiftDetectError
 
 MULTIVARIATE_SAMPLE_CAP = 1000
 KS_BLOCK_ELEMENTS = 1 << 15  # pooled values per KS rank pass: 256 KB temporaries stay in cache
@@ -104,19 +94,19 @@ def _ks_pvalues(stats: np.ndarray, n: int, m: int) -> np.ndarray:
 def _as_samples(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Both samples as float (rows, features) matrices; a 1-D sample is one column.
 
-    Raises DimensionMismatch when the feature counts differ.
+    Raises ShiftDetectError when the feature counts differ.
     """
     x, y = (np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (x, y))
     x, y = (v[:, None] if v.ndim == 1 else v for v in (x, y))
     if x.shape[1] != y.shape[1]:
-        raise DimensionMismatch(f"feature counts differ: {x.shape[1]} vs {y.shape[1]}")
+        raise ShiftDetectError(f"feature counts differ: {x.shape[1]} vs {y.shape[1]}")
     return x, y
 
 
 def _require_finite(*samples: np.ndarray) -> None:
     for sample in samples:
         if not np.isfinite(sample).all():
-            raise NonFiniteInput("samples must not contain NaN or infinite values")
+            raise ShiftDetectError("samples must not contain NaN or infinite values")
 
 
 def ks_two_sample(a, b) -> tuple[float, float]:
@@ -131,7 +121,7 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.size == 0 or b.size == 0:
-        raise EmptySample("both samples must be non-empty")
+        raise ShiftDetectError("both samples must be non-empty")
     _require_finite(a, b)
     stats = _ks_statistics(a[:, None], b[:, None])
     return float(stats[0]), float(_ks_pvalues(stats, a.size, b.size)[0])
@@ -142,12 +132,12 @@ def ks_pvalues_by_column(source: np.ndarray, target: np.ndarray) -> np.ndarray:
 
     A 1-D sample is one column. All columns go through one vectorised rank
     pass (see _ks_statistics); column j's p-value is bit-identical to
-    ks_two_sample on column j. Raises NonFiniteInput on NaN or infinite
-    values and DimensionMismatch on unequal column counts.
+    ks_two_sample on column j. Raises ShiftDetectError on NaN or infinite
+    values and on unequal column counts.
     """
     source, target = _as_samples(source, target)
     if source.shape[0] == 0 or target.shape[0] == 0:
-        raise EmptySample("both samples must be non-empty")
+        raise ShiftDetectError("both samples must be non-empty")
     _require_finite(source, target)
     return _ks_pvalues(_ks_statistics(source, target), source.shape[0], target.shape[0])
 
@@ -160,7 +150,7 @@ def bonferroni_aggregate(p_values, alpha: float) -> TestOutcome:
     """
     p = np.asarray(p_values, dtype=np.float64).ravel()
     if p.size == 0:
-        raise EmptyInput("no p-values to aggregate")
+        raise ShiftDetectError("no p-values to aggregate")
     k = p.size
     min_p = float(p.min())
     return TestOutcome(
@@ -230,7 +220,7 @@ def mmd2_unbiased(x, y, bandwidth: float = 1.0) -> float:
     x, y = _as_samples(x, y)
     m, n = x.shape[0], y.shape[0]
     if m < 2 or n < 2:
-        raise TooFewSamples(f"need at least 2 samples per side, got m={m}, n={n}")
+        raise ShiftDetectError(f"need at least 2 samples per side, got m={m}, n={n}")
     _require_finite(x, y)
     return _mmd2_observed(_kernel_matrix(np.vstack([x, y]), bandwidth), m, n)
 
@@ -342,13 +332,13 @@ def mmd_permutation_test(x, y, n_perms: int = 1000, alpha: float = 0.05,
     run's. L is read from a running count over the draws, and every draw
     comes from one stream seeded by seed, so the outcome does not depend on
     PERM_CHUNK or on the thread count. bandwidth=None selects the median
-    heuristic. Raises NonFiniteInput on NaN or infinite values and
+    heuristic. Raises ShiftDetectError on NaN or infinite values and
     ValueError unless n_perms >= 1 and 0 < alpha < 1.
     """
     x, y = _as_samples(x, y)
     m, n = x.shape[0], y.shape[0]
     if m < 2 or n < 2:
-        raise TooFewSamples(f"need at least 2 samples per side, got m={m}, n={n}")
+        raise ShiftDetectError(f"need at least 2 samples per side, got m={m}, n={n}")
     if n_perms < 1:
         raise ValueError("n_perms must be >= 1")
     if not 0.0 < alpha < 1.0:
@@ -396,16 +386,16 @@ def chi2_independence(counts) -> tuple[float, float]:
     correction or pseudo-counts. Degrees of freedom = K_effective - 1. When
     both samples fall in one class (one non-empty column, dof 0) they agree
     exactly and the result is (0.0, 1.0), as scipy's chi2_contingency gives.
-    A table with an empty row raises DegenerateTable.
+    A table with an empty row raises ShiftDetectError.
     """
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != 2 or counts.shape[0] != 2:
-        raise DimensionMismatch(f"expected a 2xK table, got shape {counts.shape}")
+        raise ShiftDetectError(f"expected a 2xK table, got shape {counts.shape}")
     if (counts < 0).any():
         raise ValueError("counts must be nonnegative")
     row_tot = counts.sum(axis=1)
     if (row_tot == 0).any():
-        raise DegenerateTable("both rows must contain at least one observation")
+        raise ShiftDetectError("both rows must contain at least one observation")
     keep = counts.sum(axis=0) > 0
     counts = counts[:, keep]
     k_eff = counts.shape[1]
@@ -425,7 +415,7 @@ def binomial_two_sided(successes: int, n: int) -> float:
     min(k, n-k); extreme tails (e.g. 2^-100) keep full relative precision.
     """
     if n < 1 or successes < 0 or successes > n:
-        raise BadCounts(f"successes={successes}, n={n}")
+        raise ShiftDetectError(f"successes={successes}, n={n}")
     return min(1.0, 2.0 * float(bdtr(min(successes, n - successes), n, 0.5)))
 
 
@@ -454,15 +444,15 @@ def dispatch_test(rep_source: Representation, rep_target: Representation,
     handled by the experiment harness.
     """
     if kind == DrKind.CLASSIF:
-        raise IncompatibleMode(
+        raise ShiftDetectError(
             "the domain classifier is tested end-to-end (binomial on held-out accuracy)"
         )
     if rep_source.is_categorical != rep_target.is_categorical:
-        raise IncompatibleMode("source and target representations disagree in kind")
+        raise ShiftDetectError("source and target representations disagree in kind")
 
     if rep_source.is_categorical:
         if mode != TestMode.UNIVARIATE:
-            raise IncompatibleMode("categorical representations support only the chi-squared path")
+            raise ShiftDetectError("categorical representations support only the chi-squared path")
         arity = max(rep_source.arity, rep_target.arity)
         table = categorical_contingency(rep_source.values, rep_target.values, arity)
         x2, p = chi2_independence(table)
@@ -475,6 +465,6 @@ def dispatch_test(rep_source: Representation, rep_target: Representation,
 
     if max(rep_source.values.shape[0], rep_target.values.shape[0]) > MULTIVARIATE_SAMPLE_CAP:
         # the exact text is the skip reason a grid cell records
-        raise SampleCapExceeded(f"multivariate mode capped at {MULTIVARIATE_SAMPLE_CAP}")
+        raise ShiftDetectError(f"multivariate mode capped at {MULTIVARIATE_SAMPLE_CAP}")
     return mmd_permutation_test(rep_source.values, rep_target.values,
                                 n_perms=n_perms, alpha=alpha, seed=seed)

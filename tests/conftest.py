@@ -9,6 +9,12 @@ contains the four standard files.
 import os
 from pathlib import Path
 
+# one BLAS thread unless the caller sets another count: the suite runs its own
+# thread pools, and BLAS threads on top of them oversubscribe a small machine.
+# Set before numpy loads, as perfbench and the demo tests do.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 from hypothesis import settings

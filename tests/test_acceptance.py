@@ -21,7 +21,7 @@ from shiftdetect import digits, harness, nets, shifts
 from shiftdetect.cli import main as cli_main
 from shiftdetect.data import TensorDataset, flatten, load_idx
 from shiftdetect.dimred import DrKind, Representation, fit_pca, pca_project
-from shiftdetect.errors import SampleCapExceeded
+from shiftdetect.errors import ShiftDetectError
 from shiftdetect.harness import ExperimentConfig, MethodSpec, NamedShift
 from shiftdetect.nets import TrainConfig
 from shiftdetect.stattest import (
@@ -232,8 +232,8 @@ def test_criterion_5_multivariate_cap(report):
     refused = False
     try:
         dispatch_test(small, big, DrKind.PCA, TestMode.MULTIVARIATE)
-    except SampleCapExceeded:
-        refused = True
+    except ShiftDetectError as exc:
+        refused = str(exc) == "multivariate mode capped at 1000"
 
     pool = TensorDataset(rng.random((20500, 1, 4, 1)),
                          rng.integers(0, 2, 20500), 2)

@@ -160,11 +160,24 @@ def test_detect_tests_source_rows_its_model_was_not_fitted_on(sample_files, monk
 
 def _refuse_work(monkeypatch):
     def no_work(*args, **kwargs):
-        raise AssertionError("data built or a model fitted before the method was checked")
+        raise AssertionError("data built, split or a model fitted before the flags were checked")
 
-    for target in ("shiftdetect.digits.make_digits", "shiftdetect.harness.fit_reducers",
+    for target in ("shiftdetect.digits.make_digits", "shiftdetect.harness.fit_and_reference_rows",
+                   "shiftdetect.harness.fit_reducers",
                    "shiftdetect.harness.run_domain_classifier_test"):
         monkeypatch.setattr(target, no_work)
+
+
+@pytest.mark.parametrize("kind", [kind.value for kind in harness.FITTED_ON_ROWS])
+def test_detect_refuses_a_negative_seed_before_splitting(sample_files, monkeypatch, capsys, kind):
+    # these kinds draw their fit/reference split from --seed; nored draws none
+    _refuse_work(monkeypatch)
+    src, _, far = sample_files
+    errors = []
+    for method in ("nored", kind):
+        assert main(["detect", str(src), str(far), "--method", method, "--seed", "-1"]) == 65
+        errors.append(capsys.readouterr().err)
+    assert errors[1] == errors[0] == "error: seed must be an integer >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("kind", ["bbsdh", "classif"])
@@ -284,6 +297,12 @@ def test_shift_adversarial_with_a_saved_classifier(tmp_path, sample_files, capsy
         save_model(model, tmp_path / f"{name}.npz")
         assert main(argv + [str(tmp_path / f"{name}.npz")]) == 65
         assert f"got a {type(model).__name__}" in capsys.readouterr().err
+    with np.load(tmp_path / "clf.npz") as archive:
+        arrays = dict(archive, net_activations=np.array(["sigmoid", "identity"]))
+    np.savez(tmp_path / "sigmoid.npz", **arrays)
+    assert main(argv + [str(tmp_path / "sigmoid.npz")]) == 65
+    assert capsys.readouterr().err == ("error: net_activations[0] must be one of relu, tanh, "
+                                       "identity, got 'sigmoid'\n")
 
 
 def test_shift_refuses_image_shifts_on_csv_rows(tmp_path, sample_files, capsys):

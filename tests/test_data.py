@@ -14,7 +14,7 @@ from shiftdetect.data import (
     write_csv,
     write_idx,
 )
-from shiftdetect.errors import BadMagic, DimensionMismatch, InsufficientData, TruncatedFile
+from shiftdetect.errors import ShiftDetectError
 
 
 def _write_idx_pair(tmp_path, pixel_bytes, labels, rows=2, cols=2):
@@ -53,7 +53,7 @@ def test_load_idx_bad_magic(tmp_path):
     images, labels = _write_idx_pair(tmp_path, [0, 0, 0, 0], [1])
     bad = tmp_path / "bad.idx"
     bad.write_bytes(b"\x00\x00\x09\x99" + images.read_bytes()[4:])
-    with pytest.raises(BadMagic):
+    with pytest.raises(ShiftDetectError, match="bad.idx: magic 0x00000999, expected 0x00000803"):
         load_idx(bad, labels)
 
 
@@ -61,7 +61,7 @@ def test_load_idx_truncated(tmp_path):
     images, labels = _write_idx_pair(tmp_path, [0, 0, 0, 0], [1])
     clipped = tmp_path / "short.idx"
     clipped.write_bytes(images.read_bytes()[:-2])
-    with pytest.raises(TruncatedFile):
+    with pytest.raises(ShiftDetectError, match="short.idx: expected 4 more bytes, got 2"):
         load_idx(clipped, labels)
 
 
@@ -71,7 +71,7 @@ def test_load_idx_label_count_mismatch(tmp_path):
     with open(labels, "wb") as f:
         f.write(struct.pack(">II", IDX_LABELS_MAGIC, 2))
         f.write(bytes([1, 0]))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShiftDetectError, match="^2 labels for 1 images$"):
         load_idx(images, labels)
 
 
@@ -115,7 +115,8 @@ def test_dataset_invariants_enforced():
         TensorDataset(np.full((1, 2, 2, 1), 1.5), np.zeros(1, dtype=int), 2)
     with pytest.raises(ValueError):
         TensorDataset(np.zeros((1, 2, 2, 1)), np.array([5]), 2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShiftDetectError,
+                       match=r"^labels length \(1,\) does not match image count 2$"):
         TensorDataset(np.zeros((2, 2, 2, 1)), np.zeros(1, dtype=int), 2)
 
 
@@ -162,7 +163,7 @@ def test_random_split_different_seeds_differ():
 
 def test_random_split_insufficient():
     pool = TensorDataset(np.zeros((5, 1, 1, 1)), np.zeros(5, dtype=int), 1)
-    with pytest.raises(InsufficientData):
+    with pytest.raises(ShiftDetectError, match="^requested 6 samples from a pool of 5$"):
         random_split(pool, 4, 1, 1, seed=0)
 
 

@@ -19,7 +19,7 @@ from shiftdetect.dimred import (
     save_model,
     srp_project,
 )
-from shiftdetect.errors import BadK, DimensionMismatch, NotFitted
+from shiftdetect.errors import ShiftDetectError
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +112,12 @@ def test_pca_reconstruction_error_equals_discarded_eigenvalues():
 
 def test_pca_bad_k_and_degenerate_n():
     rng = np.random.default_rng(6)
-    with pytest.raises(BadK):
+    with pytest.raises(ShiftDetectError,
+                       match=r"^k must be in \[1, min\(n-1, d\)\] = \[1, 4\], got 5$"):
         fit_pca(rng.random((10, 4)), 5)
-    with pytest.raises(BadK):
+    with pytest.raises(ShiftDetectError, match=r"= \[1, 4\], got 0$"):
         fit_pca(rng.random((10, 4)), 0)
-    with pytest.raises(BadK):
+    with pytest.raises(ShiftDetectError, match=r"= \[1, 0\], got 1$"):
         fit_pca(rng.random((1, 4)), 1)  # variance undefined for n=1
 
 
@@ -179,7 +180,7 @@ def test_pca_digits_benchmark_shape_matches_thin_svd():
 
 def test_pca_project_dim_mismatch():
     model = fit_pca(np.random.default_rng(8).random((10, 4)), 2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShiftDetectError, match="^x has 5 columns, model was fitted on 4$"):
         pca_project(model, np.zeros((2, 5)))
 
 
@@ -233,7 +234,7 @@ def test_srp_projection_basics():
     e7 = np.zeros((1, 20))
     e7[0, 7] = 1.0
     assert np.array_equal(srp_project(srp, e7)[0], srp.matrix[7])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShiftDetectError, match="^x has 19 columns, projection expects 20$"):
         srp_project(srp, np.zeros((2, 19)))
 
 
@@ -322,8 +323,9 @@ def test_reduce_not_fitted_and_classif():
     wrong_model = {DrKind.PCA: build_srp(4, 2, seed=0), DrKind.SRP: pca,
                    DrKind.UAE: clf, DrKind.TAE: pca, DrKind.BBSDS: ae, DrKind.BBSDH: ae}
     for kind, wrong in wrong_model.items():
+        message = f"^expected a fitted {METHOD_TABLE[kind].model_type.__name__} for {kind.value}$"
         for fitted in (None, wrong):
-            with pytest.raises(NotFitted):
+            with pytest.raises(ShiftDetectError, match=message):
                 reduce(kind, fitted, x)
     # the domain classifier reads the flat rows, uncopied, as NORED does
     for kind in (DrKind.NORED, DrKind.CLASSIF):
@@ -422,10 +424,15 @@ def test_load_model_reads_the_saved_key_layout(tmp_path):
     np.savez(tmp_path / "v2.npz", format_version=2, **layouts["pca"])
     np.savez(tmp_path / "net.npz", format_version=1, kind="net", net_n_layers=1,
              net_activations=np.array(["identity"]), net_w0=w[2], net_b0=b[2])
+    # the nets would run an unknown activation as identity: a linear net
+    np.savez(tmp_path / "sigmoid.npz", format_version=1, **dict(
+        layouts["classifier"], net_activations=np.array(["sigmoid", "identity"])))
     np.save(tmp_path / "array.npy", w[0])
     (tmp_path / "rows.csv").write_text("0.5,0.25,1\n")
     for name, message in (("v2.npz", "unsupported model format version 2"),
                           ("net.npz", "unknown model kind 'net'"),
+                          ("sigmoid.npz", r"^net_activations\[0\] must be one of relu, tanh, "
+                                          r"identity, got 'sigmoid'$"),
                           ("array.npy", "is not an npz archive"),
                           ("rows.csv", "is not an npz archive")):
         with pytest.raises(ValueError, match=message):

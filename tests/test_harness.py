@@ -18,7 +18,7 @@ import shiftdetect
 from shiftdetect import digits, harness, nets, shifts
 from shiftdetect.data import TensorDataset
 from shiftdetect.dimred import DrKind, Representation
-from shiftdetect.errors import ConfigInvalid, DimensionMismatch, EmptyResult, NotFound
+from shiftdetect.errors import ShiftDetectError
 from shiftdetect.harness import (
     ExperimentConfig,
     MethodSpec,
@@ -101,7 +101,7 @@ def test_run_experiment_refuses_threads_below_one(small_corpus, monkeypatch, thr
         raise AssertionError("reducers fitted before threads was checked")
 
     monkeypatch.setattr(harness, "fit_reducers", no_fit)
-    with pytest.raises(ConfigInvalid, match=f"threads must be >= 1, got {threads}"):
+    with pytest.raises(ShiftDetectError, match=f"^threads must be >= 1, got {threads}$"):
         run_experiment(small_corpus, _small_config(), threads=threads)
 
 
@@ -308,11 +308,11 @@ def test_detection_accuracy_trivial_cases(tmp_path):
     none_hit = harness.ExperimentResult(records=[miss, miss])
     assert detection_accuracy(all_hits, ("shift",))[0]["accuracy"] == 1.0
     assert detection_accuracy(none_hit, ("shift",))[0]["accuracy"] == 0.0
-    with pytest.raises(EmptyResult):
+    with pytest.raises(ShiftDetectError, match="^no usable records$"):
         detection_accuracy(harness.ExperimentResult(records=[]), ("shift",))
     # the table is refused before its file is created
     skipped = harness.Record(**{**rec.__dict__, "status": "skipped"})
-    with pytest.raises(EmptyResult):
+    with pytest.raises(ShiftDetectError, match="^no usable records$"):
         harness.write_accuracy_csv(harness.ExperimentResult(records=[skipped]), ("shift",),
                                    tmp_path / "acc.csv")
     assert not (tmp_path / "acc.csv").exists()
@@ -333,7 +333,7 @@ def test_pvalue_evolution_series(small_result):
     assert [row["sample_size"] for row in series] == [10, 50, 100]
     for row in series:
         assert row["min_p"] <= row["mean_p"] <= row["max_p"]
-    with pytest.raises(NotFound):
+    with pytest.raises(ShiftDetectError, match="^no records for shift='nope', method='nored'$"):
         pvalue_evolution(small_result, "nope", "nored")
 
 
@@ -416,9 +416,11 @@ def test_fit_reducers_draws_the_early_stopping_split_only_for_trained_nets(
 
 @pytest.mark.parametrize("kind", [DrKind.BBSDH, DrKind.CLASSIF])
 def test_method_spec_refuses_multivariate_for_a_univariate_method(kind):
-    with pytest.raises(ConfigInvalid, match=f"{kind.value} has no multivariate test"):
+    message = (f"^method entry \\['{kind.value}', 'multivariate'\\]: "
+               f"{kind.value} has no multivariate test$")
+    with pytest.raises(ShiftDetectError, match=message):
         MethodSpec(kind, TestMode.MULTIVARIATE)
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ShiftDetectError, match=message):
         ExperimentConfig.from_dict({"methods": [[kind.value, "multivariate"]],
                                     "shifts": [{"preset": "no_shift"}],
                                     "n_train": 10, "n_val": 10, "n_test": 10})
@@ -432,7 +434,8 @@ def test_fit_reducers_refuses_one_class_labels():
     ds = digits.make_digits(60, seed=3)
     one_class = TensorDataset(ds.images, np.zeros(ds.n, dtype=np.int64), 1)
     cfg = _small_config(methods=(MethodSpec(DrKind.BBSDS),), n_train=60)
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ShiftDetectError,
+                       match="^the label classifier needs training data with >= 2 classes$"):
         harness.fit_reducers(one_class, cfg)
 
 
@@ -448,7 +451,7 @@ def test_train_config_keeps_an_explicit_learning_rate():
 
 
 def test_domain_check_requires_enough_samples():
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ShiftDetectError, match="^fewer than 2 samples per half$"):
         run_domain_classifier_test(np.zeros((3, 2)), np.zeros((10, 2)),
                                    TrainConfig(max_epochs=1))
 
@@ -460,7 +463,7 @@ def _domain_check_by_copies(cfg, source, target, rows, seed, train_seed):
     source, target = source[rows[0]], target[rows[1]]
     half_src, half_tgt = source.shape[0] // 2, target.shape[0] // 2
     if half_src < 2 or half_tgt < 2:
-        raise ConfigInvalid("fewer than 2 samples per half")
+        raise ShiftDetectError("fewer than 2 samples per half")
     rng = np.random.default_rng(seed)
     src_order = rng.permutation(source.shape[0])
     tgt_order = rng.permutation(target.shape[0])
@@ -509,9 +512,9 @@ def test_domain_check_by_position_refuses_fewer_than_2_per_half(n_src, n_tgt):
     source, target = rng.random((20, 4)), rng.random((20, 4))
     rows = (rng.permutation(20)[:n_src], rng.permutation(20)[:n_tgt])
     cfg = _small_config(domain_epochs=1)
-    with pytest.raises(ConfigInvalid) as old:
+    with pytest.raises(ShiftDetectError) as old:
         _domain_check_by_copies(cfg, source, target, rows, 1, 2)
-    with pytest.raises(ConfigInvalid) as new:
+    with pytest.raises(ShiftDetectError) as new:
         harness.domain_check(cfg, source, target, 1, 2, rows=rows)
     assert str(new.value) == str(old.value) == "fewer than 2 samples per half"
 
@@ -526,7 +529,7 @@ def test_domain_check_refuses_rows_outside_the_sides(rows):
 
 
 def test_domain_check_refuses_sides_of_different_width():
-    with pytest.raises(DimensionMismatch, match="sides disagree in dim: 3 vs 4"):
+    with pytest.raises(ShiftDetectError, match="^sides disagree in dim: 3 vs 4$"):
         run_domain_classifier_test(np.zeros((10, 3)), np.ones((10, 4)),
                                    TrainConfig(max_epochs=1))
 
@@ -576,7 +579,7 @@ def test_top_exemplars_gate():
 def test_top_exemplars_refuses_k_below_one():
     for k in (0, -3):
         for reject in (True, False):  # refused whether or not the gate passes
-            with pytest.raises(ConfigInvalid):
+            with pytest.raises(ShiftDetectError, match=f"^k must be >= 1, got {k}$"):
                 top_exemplars(_fixed_check(reject), k)
 
 

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from shiftdetect import digits, nets
 from shiftdetect.data import TensorDataset, flatten
-from shiftdetect.errors import ClassAbsent, DimensionMismatch, MissingContext
+from shiftdetect.errors import ShiftDetectError
 from shiftdetect.shifts import (
     PRESET_NAMES,
     ShiftSpec,
@@ -260,7 +260,7 @@ def _surviving_indices(original, shifted):
 
 def test_knockout_class_absent():
     ds = TensorDataset(np.zeros((5, 2, 2, 1)), np.ones(5, dtype=int), 3)
-    with pytest.raises(ClassAbsent):
+    with pytest.raises(ShiftDetectError, match="^no samples of class 0$"):
         apply_knockout(ds, 0, 0.5, seed=0)
 
 
@@ -269,7 +269,7 @@ def test_only_zero():
     out = apply_only_zero(ds)
     assert np.all(out.labels == 0)
     assert out.n == (ds.labels == 0).sum()
-    with pytest.raises(ClassAbsent):
+    with pytest.raises(ShiftDetectError, match="^no samples of class 0$"):
         apply_only_zero(TensorDataset(np.zeros((3, 2, 2, 1)), np.ones(3, dtype=int), 2))
 
 
@@ -304,7 +304,7 @@ def test_adversarial_dim_mismatch():
     ds = _dataset(n=10)
     other = _dataset(n=10, h=3, w=3)
     clf = _toy_classifier(other)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShiftDetectError, match="^classifier expects dim 9, dataset has 36$"):
         apply_adversarial(ds, clf, 0.1, 1.0, seed=0)
 
 
@@ -353,7 +353,7 @@ def test_spec_refuses_a_delta_that_is_not_a_fraction(delta):
 
 def test_apply_shift_adversarial_requires_classifier():
     ds = _dataset()
-    with pytest.raises(MissingContext):
+    with pytest.raises(ShiftDetectError, match="^adversarial shift needs a classifier$"):
         apply_shift(ShiftSpec(kind="adversarial", epsilon=0.1), ds)
 
 
@@ -429,7 +429,7 @@ def test_needs_classifier_walks_composites():
     nested = ShiftSpec(kind="composite", parts=(
         preset("ko_shift"), ShiftSpec(kind="composite", parts=(preset("small_gn_shift"), adv))))
     assert needs_classifier(nested)
-    with pytest.raises(MissingContext):
+    with pytest.raises(ShiftDetectError, match="^adversarial shift needs a classifier$"):
         apply_shift(nested, _dataset())
 
 
