@@ -36,7 +36,6 @@ from .harness import (
     NamedShift,
     Record,
     detection_accuracy,
-    original_split_check,
     pvalue_evolution,
     run_domain_classifier_test,
     run_experiment,
@@ -49,7 +48,6 @@ from .nets import (
     TrainConfig,
     domain_scores,
     encode,
-    grad_check,
     hard_predictions,
     init_network,
     softmax_outputs,

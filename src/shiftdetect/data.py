@@ -142,19 +142,27 @@ def write_idx(ds: TensorDataset, images_path, labels_path) -> None:
 
 def load_csv(path, image_shape: tuple[int, int, int] | None = None,
              num_classes: int | None = None) -> TensorDataset:
-    """Read one sample per row: float pixels in [0, 1], integer label last."""
+    """Read one sample per row: float pixels in [0, 1], integer label last.
+
+    A row that does not parse, or whose length differs from the first
+    row's, raises ShiftDetectError("<path> line <n>: ...").
+    """
     rows = []
     labels = []
     with open(path, newline="") as f:
-        for line in csv.reader(f):
-            if not line:
-                continue
-            rows.append([float(v) for v in line[:-1]])
-            labels.append(int(line[-1]))
-    data = np.asarray(rows, dtype=np.float64)
+        reader = csv.reader(f)
+        try:
+            for line in reader:
+                if not line:
+                    continue
+                if rows and len(line) != len(rows[0]) + 1:
+                    raise ValueError(f"{len(line)} fields, expected {len(rows[0]) + 1}")
+                rows.append([float(v) for v in line[:-1]])
+                labels.append(int(line[-1]))
+        except (ValueError, csv.Error) as exc:
+            raise ShiftDetectError(f"{path} line {reader.line_num}: {exc}") from exc
+    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(rows[0]) if rows else 0)
     labels = np.asarray(labels, dtype=np.int64)
-    if data.ndim != 2:
-        data = data.reshape(len(labels), 0 if not rows else len(rows[0]))
     if image_shape is None:
         image_shape = (1, data.shape[1], 1)
     images = data.reshape(len(labels), *image_shape)
@@ -173,7 +181,7 @@ def write_csv(ds: TensorDataset, path) -> None:
 
 
 def split_indices(n: int, n_train: int, n_val: int, n_test: int,
-                  seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  seed: int | np.random.SeedSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row indices of the train/val/test parts random_split takes from n rows."""
     total = n_train + n_val + n_test
     if total > n:

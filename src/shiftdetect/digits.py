@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DataSplit, TensorDataset
+from .data import TensorDataset
 from .errors import is_int
 from .shifts import BATCH_IMAGES, affine_transform_images
 
@@ -114,20 +114,3 @@ def make_digits(n: int, seed: int = 0,
         jittered += noise
         np.clip(jittered, 0.0, 1.0, out=images[start:stop])
     return TensorDataset(images, labels, 10)
-
-
-def make_benchmark_split(n_train: int, n_val: int, n_test: int, seed: int = 0,
-                         skewed_class: int | None = None,
-                         skew_rotation_deg: float = 8.0) -> DataSplit:
-    """Train/val/test corpus, optionally with a non-iid canonical split.
-
-    With skewed_class set, the training part draws that class with a
-    systematic rotation bias while val/test do not, mimicking a dataset
-    whose shipped split is not a random partition of one pool. With
-    skewed_class=None all three parts are iid draws from the same process.
-    """
-    offsets = {skewed_class: skew_rotation_deg} if skewed_class is not None else None
-    train = make_digits(n_train, seed=seed, rotation_offsets=offsets)
-    val = make_digits(n_val, seed=seed + 1)
-    test = make_digits(n_test, seed=seed + 2)
-    return DataSplit(train=train, val=val, test=test, seed=seed)

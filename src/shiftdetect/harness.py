@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from . import nets, shifts
-from .data import DataSplit, TensorDataset, flatten, split_indices
+from .data import TensorDataset, flatten, split_indices
 from .dimred import METHOD_TABLE, DrKind, Representation, build_srp, fit_pca, reduce
 from .errors import Rule, ShiftDetectError, check_fields, check_object, key, rules_of
 from .nets import SoftmaxClassifier, TrainConfig
@@ -28,9 +28,7 @@ from .stattest import (
     TestOutcome,
     TestTag,
     binomial_two_sided,
-    bonferroni_aggregate,
     dispatch_test,
-    ks_pvalues_by_column,
 )
 
 
@@ -237,10 +235,10 @@ def fit_reducers(train: TensorDataset, cfg: ExperimentConfig) -> FittedReducers:
     if not needed & {"tae", "label_clf"}:
         return FittedReducers(models)
     inner_n = max(1, int(0.9 * train.n))
-    perm = np.random.default_rng(_derive_seed(cfg.seed, 13)).permutation(train.n)
-    x_fit, x_stop = x[perm[:inner_n]], x[perm[inner_n:]]
-    y = train.labels
-    y_fit, y_stop = y[perm[:inner_n]], y[perm[inner_n:]]
+    fit_idx, stop_idx, _ = split_indices(train.n, inner_n, train.n - inner_n, 0,
+                                         seed=_derive_seed(cfg.seed, 13))
+    x_fit, x_stop = x[fit_idx], x[stop_idx]
+    y_fit, y_stop = train.labels[fit_idx], train.labels[stop_idx]
     if x_stop.shape[0] == 0:
         x_stop, y_stop = x_fit, y_fit
 
@@ -438,13 +436,8 @@ def run_experiment(dataset: TensorDataset, cfg: ExperimentConfig,
         pool.shutdown(cancel_futures=True)
 
     keyed_records.sort(key=lambda kv: kv[0])
-    metadata = {
-        "n_records": len(keyed_records),
-        "elapsed_seconds": time.time() - started,
-        "seed": cfg.seed,
-        "alpha": cfg.alpha,
-    }
-    return ExperimentResult(records=[r for _, r in keyed_records], metadata=metadata)
+    return ExperimentResult(records=[r for _, r in keyed_records],
+                            metadata={"elapsed_seconds": time.time() - started})
 
 
 def _grid_blocks(cfg: ExperimentConfig, fitted: FittedReducers, dataset: TensorDataset,
@@ -461,10 +454,10 @@ def _grid_blocks(cfg: ExperimentConfig, fitted: FittedReducers, dataset: TensorD
     """
     kinds = dict.fromkeys(m.kind for m in cfg.methods)
     for run in range(cfg.runs):
-        perm = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, 21, run])).permutation(vt_idx.size)
-        source_flat = flatten(dataset)[vt_idx[perm[:cfg.n_val]]]
-        test_r = dataset.subset(vt_idx[perm[cfg.n_val:cfg.n_val + cfg.n_test]])
+        val_pos, test_pos, _ = split_indices(vt_idx.size, cfg.n_val, cfg.n_test, 0,
+                                             seed=np.random.SeedSequence([cfg.seed, 21, run]))
+        source_flat = flatten(dataset)[vt_idx[val_pos]]
+        test_r = dataset.subset(vt_idx[test_pos])
         source_reps = {k: reduce(k, fitted.handle_for(k), source_flat) for k in kinds}
 
         for shift_idx, named in enumerate(cfg.shifts):
@@ -574,30 +567,6 @@ def pvalue_evolution(result: ExperimentResult, shift: str, method: str) -> list:
     if not rows:
         raise ShiftDetectError(f"no records for shift={shift!r}, method={method!r}")
     return rows
-
-
-def original_split_check(given: DataSplit, random_seed: int, alpha: float = 0.05,
-                         restrict_class: int | None = None) -> tuple:
-    """Raw-pixel KS-Bonferroni on a canonical split vs a random re-split.
-
-    Compares the train and test parts of the given split as distributions
-    (optionally restricted to one class), then pools those parts, re-splits
-    them at the same sizes with the given seed, and tests again. Returns
-    (canonical outcome, re-split outcome): an iid split should fail to
-    reject in both; a non-iid canonical split rejects only in the first.
-    """
-    part_a, part_b = given.train, given.test
-    if restrict_class is not None:
-        part_a = part_a.subset(part_a.class_indices(restrict_class))
-        part_b = part_b.subset(part_b.class_indices(restrict_class))
-    canonical = bonferroni_aggregate(
-        ks_pvalues_by_column(flatten(part_a), flatten(part_b)), alpha)
-
-    pooled = np.concatenate([flatten(part_a), flatten(part_b)])
-    perm = np.random.default_rng(random_seed).permutation(pooled.shape[0])
-    resplit = bonferroni_aggregate(
-        ks_pvalues_by_column(pooled[perm[:part_a.n]], pooled[perm[part_a.n:]]), alpha)
-    return canonical, resplit
 
 
 # ---------------------------------------------------------------------------

@@ -216,34 +216,6 @@ def input_gradient(clf: SoftmaxClassifier, x: np.ndarray, labels) -> np.ndarray:
     return grad_x
 
 
-def grad_check(net: NetParams, loss: str, batch) -> float:
-    """Max relative error between analytic and central finite-difference grads.
-
-    Steps are h = 1e-5 * max(1, |w|) per parameter; the relative error uses
-    a floored denominator max(|a| + |n|, 1e-6) so noise near zero gradients
-    does not dominate. Intended for small nets only.
-    """
-    x, target = batch
-    x = np.asarray(x, dtype=np.float64)
-    _, grads_w, grads_b, _ = loss_and_gradients(net, x, target, loss)
-    worst = 0.0
-    for params, grads in ((net.weights, grads_w), (net.biases, grads_b)):
-        for arr, grad in zip(params, grads):
-            flat, gflat = arr.ravel(), grad.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                h = 1e-5 * max(1.0, abs(orig))
-                flat[i] = orig + h
-                up, _ = _loss_and_delta(loss, forward(net, x), target)
-                flat[i] = orig - h
-                down, _ = _loss_and_delta(loss, forward(net, x), target)
-                flat[i] = orig
-                numeric = (up - down) / (2.0 * h)
-                err = abs(gflat[i] - numeric) / max(abs(gflat[i]) + abs(numeric), 1e-6)
-                worst = max(worst, err)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Training
 

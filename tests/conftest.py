@@ -3,7 +3,8 @@
 The heavy desk-scale fixtures (digit corpus, trained classifier) are
 session-scoped so the acceptance suite builds them once. Real MNIST IDX
 files are used instead of the synthetic corpus when MNIST_DIR is set and
-contains the four standard files.
+contains the four standard files. The grad_check fixture is the
+finite-difference oracle the backprop tests compare against.
 """
 
 import os
@@ -67,3 +68,36 @@ def desk_classifier(desk_split):
         (flatten(desk_split.val), desk_split.val.labels),
         desk_split.train.num_classes, cfg, hidden_dims=(256,))
     return clf
+
+
+def _grad_check(net: nets.NetParams, loss: str, batch) -> float:
+    """Max relative error between analytic and central finite-difference grads.
+
+    Steps are h = 1e-5 * max(1, |w|) per parameter; the relative error uses
+    a floored denominator max(|a| + |n|, 1e-6) so noise near zero gradients
+    does not dominate. Intended for small nets only.
+    """
+    x, target = batch
+    x = np.asarray(x, dtype=np.float64)
+    _, grads_w, grads_b, _ = nets.loss_and_gradients(net, x, target, loss)
+    worst = 0.0
+    for params, grads in ((net.weights, grads_w), (net.biases, grads_b)):
+        for arr, grad in zip(params, grads):
+            flat, gflat = arr.ravel(), grad.ravel()
+            for i in range(flat.size):
+                orig = flat[i]
+                h = 1e-5 * max(1.0, abs(orig))
+                flat[i] = orig + h
+                up, _ = nets._loss_and_delta(loss, nets.forward(net, x), target)
+                flat[i] = orig - h
+                down, _ = nets._loss_and_delta(loss, nets.forward(net, x), target)
+                flat[i] = orig
+                numeric = (up - down) / (2.0 * h)
+                err = abs(gflat[i] - numeric) / max(abs(gflat[i]) + abs(numeric), 1e-6)
+                worst = max(worst, err)
+    return worst
+
+
+@pytest.fixture()
+def grad_check():
+    return _grad_check

@@ -19,7 +19,7 @@ import scipy.stats
 
 from shiftdetect import digits, harness, nets, shifts
 from shiftdetect.cli import main as cli_main
-from shiftdetect.data import TensorDataset, flatten, load_idx
+from shiftdetect.data import TensorDataset, flatten, load_idx, split_indices
 from shiftdetect.dimred import DrKind, Representation, fit_pca, pca_project
 from shiftdetect.errors import ShiftDetectError
 from shiftdetect.harness import ExperimentConfig, MethodSpec, NamedShift
@@ -258,7 +258,7 @@ def test_criterion_5_multivariate_cap(report):
 # ---------------------------------------------------------------------------
 # 6. Gradient checks on every trainable architecture
 
-def test_criterion_6_gradient_checks(report):
+def test_criterion_6_gradient_checks(report, grad_check):
     rng = np.random.default_rng(66)
     worst = 0.0
     for i in range(20):
@@ -268,7 +268,7 @@ def test_criterion_6_gradient_checks(report):
             net = nets.init_network((d, h, k, h, d), activation="relu", seed=i)
             net.activations[1] = "identity"
             batch = rng.random((6, d))
-            err = nets.grad_check(net, "mse", (batch, batch))
+            err = grad_check(net, "mse", (batch, batch))
         elif flavor == 1:  # label classifier, 10-way
             d, h = rng.integers(5, 10), rng.integers(4, 8)
             net = nets.init_network((d, h, 10), activation="relu", seed=i,
@@ -276,7 +276,7 @@ def test_criterion_6_gradient_checks(report):
             for w in net.weights:  # move off the zero-init saddle
                 w += rng.normal(scale=0.05, size=w.shape)
             x, y = rng.normal(size=(8, d)), rng.integers(0, 10, 8)
-            err = nets.grad_check(net, "softmax_ce", (x, y))
+            err = grad_check(net, "softmax_ce", (x, y))
         elif flavor == 2:  # domain classifier, 2-way
             d, h = rng.integers(4, 9), rng.integers(3, 7)
             net = nets.init_network((d, h, 2), activation="relu", seed=i,
@@ -284,12 +284,12 @@ def test_criterion_6_gradient_checks(report):
             for w in net.weights:
                 w += rng.normal(scale=0.05, size=w.shape)
             x, y = rng.normal(size=(10, d)), rng.integers(0, 2, 10)
-            err = nets.grad_check(net, "softmax_ce", (x, y))
+            err = grad_check(net, "softmax_ce", (x, y))
         else:  # tanh variant of the classifier stack
             d, h = rng.integers(4, 9), rng.integers(3, 7)
             net = nets.init_network((d, h, 4), activation="tanh", seed=i)
             x, y = rng.normal(size=(7, d)), rng.integers(0, 4, 7)
-            err = nets.grad_check(net, "softmax_ce", (x, y))
+            err = grad_check(net, "softmax_ce", (x, y))
         worst = max(worst, err)
     report(6, worst < 1e-4, f"max relative gradient error {worst:.2e} over "
                              f"20 instances (need < 1e-4)")
@@ -383,6 +383,7 @@ def test_criterion_9_bench_byte_identical(tmp_path, capsys, report):
 # 10. Original-split mode
 
 def _criterion10_split():
+    """The train and test parts of a shipped split, and what they are."""
     root = os.environ.get("MNIST_DIR")
     if root:
         root = Path(root)
@@ -390,22 +391,29 @@ def _criterion10_split():
                          root / "train-labels-idx1-ubyte")
         test = load_idx(root / "t10k-images-idx3-ubyte",
                         root / "t10k-labels-idx1-ubyte")
-        from shiftdetect.data import DataSplit
-        return DataSplit(train=train, val=test, test=test, seed=0), "mnist"
-    split = digits.make_benchmark_split(4000, 500, 2000, seed=606,
-                                        skewed_class=6, skew_rotation_deg=8.0)
-    return split, "synthetic canonical stand-in (class-6 rotation bias)"
+        return train, test, "mnist"
+    train = digits.make_digits(4000, seed=606, rotation_offsets={6: 8.0})
+    test = digits.make_digits(2000, seed=608)
+    return train, test, "synthetic canonical stand-in (class-6 rotation bias)"
+
+
+def _raw_pixel_ks(part_a, part_b):
+    """KS+Bonferroni over raw pixels: the test `detect --method nored` runs."""
+    return dispatch_test(Representation(part_a), Representation(part_b),
+                         DrKind.NORED, TestMode.UNIVARIATE)
 
 
 def test_criterion_10_original_split_mode(report):
-    split, source = _criterion10_split()
-    canonical, _ = harness.original_split_check(split, random_seed=0,
-                                                restrict_class=6)
+    train, test, source = _criterion10_split()
+    sixes_a = flatten(train.subset(train.class_indices(6)))
+    sixes_b = flatten(test.subset(test.class_indices(6)))
+    canonical = _raw_pixel_ks(sixes_a, sixes_b)
+    pooled = np.concatenate([sixes_a, sixes_b])
     calm = 0
     for seed in range(10):
-        _, resplit = harness.original_split_check(split, random_seed=seed,
-                                                  restrict_class=6)
-        calm += not resplit.reject
+        # a random re-split of the pooled parts at the same sizes
+        a, b, _ = split_indices(pooled.shape[0], len(sixes_a), len(sixes_b), 0, seed)
+        calm += not _raw_pixel_ks(pooled[a], pooled[b]).reject
     ok = canonical.reject and calm >= 9
     report(10, ok, f"{source}: canonical split rejected (min p "
                     f"{canonical.statistic:.2e} < {0.05 / 784:.2e}), re-splits calm "

@@ -66,6 +66,15 @@ def test_detect_bbsd_without_labels_exit_65(tmp_path, capsys):
     assert code == 65
 
 
+def test_detect_names_the_file_and_line_of_a_bad_csv_row(tmp_path, sample_files, capsys):
+    src, _, _ = sample_files
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0.1,0.2,0\n0.3,abc,1\n")
+    assert main(["detect", str(src), str(bad), "--method", "nored"]) == 65
+    assert capsys.readouterr().err == (f"error: {bad} line 2: could not convert "
+                                       f"string to float: 'abc'\n")
+
+
 _DETECT_KEYS = {"statistic", "p_value", "alpha", "reject", "test_tag", "method", "mode",
                 "n_source", "n_target", "n_fit", "n_reference"}
 

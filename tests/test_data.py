@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -108,6 +109,18 @@ def test_csv_empty_file(tmp_path):
     path.write_text("")
     ds = load_csv(path)
     assert ds.n == 0
+
+
+@pytest.mark.parametrize("second_row, message", [
+    ("0.3,1", "2 fields, expected 3"),
+    ("0.3,abc,1", "could not convert string to float: 'abc'"),
+    ("0.3,0.4,1.5", r"invalid literal for int\(\) with base 10: '1.5'"),
+], ids=["short-row", "text-pixel", "fractional-label"])
+def test_csv_names_the_file_and_line_of_a_bad_row(tmp_path, second_row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"0.1,0.2,0\n{second_row}\n0.5,0.6,1\n")
+    with pytest.raises(ShiftDetectError, match=f"^{re.escape(str(path))} line 2: {message}$"):
+        load_csv(path)
 
 
 def test_dataset_invariants_enforced():

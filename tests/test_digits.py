@@ -47,18 +47,8 @@ def test_rotation_offset_changes_one_class_only():
     {"rotation_offsets": {True: 5.0}}, {"rotation_offsets": {-1: 5.0}},
 ])
 def test_make_digits_refuses_bad_arguments(kwargs):
-    with pytest.raises(ValueError):
-        digits.make_digits(5, seed=0, **kwargs)
-
-
-def test_benchmark_split_refuses_a_skewed_class_that_does_not_exist():
     with pytest.raises(ValueError, match="class ids 0-9"):
-        digits.make_benchmark_split(10, 5, 5, seed=0, skewed_class=10)
-
-
-def test_benchmark_split_sizes():
-    split = digits.make_benchmark_split(100, 30, 40, seed=2, skewed_class=6)
-    assert (split.train.n, split.val.n, split.test.n) == (100, 30, 40)
+        digits.make_digits(5, seed=0, **kwargs)
 
 
 def _sha256(array, dtype) -> str:

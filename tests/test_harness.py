@@ -24,7 +24,6 @@ from shiftdetect.harness import (
     MethodSpec,
     NamedShift,
     detection_accuracy,
-    original_split_check,
     pvalue_evolution,
     read_records_csv,
     run_domain_classifier_test,
@@ -618,34 +617,6 @@ def test_top_exemplars_planted_recovery():
     similar = {i for i, _ in top_similar}
     recovered = len(similar & planted_heldout)
     assert recovered >= 0.7 * min(k, len(planted_heldout))
-
-
-# ---------------------------------------------------------------------------
-# original-split mode
-
-def test_original_split_check_outputs_two_outcomes():
-    split = digits.make_benchmark_split(300, 60, 200, seed=8, skewed_class=None)
-    canonical, resplit = original_split_check(split, random_seed=1)
-    assert canonical.test_tag.value == "ks_bonferroni"
-    assert resplit.test_tag.value == "ks_bonferroni"
-
-
-def test_original_split_check_detects_planted_skew():
-    split = digits.make_benchmark_split(1500, 200, 800, seed=9,
-                                        skewed_class=6, skew_rotation_deg=10.0)
-    canonical, resplit = original_split_check(split, random_seed=2, restrict_class=6)
-    assert canonical.reject
-    assert not resplit.reject
-
-
-def test_original_split_check_iid_calm():
-    # re-splits of an iid pool reject at ~alpha; demand >= 9 of 10 calm seeds
-    split = digits.make_benchmark_split(600, 100, 400, seed=10, skewed_class=None)
-    rejections = 0
-    for seed in range(10):
-        canonical, resplit = original_split_check(split, random_seed=seed)
-        rejections += resplit.reject
-    assert rejections <= 1
 
 
 # ---------------------------------------------------------------------------

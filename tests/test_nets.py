@@ -15,7 +15,6 @@ from shiftdetect.nets import (
     domain_scores,
     encode,
     forward,
-    grad_check,
     hard_predictions,
     init_network,
     loss_and_gradients,
@@ -76,21 +75,21 @@ def test_forward_dim_mismatch():
 # ---------------------------------------------------------------------------
 # gradients
 
-def test_grad_check_linear_mse():
+def test_grad_check_linear_mse(grad_check):
     rng = np.random.default_rng(0)
     net = init_network((4, 3), activation="identity", seed=1)
     x, t = rng.standard_normal((6, 4)), rng.standard_normal((6, 3))
     assert grad_check(net, "mse", (x, t)) < 1e-7
 
 
-def test_grad_check_two_layer_cross_entropy():
+def test_grad_check_two_layer_cross_entropy(grad_check):
     rng = np.random.default_rng(1)
     net = init_network((5, 4, 3), activation="tanh", seed=2)
     x, y = rng.standard_normal((7, 5)), rng.integers(0, 3, 7)
     assert grad_check(net, "softmax_ce", (x, y)) < 1e-4
 
 
-def test_grad_check_relu_net():
+def test_grad_check_relu_net(grad_check):
     rng = np.random.default_rng(2)
     net = init_network((6, 5, 2), activation="relu", seed=3)
     x, y = rng.standard_normal((9, 6)), rng.integers(0, 2, 9)
