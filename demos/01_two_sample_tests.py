@@ -13,7 +13,6 @@ from shiftdetect import (
     binomial_two_sided,
     bonferroni_aggregate,
     chi2_independence,
-    ks_two_sample,
     mmd2_unbiased,
     mmd_permutation_test,
 )
@@ -26,10 +25,11 @@ same_a = rng.normal(0.0, 1.0, 500)
 same_b = rng.normal(0.0, 1.0, 500)
 moved = rng.normal(0.6, 1.0, 500)
 
-stat, p = ks_two_sample(same_a, same_b)
-print(f"KS, same distribution:    S = {stat:.3f}  p = {p:.3f}")
-stat, p = ks_two_sample(same_a, moved)
-print(f"KS, mean shifted by 0.6:  S = {stat:.3f}  p = {p:.2e}")
+# a 1-D sample is one column: one KS p-value
+(p,) = ks_pvalues_by_column(same_a, same_b)
+print(f"KS, same distribution:    p = {p:.3f}")
+(p,) = ks_pvalues_by_column(same_a, moved)
+print(f"KS, mean shifted by 0.6:  p = {p:.2e}")
 
 # --- many dimensions: test each one, correct for multiplicity --------------
 d = 32

@@ -32,7 +32,7 @@ cfg = ExperimentConfig(
 pool = digits.make_digits(3400, seed=9)
 result = harness.run_experiment(pool, cfg)
 print(f"{len(result.records)} grid cells in "
-      f"{result.metadata['elapsed_seconds']:.0f}s\n")
+      f"{result.elapsed_seconds:.0f}s\n")
 
 print("detection accuracy by shift and sample size")
 print(f"{'shift':>18s} " + " ".join(f"s={s:<5d}" for s in cfg.sample_sizes))
@@ -47,7 +47,9 @@ for row in rows:
     if row["sample_size"] == 500:
         print(f"  {row['method']:>7s} ({row['mode']:12s}): {row['accuracy']:.2f}")
 
+# the rows bench writes to pvalue_curves.csv, read off the records
 print("\np-value evolution for the medium image shift, no reduction:")
-for point in harness.pvalue_evolution(result, "medium_img@0.5", "nored"):
-    print(f"  s={point['sample_size']:<4d} mean p = {point['mean_p']:.4f} "
-          f"[{point['min_p']:.4f}, {point['max_p']:.4f}]")
+for s in cfg.sample_sizes:
+    ps = [r.outcome.p_value for r in result.records if r.status == "ok"
+          and (r.shift, r.method, r.sample_size) == ("medium_img@0.5", "nored", s)]
+    print(f"  s={s:<4d} mean p = {sum(ps) / len(ps):.4f} [{min(ps):.4f}, {max(ps):.4f}]")

@@ -36,7 +36,6 @@ from .harness import (
     NamedShift,
     Record,
     detection_accuracy,
-    pvalue_evolution,
     run_domain_classifier_test,
     run_experiment,
     top_exemplars,
@@ -73,7 +72,6 @@ from .stattest import (
     bonferroni_aggregate,
     chi2_independence,
     dispatch_test,
-    ks_two_sample,
     mmd2_unbiased,
     mmd_permutation_test,
 )

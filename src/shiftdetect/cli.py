@@ -274,7 +274,7 @@ def cmd_bench(args) -> int:
         "artifacts": artifacts,
         "n_records": len(result.records),
         "skipped_by_reason": dict(skipped),
-        "elapsed_seconds": result.metadata.get("elapsed_seconds"),
+        "elapsed_seconds": result.elapsed_seconds,
     }
     with open(outdir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -296,7 +296,7 @@ def cmd_exemplars(args) -> int:
         return EXIT_USAGE
     source = _load_sample(args.source)
     target = _load_sample(args.target)
-    n_heldout_target = target.n - target.n // 2  # the domain check's held-out half
+    _, n_heldout_target = harness.domain_halves(source.n, target.n)
     if args.k > n_heldout_target:
         print(f"error: k={args.k} exceeds held-out target size {n_heldout_target}",
               file=sys.stderr)

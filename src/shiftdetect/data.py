@@ -38,13 +38,10 @@ class TensorDataset:
                 f"labels length {labels.shape} does not match image count {images.shape[0]}"
             )
         if images.size and not (images.min() >= 0.0 and images.max() <= 1.0):
-            raise ValueError("pixel values must lie in [0, 1]")
-        if labels.size:
-            if labels.min() < 0 or labels.max() >= self.num_classes:
-                raise ValueError(
-                    f"labels must lie in [0, {self.num_classes}), got range "
-                    f"[{labels.min()}, {labels.max()}]"
-                )
+            raise ShiftDetectError("pixel values must lie in [0, 1]")
+        if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
+            raise ShiftDetectError(f"labels must lie in [0, {self.num_classes}), got range "
+                                   f"[{labels.min()}, {labels.max()}]")
         images.flags.writeable = False
         labels.flags.writeable = False
         object.__setattr__(self, "images", images)
@@ -88,12 +85,13 @@ def _read_exact(f, count: int, path) -> bytes:
     return buf
 
 
-def load_idx(images_path, labels_path, num_classes: int | None = None) -> TensorDataset:
+def load_idx(images_path, labels_path) -> TensorDataset:
     """Read an IDX image/label file pair (big-endian, unsigned byte payload).
 
     Image header: magic 0x00000803, u32 count, u32 rows, u32 cols, then
     count*rows*cols pixel bytes. Label header: magic 0x00000801, u32 count,
-    then count label bytes. Pixels are scaled by 1/255 into [0, 1].
+    then count label bytes. Pixels are scaled by 1/255 into [0, 1]. The
+    class count is the largest label + 1.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
     with open(images_path, "rb") as f:
@@ -115,9 +113,7 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Tensor
         raise ShiftDetectError(f"{label_count} labels for {count} images")
 
     labels = labels.astype(np.int64)
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1 if labels.size else 0
-    return TensorDataset(images, labels, num_classes)
+    return TensorDataset(images, labels, int(labels.max()) + 1 if labels.size else 0)
 
 
 def write_idx(ds: TensorDataset, images_path, labels_path) -> None:
@@ -140,12 +136,13 @@ def write_idx(ds: TensorDataset, images_path, labels_path) -> None:
         f.write(ds.labels.astype(np.uint8).tobytes())
 
 
-def load_csv(path, image_shape: tuple[int, int, int] | None = None,
-             num_classes: int | None = None) -> TensorDataset:
-    """Read one sample per row: float pixels in [0, 1], integer label last.
+def load_csv(path) -> TensorDataset:
+    """Read one sample per row: float pixels in [0, 1], integer label >= 0 last.
 
-    A row that does not parse, or whose length differs from the first
-    row's, raises ShiftDetectError("<path> line <n>: ...").
+    Each row is a 1-pixel-high image, and the class count is the largest
+    label + 1. A row that does not parse, whose length differs from the
+    first row's, or that holds a pixel outside [0, 1] or a negative label
+    raises ShiftDetectError("<path> line <n>: ...").
     """
     rows = []
     labels = []
@@ -157,18 +154,18 @@ def load_csv(path, image_shape: tuple[int, int, int] | None = None,
                     continue
                 if rows and len(line) != len(rows[0]) + 1:
                     raise ValueError(f"{len(line)} fields, expected {len(rows[0]) + 1}")
-                rows.append([float(v) for v in line[:-1]])
-                labels.append(int(line[-1]))
+                pixels, label = [float(v) for v in line[:-1]], int(line[-1])
+                if not all(0.0 <= v <= 1.0 for v in pixels):  # NaN fails too
+                    raise ValueError("pixel values must lie in [0, 1]")
+                if label < 0:
+                    raise ValueError(f"labels must be >= 0, got {label}")
+                rows.append(pixels)
+                labels.append(label)
         except (ValueError, csv.Error) as exc:
             raise ShiftDetectError(f"{path} line {reader.line_num}: {exc}") from exc
-    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(rows[0]) if rows else 0)
-    labels = np.asarray(labels, dtype=np.int64)
-    if image_shape is None:
-        image_shape = (1, data.shape[1], 1)
-    images = data.reshape(len(labels), *image_shape)
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1 if labels.size else 0
-    return TensorDataset(images, labels, num_classes)
+    width = len(rows[0]) if rows else 0
+    images = np.asarray(rows, dtype=np.float64).reshape(len(rows), 1, width, 1)
+    return TensorDataset(images, labels, max(labels) + 1 if labels else 0)
 
 
 def write_csv(ds: TensorDataset, path) -> None:

@@ -191,7 +191,7 @@ class Record:
 @dataclass
 class ExperimentResult:
     records: list
-    metadata: dict = field(default_factory=dict)
+    elapsed_seconds: float | None = None  # run_experiment's wall time; None when read back
 
 
 @dataclass
@@ -286,16 +286,30 @@ class DomainCheck:
     heldout_target_indices: np.ndarray
 
 
+def domain_halves(n_source: int, n_target: int) -> tuple[int, int]:
+    """(rows per side trained on, rows per side held out) of a domain check.
+
+    Both sides use n = min(n_source, n_target) rows, n // 2 to train and
+    the rest held out, so the held-out sides are balanced and chance
+    accuracy is 1/2; the larger side's extra rows go unused.
+    """
+    n = min(n_source, n_target)
+    return n // 2, n - n // 2
+
+
 def run_domain_classifier_test(source: np.ndarray, target: np.ndarray,
                                train_cfg: TrainConfig, alpha: float = 0.05,
                                seed: int = 0, hidden_dims=(32,),
                                rows: tuple | None = None) -> DomainCheck:
     """Half-split domain-classifier protocol with an exact binomial test.
 
-    Both sides are shuffled by the seed and split 50/50; the first halves
-    train a source-vs-target classifier, the second halves are scored, and
-    held-out accuracy is compared against chance with a two-sided binomial
-    test over all held-out samples.
+    Both sides are shuffled by the seed, and each side's shuffled order
+    gives domain_halves' training rows, then its held-out rows. The
+    training rows train a source-vs-target classifier, and held-out
+    accuracy is compared against chance with a two-sided binomial test
+    over all held-out samples. Bin(n, 1/2) is the null of chance only when
+    both held-out sides have the same size (a classifier that always
+    answers the larger side would score its share), hence the balance.
 
     rows, when given, is a (source positions, target positions) pair, and
     the test runs on source[rows[0]] and target[rows[1]] without gathering
@@ -309,33 +323,32 @@ def run_domain_classifier_test(source: np.ndarray, target: np.ndarray,
         raise ShiftDetectError(f"sides disagree in dim: {source.shape[1]} vs {target.shape[1]}")
     src_rows, tgt_rows = rows or (None, None)
     src_rows, tgt_rows = _positions(source, src_rows), _positions(target, tgt_rows)
-    half_src, half_tgt = src_rows.size // 2, tgt_rows.size // 2
-    if half_src < 2 or half_tgt < 2:
+    half, held = domain_halves(src_rows.size, tgt_rows.size)
+    if half < 2:
         # the exact text is the skip reason a grid cell records
         raise ShiftDetectError("fewer than 2 samples per half")
     rng = np.random.default_rng(seed)
-    src_order = src_rows[rng.permutation(src_rows.size)]
-    tgt_perm = rng.permutation(tgt_rows.size)
+    src_order = src_rows[rng.permutation(src_rows.size)[:half + held]]
+    tgt_perm = rng.permutation(tgt_rows.size)[:half + held]
     tgt_order = tgt_rows[tgt_perm]
 
     # take with out= and mode="clip" writes in place; mode="raise" would
     # buffer a copy. _positions has checked every position.
-    x = np.empty((half_src + half_tgt, source.shape[1]))
-    np.take(source, src_order[:half_src], axis=0, out=x[:half_src], mode="clip")
-    np.take(target, tgt_order[:half_tgt], axis=0, out=x[half_src:], mode="clip")
-    clf = nets.train_domain_classifier(x, half_src, train_cfg, hidden_dims=hidden_dims)
+    x = np.empty((2 * half, source.shape[1]))
+    np.take(source, src_order[:half], axis=0, out=x[:half], mode="clip")
+    np.take(target, tgt_order[:half], axis=0, out=x[half:], mode="clip")
+    clf = nets.train_domain_classifier(x, half, train_cfg, hidden_dims=hidden_dims)
     del x
 
-    correct = int(np.sum(nets.hard_predictions(clf, source[src_order[half_src:]]) == 0))
-    held_tgt = target[tgt_order[half_tgt:]]
+    correct = int(np.sum(nets.hard_predictions(clf, source[src_order[half:]]) == 0))
+    held_tgt = target[tgt_order[half:]]
     correct += int(np.sum(nets.hard_predictions(clf, held_tgt) == 1))
-    n_heldout = (src_rows.size - half_src) + held_tgt.shape[0]
-    p = binomial_two_sided(correct, n_heldout)
-    acc = correct / n_heldout
+    p = binomial_two_sided(correct, 2 * held)
+    acc = correct / (2 * held)
     outcome = TestOutcome(statistic=acc, p_value=p, alpha=alpha,
                           reject=p < alpha, test_tag=TestTag.BINOMIAL)
-    return DomainCheck(clf=clf, outcome=outcome, accuracy=acc, n_heldout=n_heldout,
-                       heldout_target=held_tgt, heldout_target_indices=tgt_perm[half_tgt:])
+    return DomainCheck(clf=clf, outcome=outcome, accuracy=acc, n_heldout=2 * held,
+                       heldout_target=held_tgt, heldout_target_indices=tgt_perm[half:])
 
 
 def _positions(x: np.ndarray, rows) -> np.ndarray:
@@ -437,7 +450,7 @@ def run_experiment(dataset: TensorDataset, cfg: ExperimentConfig,
 
     keyed_records.sort(key=lambda kv: kv[0])
     return ExperimentResult(records=[r for _, r in keyed_records],
-                            metadata={"elapsed_seconds": time.time() - started})
+                            elapsed_seconds=time.time() - started)
 
 
 def _grid_blocks(cfg: ExperimentConfig, fitted: FittedReducers, dataset: TensorDataset,
@@ -561,14 +574,6 @@ def _pvalue_curves(records) -> list:
     return rows
 
 
-def pvalue_evolution(result: ExperimentResult, shift: str, method: str) -> list:
-    """The p-value curve rows of one (shift, method) pair, by mode and sample size."""
-    rows = _pvalue_curves(r for r in result.records if r.shift == shift and r.method == method)
-    if not rows:
-        raise ShiftDetectError(f"no records for shift={shift!r}, method={method!r}")
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # CSV persistence
 
@@ -609,11 +614,12 @@ _STATUS, _REJECT, _P_VALUE = (Rule("string", choices=("ok", "skipped")),
                               Rule("finite number", 0, 1))
 
 
-def read_records_csv(path, alpha: float = 0.05) -> ExperimentResult:
+def read_records_csv(path) -> ExperimentResult:
     """The records write_records_csv wrote to path. A header other than
     RECORD_COLUMNS, a row of another length or status, or a field that does
     not parse (on ok rows, reject true/false and p_value a number in
-    [0, 1]) raises ValueError naming the line."""
+    [0, 1]) raises ValueError naming the line. records.csv keeps no
+    alpha; each outcome gets 0.05, which no table reads."""
     records = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -622,13 +628,13 @@ def read_records_csv(path, alpha: float = 0.05) -> ExperimentResult:
             if header != list(RECORD_COLUMNS):
                 raise ValueError(f"the header must be {','.join(RECORD_COLUMNS)}, got {header}")
             for values in reader:
-                records.append(_record_from_row(values, alpha))
+                records.append(_record_from_row(values))
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"{path} line {max(reader.line_num, 1)}: {exc}") from exc
     return ExperimentResult(records=records)
 
 
-def _record_from_row(values: list, alpha: float) -> Record:
+def _record_from_row(values: list) -> Record:
     if len(values) != len(RECORD_COLUMNS):
         raise ValueError(f"{len(values)} fields, expected {len(RECORD_COLUMNS)}")
     row = dict(zip(RECORD_COLUMNS, values))
@@ -638,7 +644,7 @@ def _record_from_row(values: list, alpha: float) -> Record:
         _REJECT.check(row["reject"], "reject")
         p_value = float(row["p_value"])
         _P_VALUE.check(p_value, "p_value")
-        outcome = TestOutcome(statistic=float(row["statistic"]), p_value=p_value, alpha=alpha,
+        outcome = TestOutcome(statistic=float(row["statistic"]), p_value=p_value, alpha=0.05,
                               reject=row["reject"] == "true",
                               test_tag=TestTag(row["test_tag"]))
     return Record(shift=row["shift"], intensity=row["intensity"], delta=float(row["delta"]),

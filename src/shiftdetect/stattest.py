@@ -86,7 +86,7 @@ def _ks_statistics(source: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _ks_pvalues(stats: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Asymptotic p-values with the small-sample correction (see ks_two_sample)."""
+    """Asymptotic p-values with the small-sample correction (see ks_pvalues_by_column)."""
     ne = n * m / (n + m)
     return kolmogorov((math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * stats)
 
@@ -109,31 +109,16 @@ def _require_finite(*samples: np.ndarray) -> None:
             raise ShiftDetectError("samples must not contain NaN or infinite values")
 
 
-def ks_two_sample(a, b) -> tuple[float, float]:
-    """Two-sample KS test: exact statistic, asymptotic p-value.
-
-    The statistic is sup_z |F_a(z) - F_b(z)| over all pooled sample
-    points. The p-value is the Kolmogorov survival function
-    (scipy.special.kolmogorov) at lam = (sqrt(ne) + 0.12 + 0.11/sqrt(ne)) * S,
-    ne = n*m/(n+m), Stephens' small-sample correction. This is the
-    one-column case of ks_pvalues_by_column.
-    """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.size == 0 or b.size == 0:
-        raise ShiftDetectError("both samples must be non-empty")
-    _require_finite(a, b)
-    stats = _ks_statistics(a[:, None], b[:, None])
-    return float(stats[0]), float(_ks_pvalues(stats, a.size, b.size)[0])
-
-
 def ks_pvalues_by_column(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     """KS p-value for each column of an (n, K) and an (m, K) matrix.
 
-    A 1-D sample is one column. All columns go through one vectorised rank
-    pass (see _ks_statistics); column j's p-value is bit-identical to
-    ks_two_sample on column j. Raises ShiftDetectError on NaN or infinite
-    values and on unequal column counts.
+    A 1-D sample is one column. Column j's statistic is the exact
+    sup_z |F_a(z) - F_b(z)| over the pooled points, and all columns go
+    through one vectorised rank pass (see _ks_statistics). Its p-value is
+    the Kolmogorov survival function (scipy.special.kolmogorov) at
+    lam = (sqrt(ne) + 0.12 + 0.11/sqrt(ne)) * S, ne = n*m/(n+m), Stephens'
+    small-sample correction. Raises ShiftDetectError on an empty sample,
+    on NaN or infinite values and on unequal column counts.
     """
     source, target = _as_samples(source, target)
     if source.shape[0] == 0 or target.shape[0] == 0:
@@ -422,15 +407,6 @@ def binomial_two_sided(successes: int, n: int) -> float:
 # ---------------------------------------------------------------------------
 # Dispatch
 
-def categorical_contingency(source_ids: np.ndarray, target_ids: np.ndarray,
-                            arity: int) -> np.ndarray:
-    """2xK table of class frequencies (row 0 source, row 1 target)."""
-    return np.stack([
-        np.bincount(np.asarray(source_ids, dtype=np.int64), minlength=arity),
-        np.bincount(np.asarray(target_ids, dtype=np.int64), minlength=arity),
-    ])
-
-
 def dispatch_test(rep_source: Representation, rep_target: Representation,
                   kind: DrKind, mode: TestMode, alpha: float = 0.05,
                   seed: int = 0, n_perms: int = 1000) -> TestOutcome:
@@ -454,8 +430,9 @@ def dispatch_test(rep_source: Representation, rep_target: Representation,
         if mode != TestMode.UNIVARIATE:
             raise ShiftDetectError("categorical representations support only the chi-squared path")
         arity = max(rep_source.arity, rep_target.arity)
-        table = categorical_contingency(rep_source.values, rep_target.values, arity)
-        x2, p = chi2_independence(table)
+        x2, p = chi2_independence(np.stack([
+            np.bincount(np.asarray(rep.values, dtype=np.int64), minlength=arity)
+            for rep in (rep_source, rep_target)]))
         return TestOutcome(statistic=x2, p_value=p, alpha=alpha,
                            reject=p < alpha, test_tag=TestTag.CHI2)
 

@@ -1,5 +1,6 @@
 """Null calibration: every method's test size at the small sample sizes the
-paper sweeps (s = 10, 20), on the digits, with the trained reducers.
+paper sweeps (s = 10, 20), on the digits, with the trained reducers; and
+the domain classifier's size when the two sides differ in size.
 
 One seeded grid runs every (kind, mode) pair MethodSpec accepts under
 no_shift, so each reject is a false alarm. A group of R runs at level alpha
@@ -13,12 +14,25 @@ import scipy.stats
 
 from shiftdetect import digits, shifts
 from shiftdetect.dimred import METHOD_TABLE, DrKind
-from shiftdetect.harness import ExperimentConfig, MethodSpec, NamedShift, run_experiment
+from shiftdetect.harness import (
+    ExperimentConfig,
+    MethodSpec,
+    NamedShift,
+    run_domain_classifier_test,
+    run_experiment,
+)
+from shiftdetect.nets import TrainConfig
 from shiftdetect.stattest import TestMode
 
 RUNS, SIZES, ALPHA, FAMILY_LEVEL = 100, (10, 20), 0.05, 0.05
 METHODS = tuple(MethodSpec(kind, mode) for kind in DrKind for mode in TestMode
                 if mode == TestMode.UNIVARIATE or METHOD_TABLE[kind].multivariate)
+
+
+def _fail_at(runs: int, groups: int) -> int:
+    """The smallest reject count c with P(X >= c) <= FAMILY_LEVEL / groups,
+    X ~ Binomial(runs, ALPHA)."""
+    return int(scipy.stats.binom.isf(FAMILY_LEVEL / groups, runs, ALPHA)) + 1
 
 
 def _clopper_pearson(rejects: int, n: int, level: float = 0.95) -> tuple:
@@ -39,8 +53,7 @@ def test_every_method_holds_its_size_at_small_samples():
     assert all(r.status == "ok" for r in result.records)
 
     groups = len(METHODS) * len(SIZES)
-    # the smallest count c with P(X >= c) <= FAMILY_LEVEL / groups
-    fail_at = int(scipy.stats.binom.isf(FAMILY_LEVEL / groups, RUNS, ALPHA)) + 1
+    fail_at = _fail_at(RUNS, groups)
     rejects = {}
     for r in result.records:
         key = (r.method, r.mode, r.sample_size)
@@ -52,4 +65,28 @@ def test_every_method_holds_its_size_at_small_samples():
         print(f"  {method:8s} {mode:13s} s={s:3d}  {count:3d}  rate {count / RUNS:.2f}  "
               f"95% CI [{low:.3f}, {high:.3f}]")
     too_many = {key: count for key, count in rejects.items() if count >= fail_at}
+    assert not too_many, f"more null rejects than {fail_at - 1} of {RUNS}: {too_many}"
+
+
+RATIOS, MIN_ROWS = ((1, 1), (2, 1), (10, 1), (1, 10)), 40
+
+
+def test_domain_check_holds_its_size_when_the_sides_differ_in_size():
+    # iid Gaussian sides of MIN_ROWS x (source, target) ratio rows and a tiny
+    # net: held-out sides of unequal size made Bin(n, 1/2) the wrong null, and
+    # a classifier that learnt only the sizes rejected nearly every pair
+    fail_at = _fail_at(RUNS, len(RATIOS))
+    rejects = {}
+    for ratio in RATIOS:
+        rejects[ratio] = 0
+        for run in range(RUNS):
+            rng = np.random.default_rng([run, *ratio])
+            source, target = (rng.normal(size=(MIN_ROWS * r, 4)) for r in ratio)
+            check = run_domain_classifier_test(
+                source, target, TrainConfig(batch_size=16, max_epochs=3, seed=run),
+                alpha=ALPHA, seed=run, hidden_dims=(4,))
+            rejects[ratio] += int(check.outcome.reject)
+    print(f"\ndomain-check null rejects of {RUNS} runs by (source, target) ratio: {rejects}; "
+          f"a ratio fails at {fail_at}")
+    too_many = {ratio: count for ratio, count in rejects.items() if count >= fail_at}
     assert not too_many, f"more null rejects than {fail_at - 1} of {RUNS}: {too_many}"

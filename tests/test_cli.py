@@ -75,6 +75,19 @@ def test_detect_names_the_file_and_line_of_a_bad_csv_row(tmp_path, sample_files,
                                        f"string to float: 'abc'\n")
 
 
+@pytest.mark.parametrize("second_row, message", [
+    ("0.3,1.5,1", "pixel values must lie in [0, 1]"),
+    ("0.3,0.4,-1", "labels must be >= 0, got -1"),
+], ids=["pixel-above-1", "negative-label"])
+def test_detect_names_the_line_of_an_out_of_range_csv_value(tmp_path, sample_files, capsys,
+                                                            second_row, message):
+    src, _, _ = sample_files
+    bad = tmp_path / "oob.csv"
+    bad.write_text(f"0.1,0.2,0\n{second_row}\n")
+    assert main(["detect", str(src), str(bad), "--method", "nored"]) == 65
+    assert capsys.readouterr().err == f"error: {bad} line 2: {message}\n"
+
+
 _DETECT_KEYS = {"statistic", "p_value", "alpha", "reject", "test_tag", "method", "mode",
                 "n_source", "n_target", "n_fit", "n_reference"}
 
@@ -434,6 +447,7 @@ def test_bench_outputs_and_determinism(tmp_path, capsys):
     manifest = json.loads((dir_a / "manifest.json").read_text())
     assert set(manifest["artifacts"]) >= {"records.csv", "pvalue_curves.csv"}
     assert manifest["skipped_by_reason"] == {}
+    assert manifest["elapsed_seconds"] > 0.0  # the grid's own wall time
 
 
 def test_bench_manifest_counts_skipped_cells_by_reason(tmp_path, capsys):
@@ -730,16 +744,41 @@ def test_exemplars_k_too_large_exit_64(tmp_path, sample_files, monkeypatch, caps
 
 
 def test_exemplars_k_up_to_odd_heldout_half(tmp_path, sample_files, capsys):
-    # 161 target rows: 80 train the domain classifier, 81 are held out
+    # 161 rows a side: 80 train the domain classifier, 81 are held out
     src, _, _ = sample_files
-    odd = tmp_path / "target_odd.csv"
     rng = np.random.default_rng(1)
-    write_csv(TensorDataset(np.clip(rng.normal(0.8, 0.1, (161, 1, 8, 1)), 0, 1),
-                            rng.integers(0, 2, 161), 2), odd)
-    argv = ["exemplars", str(src), str(odd), "--out", str(tmp_path / "ex5"), "--epochs", "2"]
+    odd_src, odd = tmp_path / "source_odd.csv", tmp_path / "target_odd.csv"
+    for path, mean in ((odd_src, 0.4), (odd, 0.8)):
+        write_csv(TensorDataset(np.clip(rng.normal(mean, 0.1, (161, 1, 8, 1)), 0, 1),
+                                rng.integers(0, 2, 161), 2), path)
+    argv = ["exemplars", str(odd_src), str(odd), "--out", str(tmp_path / "ex5"), "--epochs", "2"]
     assert main(argv + ["-k", "82"]) == 64
     assert "k=82 exceeds held-out target size 81" in capsys.readouterr().err
     assert main(argv + ["-k", "81"]) == 0
+    # against the 160-row source both sides use 160 rows: 80 are held out
+    argv[1] = str(src)
+    assert main(argv + ["-k", "81"]) == 64
+    assert "k=81 exceeds held-out target size 80" in capsys.readouterr().err
+
+
+def test_domain_check_on_iid_files_of_unequal_size_sees_no_shift(tmp_path, capsys):
+    # the held-out sides are balanced, so a classifier that learns only the
+    # sides' sizes scores chance: at 2:1 an unbalanced split read 2/3 as a shift
+    rng = np.random.default_rng(0)
+    iid = np.clip(rng.normal(0.4, 0.1, (240, 1, 8, 1)), 0, 1)
+    labels = rng.integers(0, 2, 240)
+    src, tgt = tmp_path / "source.csv", tmp_path / "target.csv"
+    write_csv(TensorDataset(iid[:160], labels[:160], 2), src)
+    write_csv(TensorDataset(iid[160:], labels[160:], 2), tgt)
+    assert main(["detect", str(src), str(tgt), "--method", "classif"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["n_source"], out["n_target"], out["reject"]) == (160, 80, False)
+    assert main(["exemplars", str(src), str(tgt), "-k", "3", "--out", str(tmp_path / "ex")]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "ex" / "report.json").read_text())
+    assert not report["gate_passed"]
+    assert report["n_heldout"] == 80  # 40 rows of each side
+    assert report["top_different"] == report["top_similar"] == []
 
 
 @pytest.mark.parametrize("k", ["0", "-3"])

@@ -81,9 +81,10 @@ def test_idx_round_trip(tmp_path):
     images = rng.integers(0, 256, size=(7, 5, 4, 1)) / 255.0
     ds = TensorDataset(images, rng.integers(0, 3, 7), 3)
     write_idx(ds, tmp_path / "i.idx", tmp_path / "l.idx")
-    back = load_idx(tmp_path / "i.idx", tmp_path / "l.idx", num_classes=3)
+    back = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
     assert np.array_equal(back.images, ds.images)
     assert np.array_equal(back.labels, ds.labels)
+    assert back.num_classes == ds.labels.max() + 1
 
 
 def test_write_idx_refuses_labels_above_a_byte(tmp_path):
@@ -99,9 +100,11 @@ def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     ds = TensorDataset(rng.random((6, 1, 9, 1)), rng.integers(0, 4, 6), 4)
     write_csv(ds, tmp_path / "d.csv")
-    back = load_csv(tmp_path / "d.csv", num_classes=4)
+    back = load_csv(tmp_path / "d.csv")
     assert np.array_equal(flatten(back), flatten(ds))
+    assert back.image_shape == (1, 9, 1)
     assert np.array_equal(back.labels, ds.labels)
+    assert back.num_classes == ds.labels.max() + 1
 
 
 def test_csv_empty_file(tmp_path):
@@ -115,7 +118,11 @@ def test_csv_empty_file(tmp_path):
     ("0.3,1", "2 fields, expected 3"),
     ("0.3,abc,1", "could not convert string to float: 'abc'"),
     ("0.3,0.4,1.5", r"invalid literal for int\(\) with base 10: '1.5'"),
-], ids=["short-row", "text-pixel", "fractional-label"])
+    ("0.3,1.5,1", r"pixel values must lie in \[0, 1\]"),
+    ("0.3,nan,1", r"pixel values must lie in \[0, 1\]"),
+    ("0.3,0.4,-1", "labels must be >= 0, got -1"),
+], ids=["short-row", "text-pixel", "fractional-label", "pixel-above-1", "nan-pixel",
+        "negative-label"])
 def test_csv_names_the_file_and_line_of_a_bad_row(tmp_path, second_row, message):
     path = tmp_path / "bad.csv"
     path.write_text(f"0.1,0.2,0\n{second_row}\n0.5,0.6,1\n")
@@ -124,9 +131,10 @@ def test_csv_names_the_file_and_line_of_a_bad_row(tmp_path, second_row, message)
 
 
 def test_dataset_invariants_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ShiftDetectError, match=r"^pixel values must lie in \[0, 1\]$"):
         TensorDataset(np.full((1, 2, 2, 1), 1.5), np.zeros(1, dtype=int), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ShiftDetectError,
+                       match=r"^labels must lie in \[0, 2\), got range \[5, 5\]$"):
         TensorDataset(np.zeros((1, 2, 2, 1)), np.array([5]), 2)
     with pytest.raises(ShiftDetectError,
                        match=r"^labels length \(1,\) does not match image count 2$"):
@@ -136,11 +144,11 @@ def test_dataset_invariants_enforced():
 def test_dataset_rejects_nan_pixels(tmp_path):
     images = np.zeros((2, 2, 2, 1))
     images[1, 0, 1, 0] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ShiftDetectError, match=r"^pixel values must lie in \[0, 1\]$"):
         TensorDataset(images, np.zeros(2, dtype=int), 2)
     path = tmp_path / "nan.csv"
     path.write_text("0.0,nan,0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ShiftDetectError, match=r"line 1: pixel values must lie in \[0, 1\]$"):
         load_csv(path)
 
 

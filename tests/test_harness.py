@@ -24,7 +24,6 @@ from shiftdetect.harness import (
     MethodSpec,
     NamedShift,
     detection_accuracy,
-    pvalue_evolution,
     read_records_csv,
     run_domain_classifier_test,
     run_experiment,
@@ -326,20 +325,25 @@ def test_detection_accuracy_sorts_sizes_numerically(small_result):
         assert sizes == sorted(sizes)
 
 
+def _curve(result, shift, method):
+    """The p-value curve rows (pvalue_curves.csv's) of one (shift, method) pair."""
+    return [row for row in harness._pvalue_curves(result.records)
+            if (row["shift"], row["method"]) == (shift, method)]
+
+
 def test_pvalue_evolution_series(small_result):
-    series = pvalue_evolution(small_result, "no_shift", "nored")
+    series = _curve(small_result, "no_shift", "nored")
     assert len(series) == 3  # one entry per sample size
     assert [row["sample_size"] for row in series] == [10, 50, 100]
     for row in series:
         assert row["min_p"] <= row["mean_p"] <= row["max_p"]
-    with pytest.raises(ShiftDetectError, match="^no records for shift='nope', method='nored'$"):
-        pvalue_evolution(small_result, "nope", "nored")
+    assert _curve(small_result, "nope", "nored") == []
 
 
 def test_pvalue_curves_keep_the_two_modes_apart(small_result, tmp_path):
     # pca runs in both modes: KS and MMD p-values are separate curves
     runs = _small_config().runs
-    series = pvalue_evolution(small_result, "no_shift", "pca")
+    series = _curve(small_result, "no_shift", "pca")
     assert [(row["mode"], row["sample_size"]) for row in series] == [
         (mode, s) for mode in ("multivariate", "univariate") for s in (10, 50, 100)]
     assert all(row["n"] == runs for row in series)
@@ -355,7 +359,7 @@ def test_pvalue_curves_keep_the_two_modes_apart(small_result, tmp_path):
 
 
 def test_pvalue_declines_under_strong_shift(small_result):
-    series = pvalue_evolution(small_result, "large_gn", "nored")
+    series = _curve(small_result, "large_gn", "nored")
     means = [row["mean_p"] for row in series]
     assert means[-1] <= means[0]
 
@@ -366,7 +370,7 @@ def test_pvalue_flat_under_null():
     cfg = _small_config(methods=(MethodSpec(DrKind.NORED),),
                         shifts=(NamedShift("no_shift", shifts.preset("no_shift"), "none"),),
                         runs=6, sample_sizes=(10, 30, 100))
-    series = pvalue_evolution(run_experiment(corpus, cfg), "no_shift", "nored")
+    series = _curve(run_experiment(corpus, cfg), "no_shift", "nored")
     means = [row["mean_p"] for row in series]
     assert max(means) - min(means) < 0.6  # no systematic collapse toward 0
     assert min(means) > 0.2
@@ -456,22 +460,24 @@ def test_domain_check_requires_enough_samples():
 
 
 def _domain_check_by_copies(cfg, source, target, rows, seed, train_seed):
-    """The domain check as it gathered rows before: the s rows of each side,
-    the two training halves from those, np.vstack of the halves, then the
-    held-out rows. (accuracy, p-value, held-out target rows, their indices)."""
+    """The domain check by copies: the s rows of each side, the two training
+    halves from those, np.vstack of the halves, then the held-out rows. Both
+    sides use min(n_src, n_tgt) rows of their shuffled order, half to train.
+    (accuracy, p-value, held-out target rows, their indices)."""
     source, target = source[rows[0]], target[rows[1]]
-    half_src, half_tgt = source.shape[0] // 2, target.shape[0] // 2
-    if half_src < 2 or half_tgt < 2:
+    n = min(source.shape[0], target.shape[0])
+    half = n // 2
+    if half < 2:
         raise ShiftDetectError("fewer than 2 samples per half")
     rng = np.random.default_rng(seed)
     src_order = rng.permutation(source.shape[0])
     tgt_order = rng.permutation(target.shape[0])
-    x = np.vstack([source[src_order[:half_src]], target[tgt_order[:half_tgt]]])
-    y = np.concatenate([np.zeros(half_src, dtype=np.int64), np.ones(half_tgt, dtype=np.int64)])
+    x = np.vstack([source[src_order[:half]], target[tgt_order[:half]]])
+    y = np.concatenate([np.zeros(half, dtype=np.int64), np.ones(half, dtype=np.int64)])
     clf = nets.train_label_classifier((x, y), (x, y), 2, cfg.domain_train_config(train_seed),
                                       hidden_dims=(cfg.domain_hidden_dim,))
-    held_src = source[src_order[half_src:]]
-    held_tgt_idx = tgt_order[half_tgt:]
+    held_src = source[src_order[half:n]]
+    held_tgt_idx = tgt_order[half:n]
     held_tgt = target[held_tgt_idx]
     correct = int(np.sum(nets.hard_predictions(clf, held_src) == 0)
                   + np.sum(nets.hard_predictions(clf, held_tgt) == 1))
@@ -495,7 +501,8 @@ def test_domain_check_by_position_matches_the_copying_path(n_src, n_tgt):
     assert (got.accuracy, got.outcome.p_value) == (acc, p)
     assert got.heldout_target.tobytes() == held.tobytes()
     assert np.array_equal(got.heldout_target_indices, held_idx)
-    assert got.n_heldout == (n_src - n_src // 2) + (n_tgt - n_tgt // 2)
+    n = min(n_src, n_tgt)  # the larger side's extra rows go unused
+    assert got.n_heldout == 2 * (n - n // 2) == 2 * harness.domain_halves(n_src, n_tgt)[1]
     outcome = harness.check(cfg, MethodSpec(DrKind.CLASSIF), Representation(source),
                             Representation(target), 11, 12, rows=rows)
     assert outcome == got.outcome
@@ -625,7 +632,7 @@ def test_top_exemplars_planted_recovery():
 def test_records_csv_round_trip(tmp_path, small_result):
     path = tmp_path / "records.csv"
     write_records_csv(small_result, path)
-    back = read_records_csv(path, alpha=0.05)
+    back = read_records_csv(path)
     assert len(back.records) == len(small_result.records)
     for a, b in zip(small_result.records, back.records):
         assert (a.shift, a.method, a.mode, a.sample_size, a.run, a.status) == \

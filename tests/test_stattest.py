@@ -20,7 +20,6 @@ from shiftdetect.stattest import (
     chi2_independence,
     dispatch_test,
     ks_pvalues_by_column,
-    ks_two_sample,
     median_bandwidth,
     mmd2_unbiased,
     mmd_permutation_test,
@@ -59,6 +58,26 @@ def brute_force_mmd2(x, y):
     return xx / (m * (m - 1)) + yy / (n * (n - 1)) - 2.0 * xy / (m * n)
 
 
+def ks_stat(a, b):
+    """The package's KS statistic of two 1-D samples."""
+    return float(stattest._ks_statistics(np.asarray(a, float)[:, None],
+                                         np.asarray(b, float)[:, None])[0])
+
+
+def scipy_ks_stat(a, b):
+    return stats.ks_2samp(a, b).statistic
+
+
+# scipy forms the ECDF difference in another order: a few ulps apart
+KS_ULPS = 4 * np.finfo(np.float64).eps
+
+
+def corrected_kolmogorov_p(statistic, n, m):
+    """Kolmogorov survival function at Stephens' corrected statistic."""
+    ne = n * m / (n + m)
+    return special.kolmogorov((math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * statistic)
+
+
 def sequential_p_value(hits, n_perms, alpha):
     """Permutation p-value from the exceedance indicators of the draws, in draw order.
 
@@ -88,19 +107,16 @@ def exact_binomial_two_sided(k, n):
 # Kolmogorov-Smirnov
 
 def test_ks_identical_samples():
-    stat, p = ks_two_sample([1, 2, 3], [1, 2, 3])
-    assert stat == 0.0
-    assert p == 1.0
+    assert ks_stat([1, 2, 3], [1, 2, 3]) == 0.0
+    assert ks_pvalues_by_column([1, 2, 3], [1, 2, 3])[0] == 1.0
 
 
 def test_ks_disjoint_supports():
-    stat, _ = ks_two_sample([0, 0, 0, 0], [1, 1, 1, 1])
-    assert stat == 1.0
+    assert ks_stat([0, 0, 0, 0], [1, 1, 1, 1]) == 1.0
 
 
 def test_ks_hand_case():
-    stat, _ = ks_two_sample([1, 2, 3, 4], [2, 3, 4, 5])
-    assert stat == 0.25
+    assert ks_stat([1, 2, 3, 4], [2, 3, 4, 5]) == 0.25
 
 
 def test_ks_statistic_matches_brute_force_exactly():
@@ -110,13 +126,15 @@ def test_ks_statistic_matches_brute_force_exactly():
         b = rng.normal(size=rng.integers(1, 40))
         if rng.random() < 0.3:  # force ties across samples
             b[: min(len(a), len(b)) // 2] = a[: min(len(a), len(b)) // 2]
-        stat, _ = ks_two_sample(a, b)
+        stat = ks_stat(a, b)
         assert stat == brute_force_ks_stat(a, b)
+        assert abs(stat - scipy_ks_stat(a, b)) <= KS_ULPS
 
 
 def test_ks_empty_sample():
-    with pytest.raises(ShiftDetectError, match="^both samples must be non-empty$"):
-        ks_two_sample([], [1.0])
+    for a, b in (([], [1.0]), ([1.0], []), (np.empty((0, 3)), np.ones((2, 3)))):
+        with pytest.raises(ShiftDetectError, match="^both samples must be non-empty$"):
+            ks_pvalues_by_column(a, b)
 
 
 def _tie_heavy_columns(rng, n, m, k):
@@ -134,9 +152,7 @@ def test_ks_columns_match_scipy_ks_2samp():
         source, target = _tie_heavy_columns(rng, n, m, k)
         ours = stattest._ks_statistics(source, target)
         for j in range(k):
-            # scipy forms the ECDF difference in another order: a few ulps apart
-            theirs = stats.ks_2samp(source[:, j], target[:, j]).statistic
-            assert abs(ours[j] - theirs) <= 4 * np.finfo(np.float64).eps
+            assert abs(ours[j] - scipy_ks_stat(source[:, j], target[:, j])) <= KS_ULPS
         assert ours[0] == 0.0 and ours[1] == 1.0
 
 
@@ -145,12 +161,10 @@ def test_ks_pvalues_match_scipy_kolmogorov():
     for n, m, k in [(10, 10, 16), (13, 31, 20), (200, 150, 8)]:
         source, target = _tie_heavy_columns(rng, n, m, k)
         source[:, 2:8] += rng.normal(scale=0.3, size=(n, 6))
-        ne = n * m / (n + m)
-        factor = math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)
         ours = ks_pvalues_by_column(source, target)
         for j in range(k):
-            d = stats.ks_2samp(source[:, j], target[:, j]).statistic
-            assert abs(ours[j] - special.kolmogorov(factor * d)) <= 1e-11
+            d = scipy_ks_stat(source[:, j], target[:, j])
+            assert abs(ours[j] - corrected_kolmogorov_p(d, n, m)) <= 1e-11
 
 
 _ks_values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
@@ -176,9 +190,10 @@ def test_ks_by_column_equals_one_column_calls(problem):
         p_values = ks_pvalues_by_column(source, target)
         statistics = stattest._ks_statistics(source, target)
     for j in range(source.shape[1]):
-        stat, p = ks_two_sample(source[:, j], target[:, j])
-        assert p_values[j] == p
-        assert statistics[j] == stat == brute_force_ks_stat(source[:, j], target[:, j])
+        a, b = source[:, j], target[:, j]
+        assert p_values[j] == ks_pvalues_by_column(a, b)[0]
+        assert statistics[j] == brute_force_ks_stat(a, b)
+        assert abs(statistics[j] - scipy_ks_stat(a, b)) <= KS_ULPS
 
 
 @given(_ks_problem())
@@ -186,11 +201,9 @@ def test_ks_by_column_equals_one_column_calls(problem):
 def test_ks_pvalues_are_scipy_kolmogorov_of_the_corrected_statistic(problem):
     source, target, _ = problem
     n, m = source.shape[0], target.shape[0]
-    ne = n * m / (n + m)
-    factor = math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)
     statistics = stattest._ks_statistics(source, target)
     p_values = ks_pvalues_by_column(source, target)
-    assert np.array_equal(p_values, special.kolmogorov(factor * statistics))
+    assert np.array_equal(p_values, corrected_kolmogorov_p(statistics, n, m))
     assert ((0.0 <= p_values) & (p_values <= 1.0)).all()
     # every statistic the pair (n, m) can take lies on the lattice j / lcm(n, m)
     steps = math.lcm(n, m)
@@ -239,9 +252,9 @@ def test_ks_invariant_to_increasing_transforms(pair, transform):
 
 def test_ks_rejects_non_finite():
     with pytest.raises(ShiftDetectError, match=NON_FINITE):
-        ks_two_sample([0.0, np.nan], [0.0, 0.0])
+        ks_pvalues_by_column([0.0, np.nan], [0.0, 0.0])
     with pytest.raises(ShiftDetectError, match=NON_FINITE):
-        ks_two_sample([0.0, 1.0], [np.inf, 0.0])
+        ks_pvalues_by_column([0.0, 1.0], [np.inf, 0.0])
 
 
 def test_ks_by_column_rejects_non_finite():
@@ -258,9 +271,12 @@ def test_ks_by_column_takes_1d_samples_as_one_column():
     a, b = np.arange(5.0), np.arange(5.0) + 10
     p = ks_pvalues_by_column(a, b)
     assert p.shape == (1,)
-    assert p[0] == ks_two_sample(a, b)[1]
+    assert p[0] == ks_pvalues_by_column(a[:, None], b[:, None])[0]
+    assert p[0] == corrected_kolmogorov_p(brute_force_ks_stat(a, b), 5, 5)  # S = 1: 0.0038
     # unequal lengths are two samples of one feature, not a width mismatch
-    assert ks_pvalues_by_column(a, np.arange(7.0))[0] == ks_two_sample(a, np.arange(7.0))[1]
+    c = np.arange(7.0)
+    assert ks_pvalues_by_column(a, c)[0] == corrected_kolmogorov_p(brute_force_ks_stat(a, c),
+                                                                     5, 7)
 
 
 # ---------------------------------------------------------------------------
