@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -101,14 +100,18 @@ def _outcome_payload(outcome) -> dict:
 # ---------------------------------------------------------------------------
 # detect
 
-def _load_sample(arg: str) -> TensorDataset:
-    """The dataset _load_dataset reads from arg, refused (naming arg) unless
-    it has a row and a pixel column to test."""
-    ds = _load_dataset(arg)
-    if ds.n == 0 or ds.dim == 0:
-        raise ShiftDetectError(f"{arg} holds {ds.n} rows of {ds.dim} pixels; a sample needs "
-                               f"at least one of each")
-    return ds
+def _load_samples(args) -> tuple[TensorDataset, TensorDataset]:
+    """The source and target files, refused before any split or fit unless
+    each has a row and a pixel column and both have the same width."""
+    source, target = _load_dataset(args.source), _load_dataset(args.target)
+    for arg, ds in ((args.source, source), (args.target, target)):
+        if ds.n == 0 or ds.dim == 0:
+            raise ShiftDetectError(f"{arg} holds {ds.n} rows of {ds.dim} pixels; a sample "
+                                   f"needs at least one of each")
+    if source.dim != target.dim:
+        raise ShiftDetectError(f"{args.source} has {source.dim} pixel columns and {args.target} "
+                               f"has {target.dim}; the two samples must have the same width")
+    return source, target
 
 
 # the flags whose bad value the config would report under another key name
@@ -144,14 +147,15 @@ def _one_shot_config(args, source: TensorDataset, method: MethodSpec,
 def cmd_detect(args) -> int:
     method = MethodSpec(DrKind(args.method), TestMode(args.mode))  # refuses a bad pair
     kind, mode = method.kind, method.mode
-    source = _load_sample(args.source)
-    target = _load_sample(args.target)
+    source, target = _load_samples(args)
     rules_of(ExperimentConfig)["seed"].check(args.seed, "seed")  # before a split is drawn from it
     fit_rows, reference_rows = harness.fit_and_reference_rows(kind, source.n, args.seed)
     fit = source.subset(fit_rows)
     # the latent size is clamped to min(latent_dim, n - 1, D) of the fit rows,
-    # so PCA stays defined on small samples
-    k = min(args.latent_dim, max(1, min(fit.n - 1, math.prod(source.image_shape))))
+    # so PCA stays defined on small samples; an autoencoder's bottleneck must
+    # be narrower than its input, so uae and tae take D - 1 for D
+    width = source.dim - 1 if kind in (DrKind.UAE, DrKind.TAE) else source.dim
+    k = min(args.latent_dim, max(1, min(fit.n - 1, width)))
     cfg = _one_shot_config(args, fit, method, latent_dim=k, ae_lr0=args.ae_lr0)
     handle = harness.fit_reducers(fit, cfg).handle_for(kind)
     fit_info = {}
@@ -179,9 +183,6 @@ def cmd_shift(args) -> int:
     if args.model:
         _require_files(args.model)
         classifier = load_model(args.model)
-        if not isinstance(classifier, nets.SoftmaxClassifier):
-            raise ShiftDetectError(f"--model must be a saved label classifier, "
-                                   f"got a {type(classifier).__name__}")
     shifted = shifts.apply_shift(spec, ds, classifier=classifier)
     _write_dataset(shifted, args.output)
     n_changed = ""
@@ -294,8 +295,7 @@ def cmd_exemplars(args) -> int:
     if args.k < 1:
         print(f"error: k must be >= 1, got {args.k}", file=sys.stderr)
         return EXIT_USAGE
-    source = _load_sample(args.source)
-    target = _load_sample(args.target)
+    source, target = _load_samples(args)
     _, n_heldout_target = harness.domain_halves(source.n, target.n)
     if args.k > n_heldout_target:
         print(f"error: k={args.k} exceeds held-out target size {n_heldout_target}",

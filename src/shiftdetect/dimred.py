@@ -6,7 +6,8 @@ outputs of a label classifier, and a domain classifier (which reads the
 rows themselves), each one row of METHOD_TABLE. All reducers are fitted on
 training data only and are frozen afterwards: reducing the same matrix
 twice yields bit-identical output. save_model and load_model write and read
-every model type METHOD_TABLE names, in one file format.
+the one model a command loads from disk: the label classifier that an
+adversarial shift attacks (shift --model).
 """
 
 from __future__ import annotations
@@ -107,9 +108,7 @@ def pca_project(model: PcaModel, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SrpMatrix:
-    matrix: np.ndarray  # (D, K) with entries in {+sqrt(v/K), 0, -sqrt(v/K)}
-    sparsity: float     # v; nonzero density is 1/v
-    seed: int
+    matrix: np.ndarray  # (D, K) with entries in {+sqrt(v/K), 0, -sqrt(v/K)}, v = sqrt(D)
 
 
 def build_srp(d: int, k: int, seed: int) -> SrpMatrix:
@@ -128,7 +127,7 @@ def build_srp(d: int, k: int, seed: int) -> SrpMatrix:
     matrix = np.zeros((d, k))
     matrix[u < 1.0 / (2.0 * v)] = scale
     matrix[u >= 1.0 - 1.0 / (2.0 * v)] = -scale
-    return SrpMatrix(matrix=matrix, sparsity=v, seed=seed)
+    return SrpMatrix(matrix=matrix)
 
 
 def srp_project(model: SrpMatrix, x: np.ndarray) -> np.ndarray:
@@ -193,73 +192,76 @@ def reduce(kind: DrKind, fitted, x: np.ndarray) -> Representation:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: one versioned npz file per fitted model
+# Persistence: the label classifier, as one versioned npz file
 
-def _net_arrays(prefix: str, net: nets.NetParams) -> dict:
-    arrays = {f"{prefix}n_layers": net.n_layers,
-              f"{prefix}activations": np.array(net.activations)}
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        arrays.update({f"{prefix}w{i}": w, f"{prefix}b{i}": b})
-    return arrays
-
-
-def _net_from(prefix: str, archive) -> nets.NetParams:
-    n_layers = int(archive[f"{prefix}n_layers"])
-    activations = [str(a) for a in archive[f"{prefix}activations"]]
-    for i, name in enumerate(activations):  # a net would run an unknown one as identity
-        Rule("string", choices=nets._ACTIVATIONS).check(name, f"{prefix}activations[{i}]")
-    return nets.NetParams(weights=[archive[f"{prefix}w{i}"] for i in range(n_layers)],
-                          biases=[archive[f"{prefix}b{i}"] for i in range(n_layers)],
-                          activations=activations)
-
-
-# kind tag -> (model type, its arrays, the model back from an open archive)
-_SAVED_KINDS = {
-    "pca": (PcaModel,
-            lambda m: dict(mean=m.mean, components=m.components,
-                           explained_variance=m.explained_variance),
-            lambda a: PcaModel(mean=a["mean"], components=a["components"],
-                               explained_variance=a["explained_variance"])),
-    "srp": (SrpMatrix,
-            lambda m: dict(matrix=m.matrix, sparsity=m.sparsity, seed=m.seed),
-            lambda a: SrpMatrix(matrix=a["matrix"], sparsity=float(a["sparsity"]),
-                                seed=int(a["seed"]))),
-    "classifier": (nets.SoftmaxClassifier,
-                   lambda m: dict(num_classes=m.num_classes, **_net_arrays("net_", m.net)),
-                   lambda a: nets.SoftmaxClassifier(net=_net_from("net_", a),
-                                                    num_classes=int(a["num_classes"]))),
-    "autoencoder": (nets.Autoencoder,
-                    lambda m: dict(trained=m.trained, **_net_arrays("enc_", m.encoder),
-                                   **_net_arrays("dec_", m.decoder)),
-                    lambda a: nets.Autoencoder(encoder=_net_from("enc_", a),
-                                               decoder=_net_from("dec_", a),
-                                               trained=bool(a["trained"]))),
-}
 _FORMAT_VERSION = 1
 
 
 def save_model(model, path) -> None:
-    """Write a fitted model of a type METHOD_TABLE names to one flat npz file.
+    """Write a label classifier to one flat npz file.
 
-    The file holds format_version, a kind tag and the model's arrays;
-    load_model gives back a model whose outputs are bit-identical.
+    The file holds format_version, kind "classifier", num_classes and the
+    net's arrays net_n_layers, net_activations, net_w<i> and net_b<i>;
+    load_model gives back a classifier whose outputs are bit-identical.
     """
-    for kind, (model_type, arrays, _) in _SAVED_KINDS.items():
-        if isinstance(model, model_type):
-            np.savez(path, format_version=_FORMAT_VERSION, kind=kind, **arrays(model))
-            return
-    raise TypeError(f"cannot save a {type(model).__name__}")
+    if not isinstance(model, nets.SoftmaxClassifier):
+        raise TypeError(f"cannot save a {type(model).__name__}")
+    net = model.net
+    np.savez(path, format_version=_FORMAT_VERSION, kind="classifier",
+             num_classes=model.num_classes, net_n_layers=net.n_layers,
+             net_activations=np.array(net.activations),
+             **{f"net_w{i}": w for i, w in enumerate(net.weights)},
+             **{f"net_b{i}": b for i, b in enumerate(net.biases)})
 
 
-def load_model(path):
-    """The model save_model wrote to path; a file that is not one raises ValueError."""
+def _read(archive, path, key: str, rule: Rule | None = None, shape: tuple = ()):
+    """archive[key], refused by a ValueError naming path and key unless it is
+    there, readable (np.load will not unpickle an object array) and of shape
+    (None: any size there). Its items, as Python values, must keep rule; with
+    no rule, the array comes back and must hold finite real numbers."""
+    if key not in archive.files:
+        raise ValueError(f"{path}: no key {key!r}")
+    try:
+        value = archive[key]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {key} cannot be read: {exc}") from None
+    if value.ndim != len(shape) or any(n not in (None, got) for n, got in zip(shape, value.shape)):
+        expected = str(tuple("*" if n is None else n for n in shape)).replace("'", "")
+        raise ValueError(f"{path}: {key} has shape {value.shape}, expected {expected}")
+    if rule is None:
+        if value.dtype.kind not in "fiu" or not np.isfinite(value).all():
+            raise ValueError(f"{path}: {key} must hold finite real numbers")
+        return value
+    items = value.tolist()
+    for i, item in enumerate(items if shape else [items]):
+        rule.check(item, f"{path}: {key}" + (f"[{i}]" if shape else ""))
+    return items
+
+
+def load_model(path) -> nets.SoftmaxClassifier:
+    """The label classifier save_model wrote to path. Anything else raises
+    ValueError naming path and the key at fault: a missing or unreadable key,
+    a version or kind save_model does not write, an unknown activation, a
+    non-finite weight, layers whose shapes do not chain, or a last layer that
+    is not num_classes wide."""
     if not zipfile.is_zipfile(path):  # np.load would read an array or try to unpickle
         raise ValueError(f"{path} is not an npz archive")
     with np.load(path) as archive:
-        version = int(archive["format_version"])
+        version = _read(archive, path, "format_version", Rule("integer"))
         if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version {version}")
-        kind = str(archive["kind"])
-        if kind not in _SAVED_KINDS:
-            raise ValueError(f"unknown model kind {kind!r}")
-        return _SAVED_KINDS[kind][2](archive)
+            raise ValueError(f"{path}: unsupported model format version {version}")
+        kind = _read(archive, path, "kind", Rule("string"))
+        if kind != "classifier":
+            raise ValueError(f"{path}: unknown model kind {kind!r}")
+        num_classes = _read(archive, path, "num_classes", Rule("integer", 1))
+        n_layers = _read(archive, path, "net_n_layers", Rule("integer", 1))
+        # the nets would run an unknown activation as identity
+        net = nets.NetParams(activations=_read(archive, path, "net_activations",
+                                               Rule("string", choices=nets._ACTIVATIONS),
+                                               (n_layers,)))
+        for i in range(n_layers):
+            fan_in = net.weights[-1].shape[1] if i else None
+            fan_out = num_classes if i == n_layers - 1 else None
+            net.weights.append(_read(archive, path, f"net_w{i}", shape=(fan_in, fan_out)))
+            net.biases.append(_read(archive, path, f"net_b{i}", shape=net.weights[-1].shape[1:]))
+        return nets.SoftmaxClassifier(net=net, num_classes=num_classes)

@@ -65,7 +65,6 @@ class TrainConfig:
 class Autoencoder:
     encoder: NetParams  # D -> ... -> K
     decoder: NetParams  # K -> ... -> D
-    trained: bool = False
 
 
 @dataclass
@@ -315,12 +314,9 @@ def train_autoencoder(x_train: np.ndarray, x_val: np.ndarray, arch,
         residual = forward(candidate, x_val) - x_val
         return float(np.mean(residual * residual))
 
-    trained = cfg.max_epochs > 0
-    if trained:
+    if cfg.max_epochs > 0:
         net, _ = _sgd(net, x_train, x_train, "mse", val_error, cfg)
-    ae = _split_autoencoder(net, len(encoder_dims) - 1)
-    ae.trained = trained
-    return ae
+    return _split_autoencoder(net, len(encoder_dims) - 1)
 
 
 def encode(ae: Autoencoder, x: np.ndarray) -> np.ndarray:

