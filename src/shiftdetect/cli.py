@@ -7,7 +7,8 @@ via the domain classifier), report (re-derive tables from records.csv).
 
 Machine-readable JSON goes to stdout; log text goes to stderr. Exit codes:
 0 = no shift detected, 3 = shift detected, 64 = usage error, 65 = bad
-data/config, 66 = missing input file.
+data/config (a ShiftDetectError), 66 = missing input file. Any other
+exception is a bug, and its traceback is printed.
 """
 
 from __future__ import annotations
@@ -72,11 +73,13 @@ def _load_dataset(arg: str) -> TensorDataset:
 def _read_json(path, what: str):
     """The JSON document at path; what names it in the error message."""
     _require_files(path)
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             return json.load(f)
         except json.JSONDecodeError as exc:
             raise ShiftDetectError(f"{what} is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ShiftDetectError(f"{what} {path} is not UTF-8 text: {exc}") from exc
 
 
 def _write_dataset(ds: TensorDataset, arg: str) -> None:
@@ -415,7 +418,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc}", file=sys.stderr)
         return EXIT_NOINPUT
-    except (ShiftDetectError, ValueError, KeyError) as exc:
+    except ShiftDetectError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -126,7 +126,7 @@ def write_idx(ds: TensorDataset, images_path, labels_path) -> None:
     if c != 1:
         raise ShiftDetectError(f"IDX stores single-channel images, got {c} channels")
     if ds.labels.size and ds.labels.max() > 255:
-        raise ValueError(f"IDX stores labels as bytes in [0, 255], got {ds.labels.max()}")
+        raise ShiftDetectError(f"IDX stores labels as bytes in [0, 255], got {ds.labels.max()}")
     pixels = np.rint(ds.images * 255.0).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, ds.n, h, w))

@@ -215,22 +215,22 @@ def save_model(model, path) -> None:
 
 
 def _read(archive, path, key: str, rule: Rule | None = None, shape: tuple = ()):
-    """archive[key], refused by a ValueError naming path and key unless it is
-    there, readable (np.load will not unpickle an object array) and of shape
-    (None: any size there). Its items, as Python values, must keep rule; with
+    """archive[key], refused by a ShiftDetectError naming path and key unless
+    it is there, readable (np.load will not unpickle an object array) and of
+    shape (None: any size there). Its items, as Python values, must keep rule; with
     no rule, the array comes back and must hold finite real numbers."""
     if key not in archive.files:
-        raise ValueError(f"{path}: no key {key!r}")
+        raise ShiftDetectError(f"{path}: no key {key!r}")
     try:
         value = archive[key]
     except ValueError as exc:
-        raise ValueError(f"{path}: {key} cannot be read: {exc}") from None
+        raise ShiftDetectError(f"{path}: {key} cannot be read: {exc}") from None
     if value.ndim != len(shape) or any(n not in (None, got) for n, got in zip(shape, value.shape)):
         expected = str(tuple("*" if n is None else n for n in shape)).replace("'", "")
-        raise ValueError(f"{path}: {key} has shape {value.shape}, expected {expected}")
+        raise ShiftDetectError(f"{path}: {key} has shape {value.shape}, expected {expected}")
     if rule is None:
         if value.dtype.kind not in "fiu" or not np.isfinite(value).all():
-            raise ValueError(f"{path}: {key} must hold finite real numbers")
+            raise ShiftDetectError(f"{path}: {key} must hold finite real numbers")
         return value
     items = value.tolist()
     for i, item in enumerate(items if shape else [items]):
@@ -240,19 +240,19 @@ def _read(archive, path, key: str, rule: Rule | None = None, shape: tuple = ()):
 
 def load_model(path) -> nets.SoftmaxClassifier:
     """The label classifier save_model wrote to path. Anything else raises
-    ValueError naming path and the key at fault: a missing or unreadable key,
-    a version or kind save_model does not write, an unknown activation, a
-    non-finite weight, layers whose shapes do not chain, or a last layer that
-    is not num_classes wide."""
+    ShiftDetectError naming path and the key at fault: a missing or
+    unreadable key, a version or kind save_model does not write, an unknown
+    activation, a non-finite weight, layers whose shapes do not chain, or a
+    last layer that is not num_classes wide."""
     if not zipfile.is_zipfile(path):  # np.load would read an array or try to unpickle
-        raise ValueError(f"{path} is not an npz archive")
+        raise ShiftDetectError(f"{path} is not an npz archive")
     with np.load(path) as archive:
         version = _read(archive, path, "format_version", Rule("integer"))
         if version != _FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported model format version {version}")
+            raise ShiftDetectError(f"{path}: unsupported model format version {version}")
         kind = _read(archive, path, "kind", Rule("string"))
         if kind != "classifier":
-            raise ValueError(f"{path}: unknown model kind {kind!r}")
+            raise ShiftDetectError(f"{path}: unknown model kind {kind!r}")
         num_classes = _read(archive, path, "num_classes", Rule("integer", 1))
         n_layers = _read(archive, path, "net_n_layers", Rule("integer", 1))
         # the nets would run an unknown activation as identity

@@ -83,7 +83,6 @@ class ExperimentConfig:
     domain_batch_size: int = key(_TRAIN["batch_size"], 32)
     lr0: float = key(_TRAIN["lr0"], 0.1)
     ae_lr0: float = key(_TRAIN["lr0"], 2.0)  # per-element MSE gradients are ~1/D the CE scale
-    momentum: float = key(_TRAIN["momentum"], 0.9)
     patience: int = key(_TRAIN["patience"], 5)
     n_perms: int = key(_POSITIVE, 1000)
 
@@ -114,14 +113,12 @@ class ExperimentConfig:
 
     def train_config(self, epochs: int, seed: int, lr0: float | None = None) -> TrainConfig:
         return TrainConfig(batch_size=self.batch_size, lr0=self.lr0 if lr0 is None else lr0,
-                           momentum=self.momentum, max_epochs=epochs,
-                           patience=self.patience, seed=seed)
+                           max_epochs=epochs, patience=self.patience, seed=seed)
 
     def domain_train_config(self, seed: int) -> TrainConfig:
         """Training settings of the source-vs-target domain classifier."""
         return TrainConfig(batch_size=self.domain_batch_size, lr0=self.lr0,
-                           momentum=self.momentum, max_epochs=self.domain_epochs,
-                           patience=self.patience, seed=seed)
+                           max_epochs=self.domain_epochs, patience=self.patience, seed=seed)
 
 
 _DOC_RULES = {**rules_of(ExperimentConfig), "dataset": Rule("object")}
@@ -618,7 +615,7 @@ def read_records_csv(path) -> ExperimentResult:
     """The records write_records_csv wrote to path. A header other than
     RECORD_COLUMNS, a row of another length or status, or a field that does
     not parse (on ok rows, reject true/false and p_value a number in
-    [0, 1]) raises ValueError naming the line. records.csv keeps no
+    [0, 1]) raises ShiftDetectError naming the line. records.csv keeps no
     alpha; each outcome gets 0.05, which no table reads."""
     records = []
     with open(path, newline="") as f:
@@ -630,7 +627,7 @@ def read_records_csv(path) -> ExperimentResult:
             for values in reader:
                 records.append(_record_from_row(values))
         except (ValueError, csv.Error) as exc:
-            raise ValueError(f"{path} line {max(reader.line_num, 1)}: {exc}") from exc
+            raise ShiftDetectError(f"{path} line {max(reader.line_num, 1)}: {exc}") from exc
     return ExperimentResult(records=records)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import Rule, ShiftDetectError, check_fields, key
 
 _ACTIVATIONS = ("relu", "tanh", "identity")
+MOMENTUM = 0.9  # SGD momentum of every training run
 
 
 @dataclass
@@ -52,7 +53,6 @@ class TrainConfig:
 
     batch_size: int = key(Rule("integer", 1), 128)
     lr0: float = key(Rule("finite number", 0, ends="(]"), 0.1)
-    momentum: float = key(Rule("finite number", 0, 1, "[)"), 0.9)
     max_epochs: int = key(Rule("integer", 0), 30)
     patience: int = key(Rule("integer", 1), 10)
     seed: int = 0
@@ -219,7 +219,7 @@ def input_gradient(clf: SoftmaxClassifier, x: np.ndarray, labels) -> np.ndarray:
 # Training
 
 def _sgd(net: NetParams, x: np.ndarray, target, loss: str, score_fn, cfg: TrainConfig):
-    """SGD + momentum with lr_t = lr0/sqrt(t) per epoch and early stopping.
+    """SGD + momentum m = MOMENTUM with lr_t = lr0/sqrt(t) per epoch and early stopping.
 
     score_fn(net) -> float to minimize; evaluated on the initial net and
     after every epoch. Returns (snapshot, epoch) for the best (strictly
@@ -255,7 +255,7 @@ def _sgd(net: NetParams, x: np.ndarray, target, loss: str, score_fn, cfg: TrainC
                 input_grad=False, buffers=buffers)
             if not math.isfinite(value):
                 raise ShiftDetectError(f"non-finite loss at epoch {epoch}")
-            velocity *= cfg.momentum
+            velocity *= MOMENTUM
             grads *= lr
             velocity -= grads
             params += velocity

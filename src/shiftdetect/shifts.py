@@ -220,14 +220,14 @@ def apply_image_shift(ds: TensorDataset, rot_max_deg: float, trans_max_frac: flo
     U[-t, +t] * width, and a zoom-in factor U[1, 1 + zoom_max], so the
     result does not depend on processing order. Images 1 pixel high or
     wide (a CSV row is read as one) have no plane to move in and raise
-    ValueError.
+    ShiftDetectError.
     """
     for name, value in (("rot_max_deg", rot_max_deg), ("trans_max_frac", trans_max_frac),
                         ("zoom_max_frac", zoom_max_frac)):
         _PARAM.check(value, name)
     if min(ds.image_shape[:2]) < 2:
-        raise ValueError(f"image shifts need images at least 2 pixels high and wide, "
-                         f"got image shape {ds.image_shape}")
+        raise ShiftDetectError(f"image shifts need images at least 2 pixels high and wide, "
+                               f"got image shape {ds.image_shape}")
     if delta == 0.0 or ds.n == 0:
         return ds
     master = np.random.default_rng(seed)
@@ -282,6 +282,9 @@ def apply_adversarial(ds: TensorDataset, clf: nets.SoftmaxClassifier,
     _PARAM.check(epsilon, "epsilon")
     if clf.net.in_dim != ds.dim:
         raise ShiftDetectError(f"classifier expects dim {clf.net.in_dim}, dataset has {ds.dim}")
+    if ds.n and ds.labels.max() >= clf.num_classes:
+        raise ShiftDetectError(f"dataset labels run to {ds.labels.max()}, but the classifier "
+                               f"has {clf.num_classes} classes")
     if epsilon == 0.0 or delta == 0.0 or ds.n == 0:
         return ds
     rng = np.random.default_rng(seed)

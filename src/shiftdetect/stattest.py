@@ -150,16 +150,17 @@ def bonferroni_aggregate(p_values, alpha: float) -> TestOutcome:
 # ---------------------------------------------------------------------------
 # Maximum mean discrepancy
 
-def _pairwise_sq_dists(z: np.ndarray, finish=None) -> np.ndarray:
-    """max(0, (|z_i|^2 + |z_j|^2) - 2 z_i.z_j), built in place of the Gram matrix.
+def _kernel_matrix(z: np.ndarray, bandwidth: float) -> np.ndarray:
+    """RBF kernel exp(-d_ij / (2 bandwidth^2)) of the rows of z, built in
+    place of the Gram matrix, with d_ij = max(0, (|z_i|^2 + |z_j|^2) - 2 z_i.z_j).
 
     The Gram matrix comes from one product; the elementwise steps then run
     over blocks of whole rows of at most KERNEL_BLOCK_ELEMENTS entries, so
-    each block stays in cache from its first step to its last. finish, if
-    given, is applied in place to each finished block. Every entry sees the
-    same operations in the same order as on the whole matrix, so the bits
-    do not depend on the block size.
+    each block stays in cache from its first step to its last. Every entry
+    sees the same operations in the same order as on the whole matrix, so
+    the bits do not depend on the block size.
     """
+    scale = bandwidth * bandwidth
     norms = np.sum(z * z, axis=1)
     out = z @ z.T
     total = out.shape[0]
@@ -172,27 +173,10 @@ def _pairwise_sq_dists(z: np.ndarray, finish=None) -> np.ndarray:
         np.add.outer(norms[lo:lo + rows], norms, out=sq)
         sq -= block
         np.maximum(sq, 0.0, out=block)
-        if finish is not None:
-            finish(block)
-    return out
-
-
-def _kernel_matrix(z: np.ndarray, bandwidth: float) -> np.ndarray:
-    scale = bandwidth * bandwidth
-
-    def to_kernel(block: np.ndarray) -> None:
         block *= -0.5
         block /= scale
         np.exp(block, out=block)
-
-    return _pairwise_sq_dists(z, to_kernel)
-
-
-def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
-    """Median heuristic: bandwidth^2 = median of pooled pairwise squared distances / 2."""
-    sq = _pairwise_sq_dists(np.vstack(_as_samples(x, y)))
-    med = float(np.median(sq[np.triu_indices_from(sq, k=1)]))
-    return math.sqrt(med / 2.0) if med > 0 else 1.0
+    return out
 
 
 def mmd2_unbiased(x, y, bandwidth: float = 1.0) -> float:
@@ -232,8 +216,13 @@ def _mmd2_from_assignments(kernel: np.ndarray, row_sums: np.ndarray, member_x: n
     the block to its right: one product member_x[:, lo:hi] @ K[lo:hi, lo:]
     per block, about B*N^2/2 multiply-adds in all. The products go into
     scratch, a flat buffer of at least B*N floats reused across calls.
-    Uses kernel diag == 1 (RBF, identical points) to subtract diagonals in
-    closed form. The last bits depend on the block layout (MMD_BLOCK_ROWS).
+    The diagonal sums are subtracted as m and n, i.e. as if every K_ii were
+    1. The kernel's K_ii are exp(-r / (2 bandwidth^2)) with r the rounding
+    residue of (|z_i|^2 + |z_i|^2) - 2 z_i.z_i: <= 1, and on the package's
+    representations within 1e-12 of it, where about a third are not exactly
+    1. So a split's value here differs from _mmd2_observed's by about
+    1e-12, and the observed split is counted by its tie rule, not by its
+    value. The last bits depend on the block layout (MMD_BLOCK_ROWS).
     """
     b, total_n = member_x.shape
     zkz = np.zeros(b)
@@ -294,7 +283,7 @@ def _stop_count(n_perms: int, alpha: float) -> int:
 
 
 def mmd_permutation_test(x, y, n_perms: int = 1000, alpha: float = 0.05,
-                         seed: int = 0, bandwidth: float | None = 1.0) -> TestOutcome:
+                         seed: int = 0, bandwidth: float = 1.0) -> TestOutcome:
     """Permutation test on the unbiased MMD^2 with a cached kernel matrix.
 
     The pooled kernel matrix is computed once; permutations are evaluated
@@ -316,9 +305,8 @@ def mmd_permutation_test(x, y, n_perms: int = 1000, alpha: float = 0.05,
     (1 + e) / (1 + n_perms), so a rejecting test's p-value is the full
     run's. L is read from a running count over the draws, and every draw
     comes from one stream seeded by seed, so the outcome does not depend on
-    PERM_CHUNK or on the thread count. bandwidth=None selects the median
-    heuristic. Raises ShiftDetectError on NaN or infinite values and
-    ValueError unless n_perms >= 1 and 0 < alpha < 1.
+    PERM_CHUNK or on the thread count. Raises ShiftDetectError on NaN or
+    infinite values and ValueError unless n_perms >= 1 and 0 < alpha < 1.
     """
     x, y = _as_samples(x, y)
     m, n = x.shape[0], y.shape[0]
@@ -329,8 +317,6 @@ def mmd_permutation_test(x, y, n_perms: int = 1000, alpha: float = 0.05,
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     _require_finite(x, y)
-    if bandwidth is None:
-        bandwidth = median_bandwidth(x, y)
 
     kernel = _kernel_matrix(np.vstack([x, y]), bandwidth)
     observed = _mmd2_observed(kernel, m, n)

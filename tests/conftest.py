@@ -61,8 +61,7 @@ def desk_split(desk_pool):
 @pytest.fixture(scope="session")
 def desk_classifier(desk_split):
     """Label classifier at desk scale; must be strong enough for BBSD/FGSM."""
-    cfg = nets.TrainConfig(batch_size=128, lr0=0.1, momentum=0.9,
-                           max_epochs=15, patience=5, seed=7)
+    cfg = nets.TrainConfig(batch_size=128, lr0=0.1, max_epochs=15, patience=5, seed=7)
     clf = nets.train_label_classifier(
         (flatten(desk_split.train), desk_split.train.labels),
         (flatten(desk_split.val), desk_split.val.labels),

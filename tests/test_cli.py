@@ -592,8 +592,7 @@ def test_bench_bad_config_exit_65(tmp_path):
     ("ae_epochs", -1), ("clf_epochs", -3), ("domain_epochs", -1),
     ("batch_size", 0), ("batch_size", 2.5), ("domain_batch_size", 0),
     ("lr0", 0), ("ae_lr0", 0), ("ae_lr0", -0.5),
-    ("momentum", 1.0), ("momentum", -0.1),
-    ("patience", 0),
+    ("patience", 0), ("patience", 1.5), ("domain_batch_size", True),
     ("latent_dim", 0), ("hidden_dim", 0), ("domain_hidden_dim", 0),
     ("n_perms", 0), ("n_perms", 100.0), ("runs", 0), ("runs", 1.5),
     ("n_train", 10.5), ("n_train", -3), ("n_train", 0), ("n_val", -1), ("n_test", 2.5),
@@ -959,3 +958,69 @@ def test_report_missing_records_exit_66(tmp_path):
     argv = ["report", "--records", str(tmp_path / "no.csv"), "--out", str(tmp_path / "r")]
     assert main(argv) == 66
     assert main(argv + ["--alpha", "0.1"]) == 64  # the tables read only reject and p_value
+
+
+def test_shift_refuses_a_classifier_with_fewer_classes_than_the_labels(tmp_path, capsys):
+    # the attack's loss reads each label's class score: label 4 has none in
+    # a 2-class net
+    src = tmp_path / "five_classes.csv"
+    rng = np.random.default_rng(3)
+    write_csv(TensorDataset(rng.random((20, 1, 8, 1)), np.arange(20) % 5, 5), src)
+    save_model(nets.SoftmaxClassifier(net=nets.init_network((8, 16, 2), seed=1), num_classes=2),
+               tmp_path / "clf.npz")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"preset": "adv_shift", "delta": 0.5, "epsilon": 0.1}))
+    argv = ["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec),
+            "--model", str(tmp_path / "clf.npz")]
+    assert main(argv) == 65
+    assert capsys.readouterr().err == ("error: dataset labels run to 4, but the classifier has "
+                                       "2 classes\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
+def _refusal_argv(tmp_path, site, src):
+    """The argv of a command that reaches the refusal at site, and the text
+    its error must hold: the file, key or value at fault."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"preset": "no_shift"}))
+    shift = ["shift", str(src), str(tmp_path / "o.csv"), "--spec", str(spec)]
+    if site == "load_model":
+        (tmp_path / "clf.npz").write_text("not a zip")
+        return shift + ["--model", str(tmp_path / "clf.npz")], f"{tmp_path / 'clf.npz'}"
+    if site == "read_records_csv":
+        (tmp_path / "records.csv").write_text("shift\n")
+        return (["report", "--records", str(tmp_path / "records.csv"), "--out",
+                 str(tmp_path / "r")], f"{tmp_path / 'records.csv'} line 1: the header")
+    if site == "write_idx":
+        write_csv(TensorDataset(np.zeros((3, 1, 4, 1)), [300, 1, 0], 301), src)
+        return (["shift", str(src), f"{tmp_path / 'o.idx'},{tmp_path / 'l.idx'}", "--spec",
+                 str(spec)], "labels as bytes in [0, 255], got 300")
+    if site == "apply_image_shift":
+        spec.write_text(json.dumps({"preset": "small_img_shift"}))
+        return shift, "got image shape (1, 8, 1)"
+    spec.write_bytes(b"\xff{}")
+    return shift, f"spec {spec} is not UTF-8 text"
+
+
+@pytest.mark.parametrize("site", ["load_model", "read_records_csv", "write_idx",
+                                  "apply_image_shift", "read_json"])
+def test_each_refusal_a_command_reaches_exits_65_naming_what_is_at_fault(tmp_path, sample_files,
+                                                                       capsys, site):
+    argv, named = _refusal_argv(tmp_path, site, sample_files[0])
+    assert main(argv) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [ValueError("a bug"), KeyError("a bug")])
+def test_an_exception_that_is_no_refusal_propagates_out_of_main(tmp_path, monkeypatch, error):
+    # only a ShiftDetectError is bad input; anything else is a bug and keeps
+    # its traceback
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(harness, "run_experiment", broken)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(BENCH_CONFIG))
+    with pytest.raises(type(error), match="a bug"):
+        main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "x")])

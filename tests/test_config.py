@@ -80,7 +80,7 @@ def _entry(key, index, value):
     (["nored"], "config must be an object, got ['nored']"),
     (dict(TINY, alpha="0.05"), "alpha must be a finite number in (0, 1), got '0.05'"),
     (dict(TINY, lr0="x"), "lr0 must be a finite number > 0, got 'x'"),
-    (dict(TINY, momentum=None), "momentum must be a finite number in [0, 1), got None"),
+    (dict(TINY, momentum=0.9), "config takes no key 'momentum'; it takes methods, shifts"),
     (dict(TINY, methods="nored"), "methods must be a non-empty list, got 'nored'"),
     (dict(TINY, methods=[["pca", "univariate", "x"]]),
      "methods[0] must be a kind string, a [kind, mode] pair or an object"),

@@ -467,8 +467,8 @@ def test_train_config_keeps_an_explicit_learning_rate():
     assert cfg.train_config(3, 1, lr0=cfg.ae_lr0).lr0 == 0.7
     with pytest.raises(ValueError):  # no silent fallback to cfg.lr0
         cfg.train_config(3, 1, lr0=0.0)
-    boundary = _small_config(ae_epochs=0, clf_epochs=0, domain_epochs=0, momentum=0.0,
-                             patience=1, batch_size=1, domain_batch_size=1)
+    boundary = _small_config(ae_epochs=0, clf_epochs=0, domain_epochs=0, patience=1,
+                             batch_size=1, domain_batch_size=1)
     assert boundary.train_config(0, 1).max_epochs == 0
 
 

@@ -30,16 +30,14 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lr0=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(momentum=1.0)
-    with pytest.raises(ValueError):
         TrainConfig(max_epochs=-1)
     with pytest.raises(ValueError):
         TrainConfig(patience=0)
-    TrainConfig(momentum=0.0, max_epochs=0, patience=1)  # boundary values are fine
+    TrainConfig(max_epochs=0, patience=1)  # boundary values are fine
     # a fractional count, a bool or a non-finite or text rate is refused by name
     for field, value in (("batch_size", 2.5), ("batch_size", True), ("patience", 1.5),
                          ("max_epochs", 1.5), ("lr0", float("inf")), ("lr0", float("nan")),
-                         ("lr0", "x"), ("momentum", None)):
+                         ("lr0", "x")):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             TrainConfig(**{field: value})
 
@@ -141,8 +139,7 @@ def test_training_loss_decreases_convex_toy():
         x = rng.standard_normal((60, 6)) * 0.5
         net = init_network((6, 2, 6), activation="identity", seed=seed)
         losses = []
-        cfgs = TrainConfig(max_epochs=1, batch_size=60, lr0=0.05, momentum=0.0,
-                           seed=seed)
+        cfgs = TrainConfig(max_epochs=1, batch_size=60, lr0=0.05, seed=seed)
         for _ in range(6):
             loss, *_ = loss_and_gradients(net, x, x, "mse")
             losses.append(loss)

@@ -10,6 +10,8 @@ from hypothesis.extra import numpy as hnp
 from scipy import special, stats
 
 from shiftdetect import stattest
+from shiftdetect.data import flatten
+from shiftdetect.digits import make_digits
 from shiftdetect.dimred import DrKind, Representation
 from shiftdetect.errors import ShiftDetectError
 from shiftdetect.stattest import (
@@ -20,7 +22,6 @@ from shiftdetect.stattest import (
     chi2_independence,
     dispatch_test,
     ks_pvalues_by_column,
-    median_bandwidth,
     mmd2_unbiased,
     mmd_permutation_test,
 )
@@ -555,8 +556,20 @@ def test_kernel_row_blocks_keep_every_bit(block):
     whole /= 0.7 * 0.7
     np.exp(whole, out=whole)
     with mock.patch.object(stattest, "KERNEL_BLOCK_ELEMENTS", block):
-        assert np.array_equal(stattest._pairwise_sq_dists(z), sq)
         assert np.array_equal(stattest._kernel_matrix(z, 0.7), whole)
+
+
+def test_kernel_diagonal_is_one_up_to_the_distance_rounding():
+    # the self-distance (|z|^2 + |z|^2) - 2 z.z may round to a tiny positive
+    # value, so K_ii is not always exactly 1; _mmd2_from_assignments takes it as 1
+    diagonals = [np.diag(stattest._kernel_matrix(z, 1.0)) for z in (
+        flatten(make_digits(400, seed=0)),
+        np.random.default_rng(0).normal(size=(400, 32)) * 2.0,
+        np.random.default_rng(1).uniform(size=(400, 16)))]
+    for diagonal in diagonals:
+        assert (diagonal <= 1.0).all()
+        assert np.abs(1.0 - diagonal).max() <= 1e-12
+    assert any((diagonal != 1.0).any() for diagonal in diagonals)
 
 
 def test_mmd_permutation_p_value_counts_drawn_relabelings():
@@ -651,8 +664,6 @@ def test_mmd_permutation_rejects_alpha_outside_unit_interval(alpha):
 def test_mmd_entry_points_reject_unequal_widths():
     x, y = np.zeros((6, 3)), np.ones((5, 4))
     for call in (lambda: mmd_permutation_test(x, y, n_perms=10),
-                 lambda: mmd_permutation_test(x, y, n_perms=10, bandwidth=None),
-                 lambda: median_bandwidth(x, y),
                  lambda: mmd2_unbiased(x, y)):
         with pytest.raises(ShiftDetectError, match="^feature counts differ: 3 vs 4$"):
             call()
@@ -672,7 +683,7 @@ def test_mmd_permutation_rejects_non_finite():
     with pytest.raises(ShiftDetectError, match=NON_FINITE):
         mmd_permutation_test(x, y, seed=0)
     with pytest.raises(ShiftDetectError, match=NON_FINITE):
-        mmd_permutation_test(np.full((3, 2), -np.inf), x[:, :2], bandwidth=None)
+        mmd_permutation_test(np.full((3, 2), -np.inf), x[:, :2])
 
 
 # ---------------------------------------------------------------------------
