@@ -16,6 +16,7 @@ from shiftdetect import (
     build_srp,
     fit_pca,
     flatten,
+    pca_project,
     random_split,
     reduce,
     srp_project,
@@ -25,18 +26,18 @@ from shiftdetect import (
 from shiftdetect import digits, nets
 
 corpus = digits.make_digits(3000, seed=7)
-split = random_split(corpus, 2400, 300, 300, seed=0)
-x_train = flatten(split.train)
-x_test = flatten(split.test)
+train, val, test = random_split(corpus, 2400, 300, 300, seed=0)
+x_train, x_val, x_test = flatten(train), flatten(val), flatten(test)
 d = x_train.shape[1]
 k = 32
 print(f"corpus: {corpus.n} digit images, flattened to D = {d}; target K = {k}\n")
 
 # --- PCA --------------------------------------------------------------------
 pca = fit_pca(x_train, k)
-explained = pca.explained_variance.sum() / x_train.var(axis=0, ddof=1).sum()
+variances = pca_project(pca, x_train).var(axis=0, ddof=1)
+explained = variances.sum() / x_train.var(axis=0, ddof=1).sum()
 print(f"PCA: top-{k} components explain {explained:.0%} of the variance")
-print(f"     leading eigenvalues: {np.round(pca.explained_variance[:4], 3)}")
+print(f"     leading component variances: {np.round(variances[:4], 3)}")
 
 # --- sparse random projection ------------------------------------------------
 srp = build_srp(d, k, seed=1)
@@ -57,9 +58,8 @@ print(f"     pairwise-distance distortion over 4 draws: "
 
 # --- autoencoders -------------------------------------------------------------
 arch = (d, 256, k)
-uae = train_autoencoder(x_train, flatten(split.val), arch,
-                        TrainConfig(max_epochs=0, seed=2))
-tae = train_autoencoder(x_train, flatten(split.val), arch,
+uae = train_autoencoder(x_train, x_val, arch, TrainConfig(max_epochs=0, seed=2))
+tae = train_autoencoder(x_train, x_val, arch,
                         TrainConfig(max_epochs=10, patience=5, lr0=2.0, seed=2))
 
 
@@ -72,12 +72,10 @@ print(f"TAE: trained encoder,   reconstruction MSE {reconstruction_mse(tae):.4f}
       f"(pixel variance {x_test.var():.4f})")
 
 # --- label-classifier representations -----------------------------------------
-clf = train_label_classifier((x_train, split.train.labels),
-                             (flatten(split.val), split.val.labels),
+clf = train_label_classifier((x_train, train.labels), (x_val, val.labels),
                              10, TrainConfig(max_epochs=10, patience=5, seed=3),
                              hidden_dims=(256,))
-print(f"label classifier: val accuracy "
-      f"{nets.accuracy(clf, flatten(split.val), split.val.labels):.3f}")
+print(f"label classifier: val accuracy {nets.accuracy(clf, x_val, val.labels):.3f}")
 
 for kind, fitted in ((DrKind.NORED, None), (DrKind.PCA, pca), (DrKind.SRP, srp),
                      (DrKind.UAE, uae), (DrKind.TAE, tae),

@@ -20,11 +20,10 @@ def ascii_digit(image, threshold=0.35):
 
 
 corpus = digits.make_digits(2000, seed=3)
-split = random_split(corpus, 1500, 250, 250, seed=0)
-test = split.test
+train, val, test = random_split(corpus, 1500, 250, 250, seed=0)
 
-clf = train_label_classifier((flatten(split.train), split.train.labels),
-                             (flatten(split.val), split.val.labels), 10,
+clf = train_label_classifier((flatten(train), train.labels),
+                             (flatten(val), val.labels), 10,
                              TrainConfig(max_epochs=8, patience=4, seed=1),
                              hidden_dims=(128,))
 

@@ -6,7 +6,6 @@ from the same distribution, simulate shifts, and benchmark the detectors.
 """
 
 from .data import (
-    DataSplit,
     TensorDataset,
     flatten,
     load_csv,

@@ -7,8 +7,9 @@ via the domain classifier), report (re-derive tables from records.csv).
 
 Machine-readable JSON goes to stdout; log text goes to stderr. Exit codes:
 0 = no shift detected, 3 = shift detected, 64 = usage error, 65 = bad
-data/config (a ShiftDetectError), 66 = missing input file. Any other
-exception is a bug, and its traceback is printed.
+data/config or an output path that cannot be written (a ShiftDetectError),
+66 = missing input file or a directory given as one. Any other exception is
+a bug, and its traceback is printed.
 """
 
 from __future__ import annotations
@@ -52,8 +53,26 @@ def _emit(payload: dict) -> None:
 
 def _require_files(*paths) -> None:
     for p in paths:
+        if Path(p).is_dir():
+            raise FileNotFoundError(f"{p} is a directory, not a file")
         if not Path(p).exists():
-            raise FileNotFoundError(p)
+            raise FileNotFoundError(f"no such file: {p}")
+
+
+def _check_output(path, directory: bool = False) -> None:
+    """Refuse, before any work, an output path that cannot be written: a
+    file must go into an existing directory and not be one itself; a
+    directory is made with its parents, so the nearest of them that exists
+    must be a directory."""
+    path = Path(path)
+    if directory:
+        nearest = next(p for p in (path, *path.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ShiftDetectError(f"output directory {path}: {nearest} is not a directory")
+    elif path.is_dir():
+        raise ShiftDetectError(f"output {path} is a directory")
+    elif not path.parent.is_dir():
+        raise ShiftDetectError(f"output {path}: no directory {path.parent}")
 
 
 def _read_dataset(images, labels=None) -> TensorDataset:
@@ -180,6 +199,8 @@ def cmd_detect(args) -> int:
 # shift
 
 def cmd_shift(args) -> int:
+    for path in args.output.split(",", 1):  # a CSV path or an IDX pair
+        _check_output(path)
     ds = _load_dataset(args.input)
     spec = harness.parse_shift_spec(_read_json(args.spec, "spec"))
     classifier = None
@@ -255,6 +276,7 @@ def cmd_bench(args) -> int:
     if args.threads < 1:
         print(f"error: threads must be >= 1, got {args.threads}", file=sys.stderr)
         return EXIT_USAGE
+    _check_output(args.out, directory=True)
     doc = _read_json(args.config, "config")
     cfg = ExperimentConfig.from_dict(doc)
     dataset = _dataset_from_config(doc, cfg)
@@ -304,6 +326,7 @@ def cmd_exemplars(args) -> int:
         print(f"error: k={args.k} exceeds held-out target size {n_heldout_target}",
               file=sys.stderr)
         return EXIT_USAGE
+    _check_output(args.out, directory=True)
     check = harness.domain_check(_one_shot_config(args, source, MethodSpec(DrKind.CLASSIF)),
                                  flatten(source), flatten(target), seed=args.seed)
     outdir = Path(args.out)
@@ -334,6 +357,7 @@ def cmd_exemplars(args) -> int:
 # report
 
 def cmd_report(args) -> int:
+    _check_output(args.out, directory=True)
     _require_files(args.records)
     result = harness.read_records_csv(args.records)
     outdir = Path(args.out)
@@ -416,7 +440,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except FileNotFoundError as exc:
-        print(f"error: no such file: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOINPUT
     except ShiftDetectError as exc:
         print(f"error: {exc}", file=sys.stderr)

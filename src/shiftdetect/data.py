@@ -68,16 +68,6 @@ class TensorDataset:
         return np.flatnonzero(self.labels == class_id)
 
 
-@dataclass(frozen=True)
-class DataSplit:
-    """Disjoint train/val/test parts drawn from one pool."""
-
-    train: TensorDataset
-    val: TensorDataset
-    test: TensorDataset
-    seed: int
-
-
 def _read_exact(f, count: int, path) -> bytes:
     buf = f.read(count)
     if len(buf) != count:
@@ -188,8 +178,8 @@ def split_indices(n: int, n_train: int, n_val: int, n_test: int,
 
 
 def random_split(pool: TensorDataset, n_train: int, n_val: int, n_test: int,
-                 seed: int) -> DataSplit:
-    """Partition a pool into disjoint train/val/test parts of exact sizes.
+                 seed: int) -> tuple[TensorDataset, TensorDataset, TensorDataset]:
+    """Partition a pool into disjoint (train, val, test) parts of exact sizes.
 
     A single permutation of the pool (numpy PCG64 generator, Fisher-Yates
     shuffle) is sliced into the three parts, so equal seeds reproduce the
@@ -197,8 +187,7 @@ def random_split(pool: TensorDataset, n_train: int, n_val: int, n_test: int,
     left unused.
     """
     train, val, test = split_indices(pool.n, n_train, n_val, n_test, seed)
-    return DataSplit(train=pool.subset(train), val=pool.subset(val),
-                     test=pool.subset(test), seed=seed)
+    return pool.subset(train), pool.subset(val), pool.subset(test)
 
 
 def flatten(ds: TensorDataset) -> np.ndarray:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .data import TensorDataset
-from .errors import is_int
 from .shifts import BATCH_IMAGES, affine_transform_images
 
 # Segment endpoints in a unit box (x0, y0, x1, y1), y growing downward.
@@ -69,14 +68,8 @@ def _render_batch(table: np.ndarray, labels: np.ndarray, radius: np.ndarray,
     return np.clip(coverage * brightness[:, None, None], 0.0, 1.0)
 
 
-def make_digits(n: int, seed: int = 0,
-                rotation_offsets: dict[int, float] | None = None) -> TensorDataset:
+def make_digits(n: int, seed: int = 0) -> TensorDataset:
     """Generate n labeled digit images with randomized style and pose.
-
-    rotation_offsets adds a systematic per-class rotation bias on top of
-    the random jitter, which is how a deliberately non-iid subpopulation
-    can be produced (all other style draws stay identically distributed).
-    Its keys must be class ids 0-9; anything else raises ValueError.
 
     Draw order: the n labels, then per image its six style uniforms (stroke
     radius, brightness, rotation, x and y translation, zoom) followed by its
@@ -87,11 +80,6 @@ def make_digits(n: int, seed: int = 0,
     (affine_transform_images, whose out-of-image corners read 0.0 times the
     nearest edge pixel); the output does not depend on the batch size.
     """
-    offsets = np.zeros(10)
-    for label, degrees in (rotation_offsets or {}).items():
-        if not is_int(label) or not 0 <= label < 10:
-            raise ValueError(f"rotation_offsets keys must be class ids 0-9, got {label!r}")
-        offsets[label] = degrees
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 10, size=n)
     images = np.empty((n, IMAGE_SIZE, IMAGE_SIZE, 1))
@@ -105,7 +93,6 @@ def make_digits(n: int, seed: int = 0,
             rng.random(out=uniforms[j])
             rng.standard_normal(out=normals[j])
         style = _STYLE_LOW + _STYLE_SPAN * uniforms[:count]
-        style[:, 2] += offsets[labels[start:stop]]
         noise = NOISE_SIGMA * normals[:count]
         noise += 0.0  # as loc + scale * Z in Generator.normal: -0.0 becomes 0.0
         base = _render_batch(table, labels[start:stop], style[:, 0], style[:, 1])

@@ -56,9 +56,8 @@ class Representation:
 
 @dataclass(frozen=True)
 class PcaModel:
-    mean: np.ndarray                # (D,)
-    components: np.ndarray          # (K, D), orthonormal rows
-    explained_variance: np.ndarray  # (K,), nonincreasing
+    mean: np.ndarray        # (D,)
+    components: np.ndarray  # (K, D), orthonormal rows
 
 
 def fit_pca(x: np.ndarray, k: int) -> PcaModel:
@@ -70,12 +69,8 @@ def fit_pca(x: np.ndarray, k: int) -> PcaModel:
     cost is O(N D^2) to form the scatter matrix plus O(D^3) for the
     eigensolver, for every N; no (N, D) factor is built. Sign convention:
     each component is flipped so its largest-magnitude coordinate is
-    positive, which pins the decomposition across platforms.
-
-    explained_variance is the sample variance of the training projections,
-    ||C v||^2 / (N - 1), not the eigenvalue: eigenvalues of C^T C carry an
-    absolute error of about eps * lambda_1, while the projections of a
-    rank-deficient input's null directions come out as (numerically) zero.
+    positive, which pins the decomposition across platforms. The variance
+    a component explains is that of pca_project(model, x) along it.
     """
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
@@ -89,9 +84,7 @@ def fit_pca(x: np.ndarray, k: int) -> PcaModel:
         pivot = np.argmax(np.abs(row))
         if row[pivot] < 0:
             row *= -1.0
-    projections = centered @ components.T
-    variance = np.einsum("ij,ij->j", projections, projections) / (n - 1)
-    return PcaModel(mean=mean, components=components, explained_variance=variance)
+    return PcaModel(mean=mean, components=components)
 
 
 def pca_project(model: PcaModel, x: np.ndarray) -> np.ndarray:

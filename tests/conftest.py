@@ -55,17 +55,18 @@ def desk_pool() -> TensorDataset:
 
 @pytest.fixture(scope="session")
 def desk_split(desk_pool):
+    """The (train, val, test) parts of the desk pool."""
     return random_split(desk_pool, DESK_TRAIN, DESK_VAL, DESK_TEST, seed=31)
 
 
 @pytest.fixture(scope="session")
 def desk_classifier(desk_split):
     """Label classifier at desk scale; must be strong enough for BBSD/FGSM."""
+    train, val, _ = desk_split
     cfg = nets.TrainConfig(batch_size=128, lr0=0.1, max_epochs=15, patience=5, seed=7)
     clf = nets.train_label_classifier(
-        (flatten(desk_split.train), desk_split.train.labels),
-        (flatten(desk_split.val), desk_split.val.labels),
-        desk_split.train.num_classes, cfg, hidden_dims=(256,))
+        (flatten(train), train.labels), (flatten(val), val.labels),
+        train.num_classes, cfg, hidden_dims=(256,))
     return clf
 
 

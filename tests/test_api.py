@@ -12,7 +12,6 @@ import shiftdetect
 
 PUBLIC_NAMES = [
     "Autoencoder",
-    "DataSplit",
     "DomainCheck",
     "DrKind",
     "ExperimentConfig",

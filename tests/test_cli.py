@@ -182,11 +182,13 @@ def test_detect_tests_source_rows_its_model_was_not_fitted_on(sample_files, monk
 
 def _refuse_work(monkeypatch):
     def no_work(*args, **kwargs):
-        raise AssertionError("data built, split or a model fitted before the flags were checked")
+        raise AssertionError("data built, split, shifted or a model fitted before the "
+                             "arguments were checked")
 
     for target in ("shiftdetect.digits.make_digits", "shiftdetect.harness.fit_and_reference_rows",
                    "shiftdetect.harness.fit_reducers",
-                   "shiftdetect.harness.run_domain_classifier_test"):
+                   "shiftdetect.harness.run_domain_classifier_test",
+                   "shiftdetect.shifts.apply_shift"):
         monkeypatch.setattr(target, no_work)
 
 
@@ -361,7 +363,7 @@ def test_shift_adversarial_with_a_saved_classifier(tmp_path, sample_files, capsy
                               dec_n_layers=1, dec_activations=np.array(decoder.activations),
                               dec_w0=decoder.weights[0], dec_b0=decoder.biases[0]),
                    "pca": dict(kind="pca", mean=pca.mean, components=pca.components,
-                               explained_variance=pca.explained_variance)}
+                               explained_variance=np.ones(2))}
     for name, arrays in old_layouts.items():
         np.savez(tmp_path / f"{name}.npz", format_version=1, **arrays)
         assert main(argv + [str(tmp_path / f"{name}.npz")]) == 65
@@ -1010,6 +1012,52 @@ def test_each_refusal_a_command_reaches_exits_65_naming_what_is_at_fault(tmp_pat
     assert main(argv) == 65
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err and err.count("\n") == 1
+
+
+def _bad_path_argv(tmp_path, case, src):
+    """The argv of a command given a directory as an input file, or an output
+    path it cannot write; its exit code; and the path its error must name."""
+    folder, afile = tmp_path / "folder", tmp_path / "afile"
+    folder.mkdir()
+    afile.write_text("")
+    spec, config, records = tmp_path / "spec.json", tmp_path / "config.json", tmp_path / "r.csv"
+    spec.write_text(json.dumps({"preset": "no_shift"}))
+    config.write_text(json.dumps(BENCH_CONFIG))
+    records.write_text(_HEADER + "\n" + _OK_ROW + "\n")
+    out, missing = str(tmp_path / "out"), tmp_path / "none" / "o.csv"
+    return {
+        "shift-output-in-no-directory": (["shift", str(src), str(missing), "--spec", str(spec)],
+                                         65, missing),
+        "shift-output-is-a-directory": (["shift", str(src), str(folder), "--spec", str(spec)],
+                                        65, folder),
+        "bench-config-is-a-directory": (["bench", "--config", str(folder), "--out", out],
+                                        66, folder),
+        "report-records-is-a-directory": (["report", "--records", str(folder), "--out", out],
+                                          66, folder),
+        "detect-source-is-a-directory": (["detect", str(folder), str(src)], 66, folder),
+        "report-out-is-a-file": (["report", "--records", str(records), "--out", str(afile)],
+                                 65, afile),
+        "bench-out-is-a-file": (["bench", "--config", str(config), "--out", str(afile)],
+                                65, afile),
+        "exemplars-out-is-a-file": (["exemplars", str(src), str(src), "--out", str(afile)],
+                                    65, afile),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["shift-output-in-no-directory", "shift-output-is-a-directory",
+                                  "bench-config-is-a-directory", "report-records-is-a-directory",
+                                  "detect-source-is-a-directory", "report-out-is-a-file",
+                                  "bench-out-is-a-file", "exemplars-out-is-a-file"])
+def test_a_directory_input_exits_66_and_an_unwritable_output_65_naming_the_path(
+        tmp_path, sample_files, monkeypatch, capsys, case):
+    _refuse_work(monkeypatch)
+    argv, code, named = _bad_path_argv(tmp_path, case, sample_files[0])
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(named) in captured.err
+    assert not (tmp_path / "none").exists() and (tmp_path / "afile").read_text() == ""
 
 
 @pytest.mark.parametrize("error", [ValueError("a bug"), KeyError("a bug")])

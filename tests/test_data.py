@@ -157,16 +157,16 @@ def test_random_split_deterministic():
                          np.arange(10) % 3, 3)
     a = random_split(pool, 6, 2, 2, seed=7)
     b = random_split(pool, 6, 2, 2, seed=7)
-    for part in ("train", "val", "test"):
-        assert np.array_equal(getattr(a, part).images, getattr(b, part).images)
+    for part_a, part_b in zip(a, b, strict=True):
+        assert np.array_equal(part_a.images, part_b.images)
 
 
 def test_random_split_is_a_partition():
     pool = TensorDataset(np.linspace(0, 1, 10).reshape(10, 1, 1, 1),
                          np.zeros(10, dtype=int), 1)
-    split = random_split(pool, 6, 2, 2, seed=3)
-    seen = np.concatenate([flatten(split.train), flatten(split.val),
-                           flatten(split.test)]).ravel()
+    train, val, test = random_split(pool, 6, 2, 2, seed=3)
+    assert (train.n, val.n, test.n) == (6, 2, 2)
+    seen = np.concatenate([flatten(train), flatten(val), flatten(test)]).ravel()
     assert len(seen) == 10
     assert len(np.unique(seen)) == 10  # pairwise disjoint, union is the pool
 
@@ -176,9 +176,9 @@ def test_random_split_different_seeds_differ():
     pool = TensorDataset(rng.random((10000, 1, 1, 1)), np.zeros(10000, dtype=int), 1)
     differing = 0
     for seed_a, seed_b in ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9)):
-        ta = flatten(random_split(pool, 6000, 2000, 2000, seed_a).test)
-        tb = flatten(random_split(pool, 6000, 2000, 2000, seed_b).test)
-        differing += not np.array_equal(ta, tb)
+        _, _, ta = random_split(pool, 6000, 2000, 2000, seed_a)
+        _, _, tb = random_split(pool, 6000, 2000, 2000, seed_b)
+        differing += not np.array_equal(flatten(ta), flatten(tb))
     assert differing == 5
 
 

@@ -1,17 +1,20 @@
-"""The benchmark's tracer (perfbench/spans.py) against the package it
-instruments: a renamed or re-signed traced function breaks this test, not
-only the traced benchmark runs."""
+"""The benchmark (perfbench/) against the package it runs: a renamed or
+re-signed function that the tracer or a workload looks up breaks these
+tests, not only the benchmark runs."""
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from test_config import TINY
 
 from shiftdetect.cli import main
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _load_spans():
@@ -42,3 +45,13 @@ def test_tracer_counts_a_bench_command_and_restores_every_patched_name(tmp_path,
     assert ("shiftdetect.stattest", "mmd_permutation_test") in patched
     after = _package_bindings()
     assert all(after[k] is v for k, v in before.items())
+
+
+@pytest.mark.parametrize("workload", ["grid-stats", "grid-trained", "monitor-stream"])
+def test_each_workload_runs_short_and_correct(workload):
+    run = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+                          "--seed", "0", "--seconds", "1", "--short"],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, run.stdout
