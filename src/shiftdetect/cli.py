@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: detect (one-shot two-sample test between two files), shift
-(apply a perturbation spec to a dataset on disk), bench (full experiment
-grid with CSV outputs and a manifest), exemplars (most-anomalous samples
-via the domain classifier), report (re-derive tables from records.csv).
+Subcommands: detect (one-shot two-sample test between two files; with
+--exemplars, also the domain classifier's most and least target-like rows),
+shift (apply a perturbation spec to a dataset on disk), bench (full grid
+with CSV outputs and a manifest), report (re-derive tables from records.csv).
 
 Machine-readable JSON goes to stdout; log text goes to stderr. Exit codes:
 0 = no shift detected, 3 = shift detected, 64 = usage error, 65 = bad
@@ -45,6 +45,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _emit(payload: dict) -> None:
@@ -144,53 +149,95 @@ _FLAG_KEYS = {"epochs": "ae_epochs", "batch_size": "batch_size", "hidden_dim": "
               "latent_dim": "latent_dim", "ae_lr0": "ae_lr0"}
 
 
-def _one_shot_config(args, source: TensorDataset, method: MethodSpec,
-                     **reducer_settings) -> ExperimentConfig:
-    """The training flags of detect/exemplars as a config for fitting on source.
-
-    Seeds derive from --seed as in bench. detect passes the settings that
-    only its reducers read (latent_dim, ae_lr0) as reducer_settings. Each
-    flag of _FLAG_KEYS the command has must keep its key's rule, and is
-    named as the flag when it does not.
-    """
+def _check_flags(args) -> None:
+    """Refuse a training flag that breaks its key's rule, naming those of _FLAG_KEYS as flags."""
     rules = rules_of(ExperimentConfig)
+    for dest in ("seed", "alpha", "lr0", "patience"):
+        rules[dest].check(getattr(args, dest), dest)
     for dest, name in _FLAG_KEYS.items():
-        if hasattr(args, dest):
-            rules[name].check(getattr(args, dest), "--" + dest.replace("_", "-"))
+        rules[name].check(getattr(args, dest), "--" + dest.replace("_", "-"))
+
+
+def _one_shot_config(args, source: TensorDataset, method: MethodSpec,
+                     latent_dim: int) -> ExperimentConfig:
+    """detect's training flags, checked by _check_flags, as a config for fitting on
+    source. Seeds derive from --seed as in bench; latent_dim is clamped by detect."""
     return ExperimentConfig(
         methods=(method,), shifts=(NamedShift("no_shift", shifts.preset("no_shift")),),
         n_train=source.n, n_val=0, n_test=0, alpha=args.alpha, seed=args.seed,
-        hidden_dim=args.hidden_dim, domain_hidden_dim=args.hidden_dim,
+        latent_dim=latent_dim, hidden_dim=args.hidden_dim, domain_hidden_dim=args.hidden_dim,
         ae_epochs=args.epochs, clf_epochs=args.epochs, domain_epochs=args.epochs,
         batch_size=args.batch_size, domain_batch_size=args.batch_size,
-        lr0=args.lr0, patience=args.patience, **reducer_settings)
+        lr0=args.lr0, ae_lr0=args.ae_lr0, patience=args.patience)
+
+
+def _exemplar_usage_error(args) -> str | None:
+    """Why detect's --exemplars and --out cannot be used as given, or None."""
+    if args.exemplars is None:
+        return None if args.out is None else "--out needs --exemplars"
+    if args.method != DrKind.CLASSIF.value:
+        return f"--exemplars needs --method classif, got {args.method}"
+    if args.out is None:
+        return "--exemplars needs --out"
+    return None if args.exemplars >= 1 else f"k must be >= 1, got {args.exemplars}"
+
+
+def _write_exemplars(check: harness.DomainCheck, k: int, out: str) -> str:
+    """Write report.json and the top_different/top_similar sample CSVs of
+    check into the directory out, made here; returns its name."""
+    outdir = Path(out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    doc = {"gate_passed": check.outcome.reject, "binomial_p": check.outcome.p_value,
+           "heldout_accuracy": check.accuracy, "n_heldout": check.n_heldout, "k": k}
+    for name, entries in zip(("top_different", "top_similar"), harness.top_exemplars(check, k)):
+        doc[name] = [{"heldout_index": i, "target_row": int(check.heldout_target_indices[i]),
+                      "score": s} for i, s in entries]
+        with open(outdir / f"{name}_samples.csv", "w", newline="") as f:
+            for i, score in entries:
+                row = [repr(float(v)) for v in check.heldout_target[i]]
+                f.write(",".join(row + [repr(score)]) + "\n")
+    with open(outdir / "report.json", "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+    return str(outdir)
 
 
 def cmd_detect(args) -> int:
+    if usage := _exemplar_usage_error(args):
+        return _usage_error(usage)
     method = MethodSpec(DrKind(args.method), TestMode(args.mode))  # refuses a bad pair
     kind, mode = method.kind, method.mode
     source, target = _load_samples(args)
-    rules_of(ExperimentConfig)["seed"].check(args.seed, "seed")  # before a split is drawn from it
+    if args.exemplars:
+        _, n_heldout_target = harness.domain_halves(source.n, target.n)
+        if args.exemplars > n_heldout_target:
+            return _usage_error(f"k={args.exemplars} exceeds held-out target size "
+                                f"{n_heldout_target}")
+        _check_output(args.out, directory=True)
+    _check_flags(args)  # before a split is drawn from --seed or a model fitted
     fit_rows, reference_rows = harness.fit_and_reference_rows(kind, source.n, args.seed)
     fit = source.subset(fit_rows)
     # the latent size is clamped to min(latent_dim, n - 1, D) of the fit rows,
     # so PCA stays defined on small samples; an autoencoder's bottleneck must
     # be narrower than its input, so uae and tae take D - 1 for D
     width = source.dim - 1 if kind in (DrKind.UAE, DrKind.TAE) else source.dim
-    k = min(args.latent_dim, max(1, min(fit.n - 1, width)))
-    cfg = _one_shot_config(args, fit, method, latent_dim=k, ae_lr0=args.ae_lr0)
+    cfg = _one_shot_config(args, fit, method, min(args.latent_dim, max(1, min(fit.n - 1, width))))
     handle = harness.fit_reducers(fit, cfg).handle_for(kind)
-    fit_info = {}
+    extra = {}
     if isinstance(handle, nets.SoftmaxClassifier):
-        fit_info["classifier_best_epoch"] = handle.best_epoch
+        extra["classifier_best_epoch"] = handle.best_epoch
         if handle.best_epoch == 0:
             _log("warning: the label classifier never beat its initial net on the "
                  "held-out rows; its outputs are constant, so BBSD cannot see a shift")
-    outcome = harness.check(cfg, method, reduce(kind, handle, flatten(source)[reference_rows]),
-                            reduce(kind, handle, flatten(target)), seed=cfg.seed)
+    source_rep = reduce(kind, handle, flatten(source)[reference_rows])
+    target_rep = reduce(kind, handle, flatten(target))
+    if args.exemplars:  # classif: the check's classifier also ranks the held-out target rows
+        check = harness.domain_check(cfg, source_rep.values, target_rep.values, seed=cfg.seed)
+        outcome, extra["outdir"] = check.outcome, _write_exemplars(check, args.exemplars, args.out)
+    else:
+        outcome = harness.check(cfg, method, source_rep, target_rep, seed=cfg.seed)
     payload = _outcome_payload(outcome)
     payload.update(method=kind.value, mode=mode.value, n_source=source.n, n_target=target.n,
-                   n_fit=fit.n, n_reference=reference_rows.size, **fit_info)
+                   n_fit=fit.n, n_reference=reference_rows.size, **extra)
     _emit(payload)
     return EXIT_SHIFT_DETECTED if outcome.reject else 0
 
@@ -274,8 +321,7 @@ def _write_tables(result, outdir: Path) -> list:
 
 def cmd_bench(args) -> int:
     if args.threads < 1:
-        print(f"error: threads must be >= 1, got {args.threads}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"threads must be >= 1, got {args.threads}")
     _check_output(args.out, directory=True)
     doc = _read_json(args.config, "config")
     cfg = ExperimentConfig.from_dict(doc)
@@ -314,46 +360,6 @@ def cmd_bench(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exemplars
-
-def cmd_exemplars(args) -> int:
-    if args.k < 1:
-        print(f"error: k must be >= 1, got {args.k}", file=sys.stderr)
-        return EXIT_USAGE
-    source, target = _load_samples(args)
-    _, n_heldout_target = harness.domain_halves(source.n, target.n)
-    if args.k > n_heldout_target:
-        print(f"error: k={args.k} exceeds held-out target size {n_heldout_target}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    _check_output(args.out, directory=True)
-    check = harness.domain_check(_one_shot_config(args, source, MethodSpec(DrKind.CLASSIF)),
-                                 flatten(source), flatten(target), seed=args.seed)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "gate_passed": check.outcome.reject,
-        "binomial_p": check.outcome.p_value,
-        "heldout_accuracy": check.accuracy,
-        "n_heldout": check.n_heldout,
-        "k": args.k,
-    }
-    for name, entries in zip(("top_different", "top_similar"),
-                             harness.top_exemplars(check, args.k)):
-        doc[name] = [{"heldout_index": i, "target_row": int(check.heldout_target_indices[i]),
-                      "score": s} for i, s in entries]
-        with open(outdir / f"{name}_samples.csv", "w", newline="") as f:
-            for i, score in entries:
-                row = [repr(float(v)) for v in check.heldout_target[i]]
-                f.write(",".join(row + [repr(score)]) + "\n")
-    with open(outdir / "report.json", "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-    _emit({"gate_passed": doc["gate_passed"], "binomial_p": doc["binomial_p"],
-           "outdir": str(outdir)})
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # report
 
 def cmd_report(args) -> int:
@@ -374,13 +380,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_training_flags(p):
-        p.add_argument("--hidden-dim", type=int, default=64)
-        p.add_argument("--epochs", type=int, default=20)
-        p.add_argument("--batch-size", type=int, default=32)
-        p.add_argument("--lr0", type=float, default=0.1)
-        p.add_argument("--patience", type=int, default=10)
-
     p = sub.add_parser(
         "detect", help="two-sample test between a source and a target file",
         description="One-shot detection: pca, tae, bbsds and bbsdh fit their "
@@ -397,7 +396,15 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--latent-dim", type=int, default=32)
     p.add_argument("--ae-lr0", type=float, default=2.0)
-    add_training_flags(p)
+    p.add_argument("--hidden-dim", type=int, default=64)
+    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--lr0", type=float, default=0.1)
+    p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--exemplars", type=int, default=None, metavar="K",
+                   help="with --method classif: write the K held-out target rows the "
+                        "domain classifier finds most and least target-like to --out")
+    p.add_argument("--out", default=None, help="directory of the --exemplars report")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("shift", help="apply a shift spec to a dataset on disk")
@@ -413,16 +420,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("exemplars", help="most-anomalous samples via the domain classifier")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("-k", type=int, default=10)
-    p.add_argument("--out", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    add_training_flags(p)
-    p.set_defaults(func=cmd_exemplars)
 
     p = sub.add_parser("report", help="re-derive accuracy tables from records.csv")
     p.add_argument("--records", required=True)

@@ -54,6 +54,8 @@ class NamedShift:
 
 
 _COUNT, _POSITIVE, _TRAIN = Rule("integer", 0), Rule("integer", 1), rules_of(TrainConfig)
+# per-element MSE gradients scale as 1/D, so tae trains at ae_lr0 * D / AE_LR0_WIDTH
+AE_LR0_WIDTH = 784
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ class ExperimentConfig:
     # domain pools are tiny; keep enough updates per epoch
     domain_batch_size: int = key(_TRAIN["batch_size"], 32)
     lr0: float = key(_TRAIN["lr0"], 0.1)
-    ae_lr0: float = key(_TRAIN["lr0"], 2.0)  # per-element MSE gradients are ~1/D the CE scale
+    ae_lr0: float = key(_TRAIN["lr0"], 2.0)  # tae's step at AE_LR0_WIDTH input columns
     patience: int = key(_TRAIN["patience"], 5)
     n_perms: int = key(_POSITIVE, 1000)
 
@@ -240,9 +242,8 @@ def fit_reducers(train: TensorDataset, cfg: ExperimentConfig) -> FittedReducers:
         x_stop, y_stop = x_fit, y_fit
 
     if "tae" in needed:
-        models["tae"] = nets.train_autoencoder(
-            x_fit, x_stop, arch,
-            cfg.train_config(cfg.ae_epochs, _derive_seed(cfg.seed, 14), lr0=cfg.ae_lr0))
+        models["tae"] = nets.train_autoencoder(x_fit, x_stop, arch, cfg.train_config(
+            cfg.ae_epochs, _derive_seed(cfg.seed, 14), lr0=cfg.ae_lr0 * (d / AE_LR0_WIDTH)))
     if "label_clf" in needed:
         if train.num_classes < 2:
             raise ShiftDetectError("the label classifier needs training data with >= 2 classes")

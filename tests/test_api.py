@@ -1,14 +1,18 @@
-"""The public API of the package, pinned.
+"""The public API of the package and of its command line, pinned.
 
-A change that adds or removes an export of `shiftdetect` must edit the list
-below, so the change shows in the diff and CHANGES.md can name it.
-Submodules are attributes of the package once imported; they are not
-exports.
+A change that adds or removes an export of the `shiftdetect` package or a
+subcommand of the `shiftdetect` command must edit a list below, so the
+change shows in the diff and CHANGES.md can name it. Submodules are
+attributes of the package once imported; they are not exports.
 """
 
+import argparse
 import types
 
 import shiftdetect
+from shiftdetect.cli import build_parser
+
+SUBCOMMANDS = ["bench", "detect", "report", "shift"]
 
 PUBLIC_NAMES = [
     "Autoencoder",
@@ -75,3 +79,9 @@ def test_public_names_are_pinned():
     exported = sorted(name for name, value in vars(shiftdetect).items()
                       if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert exported == PUBLIC_NAMES  # one sorted name a line: a diff shows each
+
+
+def test_subcommands_are_pinned():
+    subparsers, = (action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == SUBCOMMANDS

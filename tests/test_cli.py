@@ -193,7 +193,7 @@ def _refuse_work(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [["detect", "--method", kind.value] for kind in DrKind]
-                         + [["exemplars", "-k", "3", "--out", "ex"]],
+                         + [["detect", "--method", "classif", "--exemplars", "3", "--out", "ex"]],
                          ids=[kind.value for kind in DrKind] + ["exemplars"])
 def test_detect_and_exemplars_refuse_files_of_different_widths(tmp_path, sample_files,
                                                                monkeypatch, capsys, argv):
@@ -227,6 +227,15 @@ def test_detect_clamps_an_autoencoder_bottleneck_below_the_file_width(sample_fil
         assert main(["detect", str(src), str(target)] + flags) == code
         assert json.loads(capsys.readouterr().out)["reject"] == (code == 3)
     assert bottlenecks == [7, 7, 7]
+
+
+def test_detect_trains_tae_with_default_flags_on_narrow_files(sample_files, capsys):
+    # ae_lr0 is stated for 784 columns and scaled to the width: at 8 columns
+    # the unscaled step diverged (non-finite validation score at epoch 2)
+    src, same, far = sample_files
+    for target, code in ((same, 0), (far, 3)):
+        assert main(["detect", str(src), str(target), "--method", "tae"]) == code
+        assert json.loads(capsys.readouterr().out)["reject"] == (code == 3)
 
 
 @pytest.mark.parametrize("kind", [kind.value for kind in harness.FITTED_ON_ROWS])
@@ -473,9 +482,9 @@ def test_detect_and_exemplars_refuse_a_file_with_nothing_to_test(tmp_path, sampl
     src, _, far = sample_files
     bad = tmp_path / "bad.csv"
     bad.write_text(content)
-    argv = [command, *((bad, far) if side == "source" else (src, bad))]
-    if command == "exemplars":
-        argv += ["--out", tmp_path / "ex"]
+    argv = ["detect", *((bad, far) if side == "source" else (src, bad))]
+    if command == "exemplars":  # detect with the exemplar report
+        argv += ["--method", "classif", "--exemplars", "3", "--out", tmp_path / "ex"]
     assert main([str(a) for a in argv]) == 65
     rows = content.count("\n")
     assert capsys.readouterr().err == (f"error: {bad} holds {rows} rows of 0 pixels; "
@@ -776,30 +785,31 @@ def test_bench_missing_config_exit_66(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# exemplars
+# detect --exemplars
 
 def test_exemplars_identical_data_gated(tmp_path, sample_files, capsys):
     src, same, _ = sample_files
     outdir = tmp_path / "ex"
-    code = main(["exemplars", str(src), str(same), "-k", "5",
+    code = main(["detect", str(src), str(same), "--method", "classif", "--exemplars", "5",
                  "--out", str(outdir), "--epochs", "4"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     report = json.loads((outdir / "report.json").read_text())
     assert not report["gate_passed"]
     assert report["top_different"] == []
-    assert not payload["gate_passed"]
+    assert not payload["reject"] and payload["outdir"] == str(outdir)
 
 
 def test_exemplars_shifted_data_reported(tmp_path, sample_files, capsys):
     src, _, far = sample_files
     outdir = tmp_path / "ex2"
-    code = main(["exemplars", str(src), str(far), "-k", "5",
+    code = main(["detect", str(src), str(far), "--method", "classif", "--exemplars", "5",
                  "--out", str(outdir), "--epochs", "10"])
-    capsys.readouterr()
-    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 3
     report = json.loads((outdir / "report.json").read_text())
-    assert report["gate_passed"]
+    assert report["gate_passed"] and payload["reject"]
+    assert report["binomial_p"] == payload["p_value"]
     assert len(report["top_different"]) == 5
     scores = [e["score"] for e in report["top_different"]]
     assert scores == sorted(scores, reverse=True)
@@ -808,24 +818,23 @@ def test_exemplars_shifted_data_reported(tmp_path, sample_files, capsys):
     assert (outdir / "top_different_samples.csv").exists()
 
 
-def test_exemplars_bad_alpha_exit_65_and_reducer_flags_gone(tmp_path, sample_files,
-                                                             monkeypatch, capsys):
+def test_exemplars_bad_alpha_exit_65(tmp_path, sample_files, monkeypatch, capsys):
     _refuse_work(monkeypatch)
     src, _, far = sample_files
-    argv = ["exemplars", str(src), str(far), "--out", str(tmp_path / "ex6")]
+    argv = ["detect", str(src), str(far), "--method", "classif", "--exemplars", "3",
+            "--out", str(tmp_path / "ex6")]
     assert main(argv + ["--alpha", "1.5"]) == 65
     assert "alpha must be a finite number in (0, 1), got 1.5" in capsys.readouterr().err
-    for flag in ("--latent-dim", "--ae-lr0"):  # only the domain classifier trains here
-        assert main(argv + [flag, "4"]) == 64
+    assert not (tmp_path / "ex6").exists()
 
 
 def test_exemplars_k_too_large_exit_64(tmp_path, sample_files, monkeypatch, capsys):
     def no_training(*args, **kwargs):
-        raise AssertionError("domain classifier trained before -k was checked")
+        raise AssertionError("domain classifier trained before --exemplars was checked")
 
     monkeypatch.setattr("shiftdetect.nets.train_domain_classifier", no_training)
     src, _, far = sample_files
-    code = main(["exemplars", str(src), str(far), "-k", "500",
+    code = main(["detect", str(src), str(far), "--method", "classif", "--exemplars", "500",
                  "--out", str(tmp_path / "ex3"), "--epochs", "2"])
     assert code == 64
     assert "k=500 exceeds held-out target size 80" in capsys.readouterr().err
@@ -839,13 +848,14 @@ def test_exemplars_k_up_to_odd_heldout_half(tmp_path, sample_files, capsys):
     for path, mean in ((odd_src, 0.4), (odd, 0.8)):
         write_csv(TensorDataset(np.clip(rng.normal(mean, 0.1, (161, 1, 8, 1)), 0, 1),
                                 rng.integers(0, 2, 161), 2), path)
-    argv = ["exemplars", str(odd_src), str(odd), "--out", str(tmp_path / "ex5"), "--epochs", "2"]
-    assert main(argv + ["-k", "82"]) == 64
+    argv = ["detect", str(odd_src), str(odd), "--method", "classif", "--out",
+            str(tmp_path / "ex5"), "--epochs", "2"]
+    assert main(argv + ["--exemplars", "82"]) == 64
     assert "k=82 exceeds held-out target size 81" in capsys.readouterr().err
-    assert main(argv + ["-k", "81"]) == 0
+    assert main(argv + ["--exemplars", "81"]) == 3
     # against the 160-row source both sides use 160 rows: 80 are held out
     argv[1] = str(src)
-    assert main(argv + ["-k", "81"]) == 64
+    assert main(argv + ["--exemplars", "81"]) == 64
     assert "k=81 exceeds held-out target size 80" in capsys.readouterr().err
 
 
@@ -861,8 +871,9 @@ def test_domain_check_on_iid_files_of_unequal_size_sees_no_shift(tmp_path, capsy
     assert main(["detect", str(src), str(tgt), "--method", "classif"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["n_source"], out["n_target"], out["reject"]) == (160, 80, False)
-    assert main(["exemplars", str(src), str(tgt), "-k", "3", "--out", str(tmp_path / "ex")]) == 0
-    capsys.readouterr()
+    assert main(["detect", str(src), str(tgt), "--method", "classif", "--exemplars", "3",
+                 "--out", str(tmp_path / "ex")]) == 0
+    assert json.loads(capsys.readouterr().out) == dict(out, outdir=str(tmp_path / "ex"))
     report = json.loads((tmp_path / "ex" / "report.json").read_text())
     assert not report["gate_passed"]
     assert report["n_heldout"] == 80  # 40 rows of each side
@@ -873,17 +884,43 @@ def test_domain_check_on_iid_files_of_unequal_size_sees_no_shift(tmp_path, capsy
 def test_exemplars_k_below_one_exit_64(tmp_path, sample_files, monkeypatch, capsys, k):
     _refuse_work(monkeypatch)
     src, _, far = sample_files
-    code = main(["exemplars", str(src), str(far), "-k", k, "--out", str(tmp_path / "ex4")])
+    code = main(["detect", str(src), str(far), "--method", "classif", "--exemplars", k,
+                 "--out", str(tmp_path / "ex4")])
     assert code == 64
     assert f"k must be >= 1, got {k}" in capsys.readouterr().err
     assert not (tmp_path / "ex4").exists()
 
 
+def test_exemplars_is_an_unknown_command_exit_64(sample_files, capsys):
+    src, _, far = sample_files
+    assert main(["exemplars", str(src), str(far), "-k", "3", "--out", "ex"]) == 64
+    assert "invalid choice: 'exemplars'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--method", "pca", "--exemplars", "3", "--out", "ex"],
+     "--exemplars needs --method classif, got pca"),
+    (["--method", "classif", "--exemplars", "3"], "--exemplars needs --out"),
+    (["--method", "classif", "--out", "ex"], "--out needs --exemplars"),
+], ids=["other-method", "no-out", "out-alone"])
+def test_detect_refuses_exemplars_flags_that_do_not_go_together(tmp_path, sample_files,
+                                                                 monkeypatch, capsys, flags,
+                                                                 message):
+    _refuse_work(monkeypatch)
+    src, _, far = sample_files
+    monkeypatch.chdir(tmp_path)
+    assert main(["detect", str(src), str(far)] + flags) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not (tmp_path / "ex").exists()
+
+
 # SHA-256 of detect's stdout over every (kind, mode) pair MethodSpec accepts,
 # in DrKind x TestMode order, each on the same and then the far target; and
-# of the three files exemplars writes for the far target. Both commands'
-# outputs are pinned bit for bit.
-DETECT_GOLDEN_SHA256 = "fb3308ba063c35ddddebac3a6e56857e62471fa2b2eb9c20ef717402fbc4d30f"
+# of the three files --exemplars writes for the far target. Both outputs
+# are pinned bit for bit. The four tae lines were re-recorded when tae's step
+# became ae_lr0 scaled by width / AE_LR0_WIDTH; the other lines did not move.
+DETECT_GOLDEN_SHA256 = "aeaf8f1dfc400ff2521e9b58fb68af418dae66211e5958ecf6295d14a6f6d92c"
 EXEMPLARS_GOLDEN_SHA256 = {
     "report.json": "a020f3fac6fb382161841b75987e8600226d8331bb9d46d8a50272fb634b8102",
     "top_different_samples.csv":
@@ -907,8 +944,8 @@ def test_detect_and_exemplars_outputs_are_pinned(tmp_path, sample_files, capsys)
                 digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == DETECT_GOLDEN_SHA256
     outdir = tmp_path / "ex"
-    assert main(["exemplars", str(src), str(far), "-k", "5", "--epochs", "3",
-                 "--out", str(outdir)]) == 0
+    assert main(["detect", str(src), str(far), "--method", "classif", "--exemplars", "5",
+                 "--epochs", "3", "--out", str(outdir)]) == 3
     assert {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
             for name in EXEMPLARS_GOLDEN_SHA256} == EXEMPLARS_GOLDEN_SHA256
 
@@ -1039,8 +1076,8 @@ def _bad_path_argv(tmp_path, case, src):
                                  65, afile),
         "bench-out-is-a-file": (["bench", "--config", str(config), "--out", str(afile)],
                                 65, afile),
-        "exemplars-out-is-a-file": (["exemplars", str(src), str(src), "--out", str(afile)],
-                                    65, afile),
+        "exemplars-out-is-a-file": (["detect", str(src), str(src), "--method", "classif",
+                                     "--exemplars", "3", "--out", str(afile)], 65, afile),
     }[case]
 
 

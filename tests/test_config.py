@@ -135,33 +135,29 @@ def test_bench_whose_training_diverges_exits_65(tmp_path):
 
 
 # --epochs, --batch-size and --hidden-dim feed config keys of other names
-# (ae_epochs, which exemplars never trains), and detect clamps --latent-dim
-# before the config sees it, so the message names the flag
-@pytest.mark.parametrize("flag, value, message, command", [
-    (*case, command) for case in (
-        ("--lr0", "inf", "lr0 must be a finite number > 0, got inf"),
-        ("--lr0", "nan", "lr0 must be a finite number > 0, got nan"),
-        ("--alpha", "nan", "alpha must be a finite number in (0, 1), got nan"),
-        ("--epochs", "-1", "--epochs must be an integer >= 0, got -1"),
-        ("--batch-size", "0", "--batch-size must be an integer >= 1, got 0"),
-        ("--hidden-dim", "0", "--hidden-dim must be an integer >= 1, got 0"),
-        ("--latent-dim", "0", "--latent-dim must be an integer >= 1, got 0"))
-    for command in ("detect", "exemplars")
-    if command == "detect" or case[0] != "--latent-dim"])  # exemplars has no --latent-dim
+# (ae_epochs, clf_epochs, ...), and detect clamps --latent-dim before the
+# config sees it, so the message names the flag
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lr0", "inf", "lr0 must be a finite number > 0, got inf"),
+    ("--lr0", "nan", "lr0 must be a finite number > 0, got nan"),
+    ("--alpha", "nan", "alpha must be a finite number in (0, 1), got nan"),
+    ("--epochs", "-1", "--epochs must be an integer >= 0, got -1"),
+    ("--batch-size", "0", "--batch-size must be an integer >= 1, got 0"),
+    ("--hidden-dim", "0", "--hidden-dim must be an integer >= 1, got 0"),
+    ("--latent-dim", "0", "--latent-dim must be an integer >= 1, got 0")])
 def test_one_shot_commands_refuse_a_bad_setting_before_fitting(tmp_path, monkeypatch, capsys,
-                                                               command, flag, value, message):
+                                                               flag, value, message):
     def no_work(*args, **kwargs):
-        raise AssertionError("a model was fitted before the settings were checked")
+        raise AssertionError("a split was drawn or a model fitted before the settings were "
+                             "checked")
 
-    for target in ("shiftdetect.harness.fit_reducers",
+    for target in ("shiftdetect.harness.fit_and_reference_rows",
+                   "shiftdetect.harness.fit_reducers",
                    "shiftdetect.harness.run_domain_classifier_test"):
         monkeypatch.setattr(target, no_work)
     data = tmp_path / "data.csv"
     write_csv(TensorDataset(np.full((20, 1, 4, 1), 0.5), np.arange(20) % 2, 2), data)
-    argv = [command, str(data), str(data), flag, value]
-    if command == "exemplars":
-        argv += ["--out", str(tmp_path / "ex")]
-    assert main(argv) == 65
+    assert main(["detect", str(data), str(data), flag, value]) == 65
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
