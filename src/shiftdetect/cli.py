@@ -141,34 +141,38 @@ def _load_samples(args) -> tuple[TensorDataset, TensorDataset]:
     return source, target
 
 
-# the flags whose bad value the config would report under another key name
-# (ae_epochs for --epochs) or after detect's clamp (--latent-dim), each with
-# the key whose rule it keeps; --alpha, --lr0, --patience and --seed are
-# spelled as their keys
-_FLAG_KEYS = {"epochs": "ae_epochs", "batch_size": "batch_size", "hidden_dim": "hidden_dim",
-              "latent_dim": "latent_dim", "ae_lr0": "ae_lr0"}
+# detect's training flags, by dest (--latent-dim is latent_dim): each flag's
+# type, its default and the config keys it sets; the first key's rule refuses
+# a bad value
+_TRAINING_FLAGS = {
+    "alpha": (float, 0.05, ("alpha",)),
+    "seed": (int, 0, ("seed",)),
+    "latent_dim": (int, 32, ("latent_dim",)),
+    "ae_lr0": (float, 2.0, ("ae_lr0",)),
+    "hidden_dim": (int, 64, ("hidden_dim", "domain_hidden_dim")),
+    "epochs": (int, 20, ("ae_epochs", "clf_epochs", "domain_epochs")),
+    "batch_size": (int, 32, ("batch_size", "domain_batch_size")),
+    "lr0": (float, 0.1, ("lr0",)),
+    "patience": (int, 10, ("patience",)),
+}
 
 
 def _check_flags(args) -> None:
-    """Refuse a training flag that breaks its key's rule, naming those of _FLAG_KEYS as flags."""
+    """Refuse a training flag that breaks its first key's rule, naming the flag."""
     rules = rules_of(ExperimentConfig)
-    for dest in ("seed", "alpha", "lr0", "patience"):
-        rules[dest].check(getattr(args, dest), dest)
-    for dest, name in _FLAG_KEYS.items():
-        rules[name].check(getattr(args, dest), "--" + dest.replace("_", "-"))
+    for dest, (_, _, keys) in _TRAINING_FLAGS.items():
+        rules[keys[0]].check(getattr(args, dest), "--" + dest.replace("_", "-"))
 
 
 def _one_shot_config(args, source: TensorDataset, method: MethodSpec,
                      latent_dim: int) -> ExperimentConfig:
     """detect's training flags, checked by _check_flags, as a config for fitting on
     source. Seeds derive from --seed as in bench; latent_dim is clamped by detect."""
+    settings = {key: getattr(args, dest) for dest, (_, _, keys) in _TRAINING_FLAGS.items()
+                for key in keys}
     return ExperimentConfig(
         methods=(method,), shifts=(NamedShift("no_shift", shifts.preset("no_shift")),),
-        n_train=source.n, n_val=0, n_test=0, alpha=args.alpha, seed=args.seed,
-        latent_dim=latent_dim, hidden_dim=args.hidden_dim, domain_hidden_dim=args.hidden_dim,
-        ae_epochs=args.epochs, clf_epochs=args.epochs, domain_epochs=args.epochs,
-        batch_size=args.batch_size, domain_batch_size=args.batch_size,
-        lr0=args.lr0, ae_lr0=args.ae_lr0, patience=args.patience)
+        n_train=source.n, n_val=0, n_test=0, **dict(settings, latent_dim=latent_dim))
 
 
 def _exemplar_usage_error(args) -> str | None:
@@ -392,15 +396,8 @@ def build_parser() -> _Parser:
     p.add_argument("--method", default="nored", choices=[k.value for k in DrKind])
     p.add_argument("--mode", default="univariate",
                    choices=[m.value for m in TestMode])
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--latent-dim", type=int, default=32)
-    p.add_argument("--ae-lr0", type=float, default=2.0)
-    p.add_argument("--hidden-dim", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr0", type=float, default=0.1)
-    p.add_argument("--patience", type=int, default=10)
+    for dest, (type_, default, _) in _TRAINING_FLAGS.items():
+        p.add_argument("--" + dest.replace("_", "-"), type=type_, default=default)
     p.add_argument("--exemplars", type=int, default=None, metavar="K",
                    help="with --method classif: write the K held-out target rows the "
                         "domain classifier finds most and least target-like to --out")

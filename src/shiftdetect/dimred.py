@@ -142,13 +142,17 @@ class MethodRow:
     and CLASSIF read no model, and their transform returns the rows
     themselves, uncopied: CLASSIF's test trains the domain classifier on
     them (harness.check). BBSDH (categorical ids) and CLASSIF (its binomial
-    test) have no multivariate test.
+    test) have no multivariate test. fits_rows marks a model learned from
+    the rows it is fitted on: tested on those rows, its outputs can differ
+    from unseen rows' under no shift, so detect tests other rows
+    (harness.fit_and_reference_rows).
     """
 
     model: str | None
     model_type: type
     transform: Callable[[object, np.ndarray], Representation]
     multivariate: bool = True
+    fits_rows: bool = False
 
 
 def _identity(_, x: np.ndarray) -> Representation:
@@ -157,15 +161,19 @@ def _identity(_, x: np.ndarray) -> Representation:
 
 METHOD_TABLE = {
     DrKind.NORED: MethodRow(None, object, _identity),
-    DrKind.PCA: MethodRow("pca", PcaModel, lambda m, x: Representation(pca_project(m, x))),
+    DrKind.PCA: MethodRow("pca", PcaModel, lambda m, x: Representation(pca_project(m, x)),
+                          fits_rows=True),
     DrKind.SRP: MethodRow("srp", SrpMatrix, lambda m, x: Representation(srp_project(m, x))),
     DrKind.UAE: MethodRow("uae", nets.Autoencoder, lambda m, x: Representation(nets.encode(m, x))),
-    DrKind.TAE: MethodRow("tae", nets.Autoencoder, lambda m, x: Representation(nets.encode(m, x))),
+    DrKind.TAE: MethodRow("tae", nets.Autoencoder, lambda m, x: Representation(nets.encode(m, x)),
+                          fits_rows=True),
     DrKind.BBSDS: MethodRow("label_clf", nets.SoftmaxClassifier,
-                            lambda m, x: Representation(nets.softmax_outputs(m, x))),
+                            lambda m, x: Representation(nets.softmax_outputs(m, x)),
+                            fits_rows=True),
     DrKind.BBSDH: MethodRow("label_clf", nets.SoftmaxClassifier,
                             lambda m, x: Representation(nets.hard_predictions(m, x),
-                                                        m.num_classes), multivariate=False),
+                                                        m.num_classes),
+                            multivariate=False, fits_rows=True),
     DrKind.CLASSIF: MethodRow(None, object, _identity, multivariate=False),
 }
 

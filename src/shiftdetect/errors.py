@@ -1,13 +1,13 @@
-"""The package's one exception type, and the rules that check input.
+"""The package's exception type, and the rules that check input.
 
 ShiftDetectError is a ValueError whose message names the bad value. Bad
 files, shapes, sizes, settings and shifts raise it, and so does a fit that
-diverges; no caller tells these apart by type, so there is one class. A
-grid cell records its text as the skip reason, and the CLI prints it and
-exits 65. Every
-configuration value is checked by a Rule, whose error names the value's key
-path and the type it must have; a dataclass field made by key carries its
-Rule, so the class is the table of its keys' rules.
+diverges, as its one subclass nets.Diverged: harness.fit_reducers tells
+that apart, to name the model and the step size to lower. A grid cell
+records the text as the skip reason, and the CLI prints it and exits 65.
+Every configuration value is checked by a Rule, whose error names the
+value's key path and the type it must have; a dataclass field made by key
+carries its Rule, so the class is the table of its keys' rules.
 """
 
 import functools

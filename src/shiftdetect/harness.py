@@ -242,30 +242,37 @@ def fit_reducers(train: TensorDataset, cfg: ExperimentConfig) -> FittedReducers:
         x_stop, y_stop = x_fit, y_fit
 
     if "tae" in needed:
-        models["tae"] = nets.train_autoencoder(x_fit, x_stop, arch, cfg.train_config(
-            cfg.ae_epochs, _derive_seed(cfg.seed, 14), lr0=cfg.ae_lr0 * (d / AE_LR0_WIDTH)))
+        models["tae"] = _train("tae", "ae_lr0", nets.train_autoencoder, x_fit, x_stop, arch,
+                               cfg.train_config(cfg.ae_epochs, _derive_seed(cfg.seed, 14),
+                                                lr0=cfg.ae_lr0 * (d / AE_LR0_WIDTH)))
     if "label_clf" in needed:
         if train.num_classes < 2:
             raise ShiftDetectError("the label classifier needs training data with >= 2 classes")
-        models["label_clf"] = nets.train_label_classifier(
+        models["label_clf"] = _train(
+            "the label classifier", "lr0", nets.train_label_classifier,
             (x_fit, y_fit), (x_stop, y_stop), train.num_classes,
             cfg.train_config(cfg.clf_epochs, _derive_seed(cfg.seed, 15)),
             hidden_dims=(cfg.hidden_dim,))
     return FittedReducers(models)
 
 
-# the kinds whose model is fitted on training rows: tested on rows it saw,
-# such a model's outputs can differ from unseen rows' under no shift
-FITTED_ON_ROWS = (DrKind.PCA, DrKind.TAE, DrKind.BBSDS, DrKind.BBSDH)
+def _train(model: str, lr_key: str, train, *args, **kwargs):
+    """train(*args, **kwargs); a divergence is refused naming the model and
+    lr_key, the key of the step size to lower."""
+    try:
+        return train(*args, **kwargs)
+    except nets.Diverged as exc:
+        raise ShiftDetectError(f"{model} diverged: {exc}; lower {lr_key}") from exc
 
 
 def fit_and_reference_rows(kind: DrKind, n: int, seed: int) -> tuple:
     """(rows to fit on, rows to test) of an n-row source checked by kind.
 
-    A kind of FITTED_ON_ROWS gets disjoint halves of a split seeded by seed,
-    n // 2 rows to fit on; any other kind fits on and tests every row.
+    A kind whose METHOD_TABLE row fits_rows gets disjoint halves of a split
+    seeded by seed, n // 2 rows to fit on; any other kind fits on and tests
+    every row.
     """
-    if kind not in FITTED_ON_ROWS:
+    if not METHOD_TABLE[kind].fits_rows:
         return np.arange(n), np.arange(n)
     fit, reference, _ = split_indices(n, n // 2, n - n // 2, 0, seed=_derive_seed(seed, 71))
     return fit, reference

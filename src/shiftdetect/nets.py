@@ -22,6 +22,10 @@ _ACTIVATIONS = ("relu", "tanh", "identity")
 MOMENTUM = 0.9  # SGD momentum of every training run
 
 
+class Diverged(ShiftDetectError):
+    """A training run whose loss or validation score stopped being finite."""
+
+
 @dataclass
 class NetParams:
     """A stack of dense layers: out = act(x @ W + b), W shaped (fan_in, fan_out)."""
@@ -254,14 +258,14 @@ def _sgd(net: NetParams, x: np.ndarray, target, loss: str, score_fn, cfg: TrainC
                 net, batch, batch if autoencode else target[idx], loss,
                 input_grad=False, buffers=buffers)
             if not math.isfinite(value):
-                raise ShiftDetectError(f"non-finite loss at epoch {epoch}")
+                raise Diverged(f"non-finite loss at epoch {epoch}")
             velocity *= MOMENTUM
             grads *= lr
             velocity -= grads
             params += velocity
         score = score_fn(net)
         if not np.isfinite(score):
-            raise ShiftDetectError(f"non-finite validation score at epoch {epoch}")
+            raise Diverged(f"non-finite validation score at epoch {epoch}")
         if score < best_score:
             best, best_score, best_epoch = net.copy(), score, epoch
             stale = 0

@@ -14,6 +14,24 @@ from shiftdetect.cli import build_parser
 
 SUBCOMMANDS = ["bench", "detect", "report", "shift"]
 
+# detect's options, each with its type (None: a string) and default: the
+# nine training flags, then the method, the test and the exemplar report
+DETECT_OPTIONS = {
+    "--alpha": (float, 0.05),
+    "--seed": (int, 0),
+    "--latent-dim": (int, 32),
+    "--ae-lr0": (float, 2.0),
+    "--hidden-dim": (int, 64),
+    "--epochs": (int, 20),
+    "--batch-size": (int, 32),
+    "--lr0": (float, 0.1),
+    "--patience": (int, 10),
+    "--method": (None, "nored"),
+    "--mode": (None, "univariate"),
+    "--exemplars": (int, None),
+    "--out": (None, None),
+}
+
 PUBLIC_NAMES = [
     "Autoencoder",
     "DomainCheck",
@@ -81,7 +99,18 @@ def test_public_names_are_pinned():
     assert exported == PUBLIC_NAMES  # one sorted name a line: a diff shows each
 
 
-def test_subcommands_are_pinned():
+def _subparsers():
     subparsers, = (action for action in build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))
-    assert sorted(subparsers.choices) == SUBCOMMANDS
+    return subparsers.choices
+
+
+def test_subcommands_are_pinned():
+    assert sorted(_subparsers()) == SUBCOMMANDS
+
+
+def test_detect_options_are_pinned():
+    options = {action.option_strings[-1]: (action.type, action.default)
+               for action in _subparsers()["detect"]._actions
+               if action.option_strings and action.option_strings != ["-h", "--help"]}
+    assert options == DETECT_OPTIONS

@@ -238,7 +238,8 @@ def test_detect_trains_tae_with_default_flags_on_narrow_files(sample_files, caps
         assert json.loads(capsys.readouterr().out)["reject"] == (code == 3)
 
 
-@pytest.mark.parametrize("kind", [kind.value for kind in harness.FITTED_ON_ROWS])
+@pytest.mark.parametrize("kind", [kind.value for kind, row in METHOD_TABLE.items()
+                                  if row.fits_rows])
 def test_detect_refuses_a_negative_seed_before_splitting(sample_files, monkeypatch, capsys, kind):
     # these kinds draw their fit/reference split from --seed; nored draws none
     _refuse_work(monkeypatch)
@@ -247,7 +248,21 @@ def test_detect_refuses_a_negative_seed_before_splitting(sample_files, monkeypat
     for method in ("nored", kind):
         assert main(["detect", str(src), str(far), "--method", method, "--seed", "-1"]) == 65
         errors.append(capsys.readouterr().err)
-    assert errors[1] == errors[0] == "error: seed must be an integer >= 0, got -1\n"
+    assert errors[1] == errors[0] == "error: --seed must be an integer >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--method", "tae", "--ae-lr0", "1e12"],
+     "tae diverged: non-finite loss at epoch 1; lower ae_lr0"),
+    (["--method", "bbsds", "--lr0", "1e300"],
+     "the label classifier diverged: non-finite loss at epoch 1; lower lr0")])
+def test_detect_names_the_model_that_diverges_and_its_step(sample_files, capsys, flags, message):
+    # detect's flags are spelled as the keys, so the text serves bench too;
+    # numpy warns of the overflow and of the invalid values it leads to
+    src, same, _ = sample_files
+    with pytest.warns(RuntimeWarning):
+        assert main(["detect", str(src), str(same)] + flags) == 65
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("kind", ["bbsdh", "classif"])
@@ -824,7 +839,7 @@ def test_exemplars_bad_alpha_exit_65(tmp_path, sample_files, monkeypatch, capsys
     argv = ["detect", str(src), str(far), "--method", "classif", "--exemplars", "3",
             "--out", str(tmp_path / "ex6")]
     assert main(argv + ["--alpha", "1.5"]) == 65
-    assert "alpha must be a finite number in (0, 1), got 1.5" in capsys.readouterr().err
+    assert "--alpha must be a finite number in (0, 1), got 1.5" in capsys.readouterr().err
     assert not (tmp_path / "ex6").exists()
 
 

@@ -130,21 +130,26 @@ def test_bench_whose_training_diverges_exits_65(tmp_path):
     with pytest.warns(RuntimeWarning, match="overflow"):
         code, err = _bench(dict(TINY, methods=["tae"], ae_lr0=1e12), tmp_path)
     assert code == 65
-    assert err.splitlines()[-1] == "error: non-finite validation score at epoch 2"
+    assert err.splitlines()[-1] == ("error: tae diverged: non-finite validation score at "
+                                    "epoch 2; lower ae_lr0")
     assert not (tmp_path / "out").exists()  # --out is made only once the grid has run
 
 
-# --epochs, --batch-size and --hidden-dim feed config keys of other names
-# (ae_epochs, clf_epochs, ...), and detect clamps --latent-dim before the
-# config sees it, so the message names the flag
+# one bad value per training flag at least; --epochs, --batch-size and
+# --hidden-dim feed config keys of other names (ae_epochs, clf_epochs, ...),
+# and detect clamps --latent-dim before the config sees it, so every message
+# names the flag
 @pytest.mark.parametrize("flag, value, message", [
-    ("--lr0", "inf", "lr0 must be a finite number > 0, got inf"),
-    ("--lr0", "nan", "lr0 must be a finite number > 0, got nan"),
-    ("--alpha", "nan", "alpha must be a finite number in (0, 1), got nan"),
+    ("--alpha", "nan", "--alpha must be a finite number in (0, 1), got nan"),
+    ("--seed", "-1", "--seed must be an integer >= 0, got -1"),
+    ("--latent-dim", "0", "--latent-dim must be an integer >= 1, got 0"),
+    ("--ae-lr0", "0", "--ae-lr0 must be a finite number > 0, got 0.0"),
+    ("--hidden-dim", "0", "--hidden-dim must be an integer >= 1, got 0"),
     ("--epochs", "-1", "--epochs must be an integer >= 0, got -1"),
     ("--batch-size", "0", "--batch-size must be an integer >= 1, got 0"),
-    ("--hidden-dim", "0", "--hidden-dim must be an integer >= 1, got 0"),
-    ("--latent-dim", "0", "--latent-dim must be an integer >= 1, got 0")])
+    ("--lr0", "inf", "--lr0 must be a finite number > 0, got inf"),
+    ("--lr0", "nan", "--lr0 must be a finite number > 0, got nan"),
+    ("--patience", "0", "--patience must be an integer >= 1, got 0")])
 def test_one_shot_commands_refuse_a_bad_setting_before_fitting(tmp_path, monkeypatch, capsys,
                                                                flag, value, message):
     def no_work(*args, **kwargs):
